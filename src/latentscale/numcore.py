@@ -2,7 +2,9 @@
 
 Every kernel takes an explicit :class:`MeterContext`, charges FLOPs to it
 according to the published cost table below, and registers its output buffer
-so the context can track live and peak allocation bytes. Kernels are pure:
+so the context can track live and peak allocation bytes. Operands may be
+:class:`Tensor` values or plain ``np.ndarray``s, so constant weights are
+passed as they are; outputs are always read-only Tensors. Kernels are pure:
 they never mutate their inputs, and identical inputs give bit-identical
 outputs in the same precision.
 
@@ -29,12 +31,13 @@ Non-finite kernel output (NaN/Inf) is a hard error.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
+_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_C1 = 0.044715
@@ -66,7 +69,8 @@ class UnknownKernelError(KeyError):
 class MeterContext:
     """Accumulates FLOPs and tracks live/peak bytes of kernel outputs.
 
-    A context must not be shared across concurrent kernel executions;
+    An output's bytes are live from registration until its Tensor wrapper
+    dies. A context must not be shared across concurrent kernel executions;
     distinct contexts are independent. ``enabled=False`` turns the context
     into a no-op (used on training hot paths where cost is not reported).
     """
@@ -75,44 +79,45 @@ class MeterContext:
     bytes_live: int = 0
     bytes_peak: int = 0
     enabled: bool = True
-    _finalizers: list = field(default_factory=list, repr=False)
 
     def add_flops(self, n: int) -> None:
         if self.enabled:
             self.flops_accumulated += int(n)
 
     def register(self, tensor: "Tensor") -> None:
-        """Track ``tensor``'s buffer until the wrapper is garbage collected."""
+        """Count ``tensor``'s buffer as live until the wrapper dies."""
         if not self.enabled:
             return
-        nbytes = tensor.data.nbytes
-        self.bytes_live += nbytes
+        self.bytes_live += tensor.data.nbytes
         if self.bytes_live > self.bytes_peak:
             self.bytes_peak = self.bytes_live
-        self._finalizers.append(weakref.finalize(tensor, self._release, nbytes))
-
-    def _release(self, nbytes: int) -> None:
-        self.bytes_live -= nbytes
+        tensor._meter = self
 
 
 class Tensor:
     """Immutable dense array: explicit shape over a row-major float buffer.
 
-    64-bit scalars by default; 32-bit selectable per run. Construction
-    optionally registers the buffer with a MeterContext for allocation
-    tracking. Kernels treat tensors as values and never write through them.
+    64-bit scalars by default; 32-bit selectable per run. The buffer is
+    read-only, copied only if it is not C-contiguous float64/float32. A
+    buffer registered with a MeterContext is live there until the wrapper
+    dies. Kernels treat tensors as values and never write through them.
     """
 
-    __slots__ = ("data", "__weakref__")
+    __slots__ = ("data", "_meter")
 
     def __init__(self, data, ctx: MeterContext | None = None, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
-        if arr.dtype not in (np.float64, np.float32):
+        self._meter = None  # first, so __del__ holds even if the rest raises
+        arr = np.asarray(data, dtype=dtype)
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = np.ascontiguousarray(arr)
         self.data.flags.writeable = False
         if ctx is not None:
             ctx.register(self)
+
+    def __del__(self):
+        if self._meter is not None:
+            self._meter.bytes_live -= self.data.nbytes
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -156,62 +161,62 @@ class BlockWeights:
     def width(self) -> int:
         return self.wq.shape[0]
 
-    @property
-    def mlp_width(self) -> int:
-        return self.w1.shape[1]
+
+Operand = Tensor | np.ndarray
 
 
-def _finish(arr: np.ndarray, ctx: MeterContext | None) -> Tensor:
+def _data(x: Operand) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _finish(arr: np.ndarray, ctx: MeterContext | None, flops: int) -> Tensor:
+    if ctx is not None:
+        ctx.add_flops(flops)
     if not np.isfinite(arr).all():
         raise NonFiniteError("kernel produced non-finite values")
     return Tensor(arr, ctx=ctx)
 
 
-def matmul(a: Tensor, b: Tensor, ctx: MeterContext | None) -> Tensor:
+def matmul(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
     """Matrix product a[m,k] @ b[k,n]; charges 2*m*k*n FLOPs."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    a, b = _data(a), _data(b)
+    if a.ndim != 2 or b.ndim != 2:
         raise ShapeMismatchError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
     m, k = a.shape
     k2, n = b.shape
     if k != k2:
         raise ShapeMismatchError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    if ctx is not None:
-        ctx.add_flops(2 * m * k * n)
-    return _finish(a.data @ b.data, ctx)
+    return _finish(a @ b, ctx, 2 * m * k * n)
 
 
-def add(a: Tensor, b: Tensor, ctx: MeterContext | None) -> Tensor:
+def add(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
     """Elementwise sum; b may be a row vector broadcast over a's rows."""
-    if a.shape != b.shape and not (b.data.ndim == 1 and a.shape[-1] == b.shape[0]):
+    a, b = _data(a), _data(b)
+    if a.shape != b.shape and not (b.ndim == 1 and a.shape[-1] == b.shape[0]):
         raise ShapeMismatchError(f"add shapes incompatible: {a.shape} + {b.shape}")
-    if ctx is not None:
-        ctx.add_flops(a.size)
-    return _finish(a.data + b.data, ctx)
+    return _finish(a + b, ctx, a.size)
 
 
-def scale(a: Tensor, s: float, ctx: MeterContext | None) -> Tensor:
-    if ctx is not None:
-        ctx.add_flops(a.size)
-    return _finish(a.data * s, ctx)
+def scale(a: Operand, s: float, ctx: MeterContext | None) -> Tensor:
+    a = _data(a)
+    return _finish(a * s, ctx, a.size)
 
 
-def clamp01(a: Tensor, ctx: MeterContext | None) -> Tensor:
-    if ctx is not None:
-        ctx.add_flops(a.size)
-    return _finish(np.clip(a.data, 0.0, 1.0), ctx)
+def clamp01(a: Operand, ctx: MeterContext | None) -> Tensor:
+    a = _data(a)
+    return _finish(np.clip(a, 0.0, 1.0), ctx, a.size)
 
 
-def layer_norm(x: Tensor, gamma: np.ndarray, beta: np.ndarray,
+def layer_norm(x: Operand, gamma: np.ndarray, beta: np.ndarray,
                ctx: MeterContext | None, eps: float = 1e-5) -> Tensor:
     """Row-wise layer norm over the last axis with affine output."""
+    x = _data(x)
     if x.shape[-1] != gamma.shape[0] or x.shape[-1] != beta.shape[0]:
         raise ShapeMismatchError("layer_norm affine width mismatch")
-    if ctx is not None:
-        ctx.add_flops(FLOPS_PER_ELEMENT["layer_norm"] * x.size)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    out = (x.data - mu) / np.sqrt(var + eps) * gamma + beta
-    return _finish(out, ctx)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)  # bitwise np.var
+    return _finish(centered / np.sqrt(var + eps) * gamma + beta, ctx,
+                   FLOPS_PER_ELEMENT["layer_norm"] * x.size)
 
 
 def _gelu_raw(x: np.ndarray) -> np.ndarray:
@@ -220,11 +225,10 @@ def _gelu_raw(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 
-def gelu(x: Tensor, ctx: MeterContext | None) -> Tensor:
+def gelu(x: Operand, ctx: MeterContext | None) -> Tensor:
     """Tanh-approximation GELU."""
-    if ctx is not None:
-        ctx.add_flops(FLOPS_PER_ELEMENT["gelu"] * x.size)
-    return _finish(_gelu_raw(x.data), ctx)
+    x = _data(x)
+    return _finish(_gelu_raw(x), ctx, FLOPS_PER_ELEMENT["gelu"] * x.size)
 
 
 def _softmax_raw(x: np.ndarray) -> np.ndarray:
@@ -233,40 +237,39 @@ def _softmax_raw(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(x: Tensor, ctx: MeterContext | None) -> Tensor:
+def softmax(x: Operand, ctx: MeterContext | None) -> Tensor:
     """Row-wise softmax over the last axis (max-shifted for stability)."""
-    if ctx is not None:
-        ctx.add_flops(FLOPS_PER_ELEMENT["softmax"] * x.size)
-    return _finish(_softmax_raw(x.data), ctx)
+    x = _data(x)
+    return _finish(_softmax_raw(x), ctx, FLOPS_PER_ELEMENT["softmax"] * x.size)
 
 
-def mean_pool(x: Tensor, ctx: MeterContext | None) -> Tensor:
+def mean_pool(x: Operand, ctx: MeterContext | None) -> Tensor:
     """Mean over the token (first) axis of a [t, d] tensor."""
-    if x.data.ndim != 2:
+    x = _data(x)
+    if x.ndim != 2:
         raise ShapeMismatchError(f"mean_pool needs [t, d], got {x.shape}")
     t, d = x.shape
-    if ctx is not None:
-        ctx.add_flops(t * d + d)
-    return _finish(x.data.mean(axis=0), ctx)
+    return _finish(x.mean(axis=0), ctx, t * d + d)
 
 
-def concat_rows(a: Tensor, b: Tensor, ctx: MeterContext | None) -> Tensor:
+def concat_rows(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
     """Stack two [*, d] tensors along the token axis (data movement only)."""
+    a, b = _data(a), _data(b)
     if a.shape[-1] != b.shape[-1]:
         raise ShapeMismatchError(f"concat width mismatch: {a.shape} vs {b.shape}")
-    return _finish(np.concatenate([a.data, b.data], axis=0), ctx)
+    return _finish(np.concatenate([a, b], axis=0), ctx, 0)
 
 
-def linear(x: Tensor, w: np.ndarray, b: np.ndarray | None,
+def linear(x: Operand, w: np.ndarray, b: np.ndarray | None,
            ctx: MeterContext | None) -> Tensor:
     """x[t,din] @ w[din,dout] (+ b); charged as matmul + broadcast add."""
-    out = matmul(x, Tensor(w), ctx)
+    out = matmul(x, w, ctx)
     if b is not None:
-        out = add(out, Tensor(b), ctx)
+        out = add(out, b, ctx)
     return out
 
 
-def attention_block(x: Tensor, w: BlockWeights, ctx: MeterContext | None,
+def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None,
                     cache: dict | None = None) -> Tensor:
     """Pre-norm transformer block: LN -> self-attention -> residual,
     LN -> GELU MLP -> residual, with a constant conditioning bias at entry.
@@ -274,27 +277,30 @@ def attention_block(x: Tensor, w: BlockWeights, ctx: MeterContext | None,
     When ``cache`` is a dict, intermediates needed for backprop are stored
     in it (the training module consumes them); metering is unaffected.
     """
-    if x.data.ndim != 2:
+    x = _data(x)
+    if x.ndim != 2:
         raise ShapeMismatchError(f"attention_block needs [t, d] input, got {x.shape}")
     t, d = x.shape
     if d != w.width:
         raise ShapeMismatchError(f"block width {w.width} does not match input width {d}")
 
-    h = add(x, Tensor(w.t_bias), ctx)
+    h = add(x, w.t_bias, ctx)
     a = layer_norm(h, w.ln1_gamma, w.ln1_beta, ctx)
-    q = matmul(a, Tensor(w.wq), ctx)
-    k = matmul(a, Tensor(w.wk), ctx)
-    v = matmul(a, Tensor(w.wv), ctx)
-    scores = scale(matmul(q, Tensor(k.data.T), ctx), 1.0 / np.sqrt(d), ctx)
+    q = matmul(a, w.wq, ctx)
+    k = matmul(a, w.wk, ctx)
+    v = matmul(a, w.wv, ctx)
+    # k^T reaches BLAS C-contiguous (a strided view changes the bits); the
+    # Python float scale keeps float32 blocks float32 under NumPy 2
+    scores = scale(matmul(q, np.ascontiguousarray(k.data.T), ctx), 1.0 / math.sqrt(d), ctx)
     probs = softmax(scores, ctx)
     att = matmul(probs, v, ctx)
-    att_out = matmul(att, Tensor(w.wo), ctx)
+    att_out = matmul(att, w.wo, ctx)
     h2 = add(h, att_out, ctx)
 
     m = layer_norm(h2, w.ln2_gamma, w.ln2_beta, ctx)
-    u = add(matmul(m, Tensor(w.w1), ctx), Tensor(w.b1), ctx)
+    u = add(matmul(m, w.w1, ctx), w.b1, ctx)
     g = gelu(u, ctx)
-    y = add(matmul(g, Tensor(w.w2), ctx), Tensor(w.b2), ctx)
+    y = add(matmul(g, w.w2, ctx), w.b2, ctx)
     out = add(h2, y, ctx)
 
     if cache is not None:
@@ -313,18 +319,11 @@ def flops_for(descriptor: tuple) -> int:
     ("attention_block", t, d, mlp_width).
     """
     name, *args = descriptor
+    if name in FLOPS_PER_ELEMENT:
+        return FLOPS_PER_ELEMENT[name] * math.prod(args)
     if name == "matmul":
         m, k, n = args
         return 2 * m * k * n
-    if name in ("add", "scale", "clamp", "gelu"):
-        (n,) = args
-        return FLOPS_PER_ELEMENT["gelu" if name == "gelu" else name] * n
-    if name == "layer_norm":
-        rows, d = args
-        return FLOPS_PER_ELEMENT["layer_norm"] * rows * d
-    if name == "softmax":
-        rows, n = args
-        return FLOPS_PER_ELEMENT["softmax"] * rows * n
     if name == "mean_pool":
         t, d = args
         return t * d + d

@@ -22,7 +22,7 @@ exactly equivalent to ``generate_full``, in values and in metered FLOPs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -95,7 +95,17 @@ class GeneratorConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorConfig":
-        cfg = cls(**json.loads(text))
+        """Parse and validate; malformed text raises GeneratorConfigError."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GeneratorConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise GeneratorConfigError("config JSON must be an object")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise GeneratorConfigError(f"unknown config keys: {unknown}")
+        cfg = cls(**obj)
         cfg.validate()
         return cfg
 
@@ -157,7 +167,7 @@ def build_generator(config: GeneratorConfig, param_seed: int = 0) -> Generator:
     w_proj = np.eye(d) + 0.02 * rng.standard_normal((d, d))
     blocks = [init_block_weights(rng, d, weight_std=config.weight_std, dtype=dt)
               for _ in range(config.num_layers)]
-    return Generator(config, GeneratorParams(
+    params = GeneratorParams(
         code=q.astype(dt),
         token_table=(rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5).astype(dt),
         seg_prompt=(rng.standard_normal(d) * 0.1).astype(dt),
@@ -165,7 +175,12 @@ def build_generator(config: GeneratorConfig, param_seed: int = 0) -> Generator:
         w_proj=w_proj.astype(dt),
         w_proj_inv=np.linalg.inv(w_proj).astype(dt),
         unembed=q[:, :3 * scenes.IMAGE_SIZE ** 2].T.copy().astype(dt),
-    ))
+    )
+    # kernels take the weights as plain arrays, so freeze them here
+    for arr in [*vars(params).values(), *(a for b in blocks for a in vars(b).values())]:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return Generator(config, params)
 
 
 def _derive_noise(config: GeneratorConfig, seed: int) -> np.ndarray:
@@ -197,12 +212,12 @@ def _embed_layer0(gen: Generator, prompt: scenes.Prompt, seed: int,
     mixed = z_noise.data.reshape(-1, 1).copy()
     mixed[:cfg.raster_dim, 0] = (raster - 0.5) * cfg.code_gain
     mixed[cfg.raster_dim:cfg.raster_dim + MATCH_CHANNELS, 0] = match
-    content = matmul(Tensor(p.code), Tensor(mixed), ctx)
+    content = matmul(p.code, mixed, ctx)
     content_tokens = Tensor(
         content.data.reshape(cfg.num_noise_tokens, cfg.model_width), ctx)
 
     ids = scenes.encode_prompt_tokens(prompt)
-    prompt_tokens = add(Tensor(p.token_table[ids]), Tensor(p.seg_prompt), ctx)
+    prompt_tokens = add(p.token_table[ids], p.seg_prompt, ctx)
     return Tensor(np.concatenate([content_tokens.data, prompt_tokens.data]), ctx)
 
 
@@ -214,18 +229,16 @@ def _run_blocks(gen: Generator, x: Tensor, start: int, stop: int,
 
 
 def _project(gen: Generator, x: Tensor, ctx: MeterContext | None) -> Tensor:
-    content = Tensor(x.data[:gen.config.num_noise_tokens])
-    return matmul(content, Tensor(gen.params.w_proj), ctx)
+    return matmul(x.data[:gen.config.num_noise_tokens], gen.params.w_proj, ctx)
 
 
 def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> RenderedImage:
     cfg, p = gen.config, gen.params
-    t = matmul(z0, Tensor(p.w_proj_inv), ctx)
-    coef = matmul(Tensor(p.unembed), Tensor(t.data.reshape(-1, 1)), ctx)
+    t = matmul(z0, p.w_proj_inv, ctx)
+    coef = matmul(p.unembed, t.data.reshape(-1, 1), ctx)
     shifted = add(scale(coef, 1.0 / cfg.code_gain, ctx),
-                  Tensor(np.full(coef.shape, 0.5, dtype=cfg.dtype)), ctx)
-    pixels = clamp01(
-        Tensor(shifted.data.reshape(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3)), ctx)
+                  np.full(coef.shape, 0.5, dtype=cfg.dtype), ctx)
+    pixels = clamp01(shifted.data.reshape(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3), ctx)
     return RenderedImage(pixels=pixels)
 
 

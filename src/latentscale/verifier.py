@@ -19,11 +19,19 @@ probability of the sampled class, negated for "no", giving values in
 
 Parameters live in a flat ``{name: array}`` dict so training, checkpoints,
 and freezing policies can address them uniformly.
+
+Precision: the verifier works in float64 whatever the generator's
+precision. ``init_verifier`` creates float64 parameters, float32 features
+are promoted to float64 by normalization or the first connector product,
+and scores are computed from float64 logits. Checkpoints keep each
+array's dtype (``<f4`` or ``<f8``); normalization statistics are stored
+as float64.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,8 +39,8 @@ import numpy as np
 
 from . import scenes, toygen
 from .numcore import (
-    BlockWeights, MeterContext, Tensor, attention_block, concat_rows, gelu,
-    linear, matmul, mean_pool,
+    BlockWeights, MeterContext, attention_block, concat_rows, gelu, linear,
+    mean_pool,
 )
 
 MODES = ("hidden_state", "ae_latent", "pixel_reencode")
@@ -154,7 +162,7 @@ def patchify(pixels: np.ndarray) -> np.ndarray:
 def encode_pixels(params: dict[str, np.ndarray], config: VerifierConfig,
                   pixels: np.ndarray, ctx: MeterContext | None) -> np.ndarray:
     """Frozen stand-in visual encoder: patch projection + attention blocks."""
-    x = linear(Tensor(patchify(pixels)), params["encoder.patch.w"],
+    x = linear(patchify(pixels), params["encoder.patch.w"],
                params["encoder.patch.b"], ctx)
     for i in range(config.encoder_depth):
         x = attention_block(x, block_view(params, f"encoder.block{i}"), ctx)
@@ -194,7 +202,7 @@ def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
     With ``cache`` supplied, intermediates are recorded for the training
     module's hand-derived backward pass.
     """
-    f = Tensor(np.asarray(features))
+    f = np.ascontiguousarray(features)
     if f.shape[-1] != params["connector.w1"].shape[0]:
         raise VerifierConfigError(
             f"feature width {f.shape[-1]} does not match connector input "
@@ -202,11 +210,11 @@ def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
     c_pre = linear(f, params["connector.w1"], params["connector.b1"], ctx)
     c_act = gelu(c_pre, ctx)
     projected = linear(c_act, params["connector.w2"], params["connector.b2"], ctx)
-    proj_seg = Tensor(projected.data + params["segment.features"])
+    proj_seg = projected.data + params["segment.features"]
     if ctx is not None:
         ctx.add_flops(proj_seg.size)
 
-    prompt_tok = Tensor(params["prompt_embed.table"][prompt_ids] + params["segment.prompt"])
+    prompt_tok = params["prompt_embed.table"][prompt_ids] + params["segment.prompt"]
     if ctx is not None:
         ctx.add_flops(prompt_tok.size)
 
@@ -221,7 +229,7 @@ def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
             bc["x_out"] = x.data
             block_caches.append(bc)
     pooled = mean_pool(x, ctx)
-    logits = linear(Tensor(pooled.data[None, :]), params["head.w"], params["head.b"], ctx)
+    logits = linear(pooled.data[None, :], params["head.w"], params["head.b"], ctx)
 
     if cache is not None:
         cache.update(features=np.asarray(features), c_pre=c_pre.data, c_act=c_act.data,
@@ -277,6 +285,11 @@ def select_random_positive(scores: list[Score], seed: int) -> int:
 # ------------------------------------------------------------- checkpoints
 
 CHECKPOINT_SCHEMA = 1
+CHECKPOINT_DTYPES = ("<f4", "<f8")
+
+
+class CheckpointError(ValueError):
+    """A checkpoint on disk is malformed or inconsistent with its header."""
 
 
 def save_checkpoint(prefix: str | Path, params: dict[str, np.ndarray],
@@ -321,21 +334,47 @@ def save_checkpoint(prefix: str | Path, params: dict[str, np.ndarray],
     return json_path, bin_path
 
 
+def _read_entry(entry: dict, blob: bytes) -> np.ndarray:
+    name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+    offset, nbytes = entry["offset"], entry["nbytes"]
+    if dtype not in CHECKPOINT_DTYPES:
+        raise CheckpointError(f"{name}: dtype {dtype!r} is not one of {CHECKPOINT_DTYPES}")
+    if not all(isinstance(v, int) and v >= 0 for v in (offset, nbytes, *shape)):
+        raise CheckpointError(f"{name}: offset, nbytes and shape must be non-negative integers")
+    if offset + nbytes > len(blob):
+        raise CheckpointError(
+            f"{name}: bytes [{offset}, {offset + nbytes}) lie beyond the {len(blob)}-byte .bin")
+    if nbytes != math.prod(shape) * np.dtype(dtype).itemsize:
+        raise CheckpointError(f"{name}: {nbytes} bytes do not hold {dtype} of shape {shape}")
+    return np.frombuffer(blob, dtype=dtype, count=math.prod(shape),
+                         offset=offset).reshape(shape).copy()
+
+
 def load_checkpoint(prefix: str | Path):
-    """Inverse of save_checkpoint; returns (params, config, stats, meta)."""
+    """Inverse of save_checkpoint; returns (params, config, stats, meta).
+
+    A header or .bin that is malformed, or inconsistent with the other,
+    raises CheckpointError.
+    """
     prefix = Path(prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text())
-    if header["schema"] != CHECKPOINT_SCHEMA:
-        raise ValueError(f"unsupported checkpoint schema {header['schema']}")
+    try:
+        header = json.loads(prefix.with_suffix(".json").read_text())
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from exc
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != CHECKPOINT_SCHEMA:
+        raise CheckpointError(f"unsupported checkpoint schema {schema!r}")
     blob = prefix.with_suffix(".bin").read_bytes()
-    arrays = {}
-    for e in header["params"]:
-        raw = blob[e["offset"]:e["offset"] + e["nbytes"]]
-        arrays[e["name"]] = np.frombuffer(raw, dtype=e["dtype"]).reshape(e["shape"]).copy()
-    stats = None
-    if header["stats_ref"] is not None:
-        stats = scenes.FeatureStats(
-            mean=arrays.pop("stats.mean"), variance=arrays.pop("stats.variance"),
-            sample_count=header["stats_ref"]["sample_count"])
-    config = VerifierConfig(**header["config"])
-    return arrays, config, stats, header["meta"]
+    try:
+        arrays = {e["name"]: _read_entry(e, blob) for e in header["params"]}
+        config = VerifierConfig(**header["config"])
+        stats = None
+        if header["stats_ref"] is not None:
+            stats = scenes.FeatureStats(
+                mean=arrays.pop("stats.mean"), variance=arrays.pop("stats.variance"),
+                sample_count=header["stats_ref"]["sample_count"])
+        config.validate()
+        meta = header["meta"]
+    except (KeyError, TypeError, VerifierConfigError) as exc:
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+    return arrays, config, stats, meta

@@ -1,4 +1,6 @@
+import gc
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -232,3 +234,70 @@ def test_float32_supported():
     a = nc.Tensor(rng.standard_normal((4, 4)).astype(np.float32))
     out = nc.matmul(a, a, ctx())
     assert out.dtype == np.float32
+    w = nc.init_block_weights(rng, 8, weight_std=0.1, dtype=np.float32)
+    c = ctx()
+    out = nc.attention_block(rng.standard_normal((5, 8)).astype(np.float32), w, c)
+    assert out.dtype == np.float32
+    assert c.bytes_live == out.data.nbytes == 5 * 8 * 4
+
+
+# ---------------------------------------------------------------- operands and outputs
+
+def _kernel_cases():
+    rng = np.random.default_rng(13)
+    x, y = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
+    w, b = rng.standard_normal((6, 3)), rng.standard_normal(3)
+    blk = rand_block(rng, 6, std=0.3)
+    return {
+        "matmul": (nc.matmul, (x, w)),
+        "add": (nc.add, (x, y)),
+        "add_row": (nc.add, (x, rng.standard_normal(6))),
+        "scale": (lambda a, c: nc.scale(a, 0.3, c), (x,)),
+        "clamp01": (nc.clamp01, (x,)),
+        "layer_norm": (lambda a, c: nc.layer_norm(a, w[:, 0], w[:, 1], c), (x,)),
+        "gelu": (nc.gelu, (x,)),
+        "softmax": (nc.softmax, (x,)),
+        "mean_pool": (nc.mean_pool, (x,)),
+        "concat_rows": (nc.concat_rows, (x, y)),
+        "linear": (lambda a, c: nc.linear(a, w, b, c), (x,)),
+        "attention_block": (lambda a, c: nc.attention_block(a, blk, c), (x,)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_cases()))
+def test_plain_array_operands_match_tensor_operands(name):
+    kernel, args = _kernel_cases()[name]
+    c_plain, c_tensor = ctx(), ctx()
+    plain = kernel(*args, c_plain)
+    wrapped = kernel(*(nc.Tensor(a) for a in args), c_tensor)
+    assert isinstance(plain, nc.Tensor)
+    assert plain.data.tobytes() == wrapped.data.tobytes()
+    assert c_plain.flops_accumulated == c_tensor.flops_accumulated
+    assert (c_plain.bytes_live, c_plain.bytes_peak) == (c_tensor.bytes_live, c_tensor.bytes_peak)
+    assert not plain.data.flags.writeable
+    with pytest.raises(ValueError):
+        plain.data[...] = 0.0
+
+
+def test_tensor_copies_only_non_contiguous_or_non_float_input():
+    a = np.ones((4, 3))
+    assert nc.Tensor(a).data is a
+    assert not a.flags.writeable
+    f32 = np.ones((4, 3), dtype=np.float32)
+    assert nc.Tensor(f32).data is f32
+    strided = np.ones((4, 6))[:, ::2]
+    t = nc.Tensor(strided)
+    assert t.data.flags.c_contiguous and not np.shares_memory(t.data, strided)
+    assert nc.Tensor(np.ones(3, dtype=np.int64)).dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [[[1.0], [1.0, 2.0]], object()], ids=["ragged", "object"])
+def test_failed_tensor_init_is_released_quietly(bad, monkeypatch):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    c = ctx()
+    with pytest.raises((TypeError, ValueError)):
+        nc.Tensor(bad, c)
+    gc.collect()
+    assert unraisable == []
+    assert c.bytes_live == 0

@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen
 from latentscale.numcore import MeterContext, flops_for
@@ -46,17 +49,75 @@ def test_corruption_frequency_monte_carlo():
 
 # -------------------------------------------------------- truncate / resume
 
-def test_resume_equals_full_bitwise(rng, default_generator):
-    for trial in range(10):
-        tap = int(rng.integers(0, default_generator.config.num_layers))
-        gen = default_generator.with_tap(tap)
+@functools.cache
+def _params_for(precision: str):
+    return build_generator(GeneratorConfig(num_layers=6, precision=precision)).params
+
+
+def _generator(cfg: GeneratorConfig) -> Generator:
+    """``cfg`` over parameters shared between tests (at most 6 layers)."""
+    params = _params_for(cfg.precision)
+    return Generator(cfg, dataclasses.replace(params, blocks=params.blocks[:cfg.num_layers]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(layers=hst.integers(1, 6), tap_frac=hst.floats(0.0, 1.0, exclude_max=True),
+       corruption=hst.floats(0.0, 1.0), precision=hst.sampled_from(["f64", "f32"]),
+       prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62))
+def test_resume_equals_full_bitwise(layers, tap_frac, corruption, precision,
+                                    prompt_seed, seed):
+    gen = _generator(GeneratorConfig(num_layers=layers, tap_layer=int(tap_frac * layers),
+                                     corruption_rate=corruption, precision=precision))
+    p = sample_prompt(np.random.default_rng(prompt_seed))
+    st = generate_tapped(gen, p, seed, MeterContext())
+    img_resume = resume_and_decode(gen, st, MeterContext())
+    img_full, st_full = generate_full(gen, p, seed, MeterContext())
+    assert img_resume.pixels.data.tobytes() == img_full.pixels.data.tobytes()
+    assert st.z0.data.tobytes() == st_full.z0.data.tobytes()
+    assert st.hidden.data.tobytes() == st_full.hidden.data.tobytes()
+
+
+def test_metered_and_unmetered_runs_bitwise_equal(default_generator, rng):
+    for seed in range(3):
         p = sample_prompt(rng)
-        seed = int(rng.integers(2 ** 62))
-        st = generate_tapped(gen, p, seed, MeterContext())
-        img_resume = resume_and_decode(gen, st, MeterContext())
-        img_full, st_full = generate_full(gen, p, seed, MeterContext())
-        assert np.array_equal(img_resume.pixels.data, img_full.pixels.data)
-        assert np.array_equal(st.z0.data, st_full.z0.data)
+        img_m, st_m = generate_full(default_generator, p, seed, MeterContext())
+        img_u, st_u = generate_full(default_generator, p, seed, None)
+        assert img_m.pixels.data.tobytes() == img_u.pixels.data.tobytes()
+        assert st_m.z0.data.tobytes() == st_u.z0.data.tobytes()
+
+
+def test_bytes_live_returns_to_start_when_results_dropped(default_generator, rng):
+    ctx = MeterContext()
+    p = sample_prompt(rng)
+    img, st = generate_full(default_generator, p, 7, ctx)
+    tapped = generate_tapped(default_generator, p, 8, ctx)
+    assert ctx.bytes_live > 0 and ctx.bytes_peak >= ctx.bytes_live
+    del img, st, tapped
+    assert ctx.bytes_live == 0
+
+
+def test_f32_precision_is_honoured_end_to_end(rng):
+    gen = _generator(GeneratorConfig(num_layers=3, tap_layer=1, precision="f32"))
+    p = sample_prompt(rng)
+    st = generate_tapped(gen, p, 5, MeterContext())
+    assert st.hidden.dtype == np.float32
+    img = resume_and_decode(gen, st, MeterContext())
+    assert st.z0.dtype == np.float32 and img.pixels.dtype == np.float32
+    img_full, st_full = generate_full(gen, p, 5, None)
+    assert st_full.hidden.dtype == st_full.z0.dtype == img_full.pixels.dtype == np.float32
+    assert img.pixels.data.tobytes() == img_full.pixels.data.tobytes()
+
+
+def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
+    p = default_generator.params
+    arrays = [p.code, p.token_table, p.seg_prompt, p.w_proj, p.w_proj_inv, p.unembed]
+    arrays += [getattr(b, f.name) for b in p.blocks for f in dataclasses.fields(b)]
+    assert not any(a.flags.writeable for a in arrays)
+    img, st = generate_full(default_generator, sample_prompt(rng), 1, MeterContext())
+    for a in (img.pixels.data, st.z0.data, st.hidden.data, st.z_noise.data):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        p.code[0, 0] = 1.0
 
 
 def test_resume_on_completed_state_raises(default_generator, rng):
@@ -158,6 +219,17 @@ def test_export_ae_latent_requires_completion(default_generator, rng):
 def test_config_json_roundtrip():
     cfg = GeneratorConfig(num_layers=6, tap_layer=2, corruption_rate=0.25)
     assert GeneratorConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("text", [
+    '{"num_layers": 4, "depth": 2}',   # unknown key
+    '[8, 64]',                         # not an object
+    '{"num_layers": 4',                # not JSON
+    '{"tap_layer": 9}',                # fails validate()
+])
+def test_config_json_malformed_raises_typed_error(text):
+    with pytest.raises(GeneratorConfigError):
+        GeneratorConfig.from_json(text)
 
 
 def test_invalid_configs_rejected():

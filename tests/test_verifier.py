@@ -1,0 +1,138 @@
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
+
+from latentscale import scenes, toygen, verifier
+from latentscale.verifier import (
+    CheckpointError, Score, VerifierConfig, init_verifier, load_checkpoint,
+    save_checkpoint, score_from_logits, select_best, select_random_positive,
+)
+
+
+def in_score_range(value: float) -> bool:
+    return -1.0 <= value <= -0.5 or 0.5 <= value <= 1.0
+
+
+# ---------------------------------------------------------------- scores
+
+@given(hst.lists(hst.floats(-1e6, 1e6), min_size=2, max_size=2))
+def test_score_from_logits_in_range_with_sign_of_decision(logits):
+    s = score_from_logits(np.array(logits))
+    assert in_score_range(s.value)
+    assert s.decision == (s.value > 0)
+
+
+def test_candidate_scores_in_range_and_float64(small_generator, rng):
+    cfg = VerifierConfig(tap_layer=small_generator.config.tap_layer)
+    params = init_verifier(cfg)
+    for seed in range(6):
+        p = scenes.sample_prompt(rng)
+        st = toygen.generate_tapped(small_generator, p, seed, None)
+        feats = verifier.extract_features(small_generator, st, cfg, None, None)
+        ids = scenes.encode_prompt_tokens(p)
+        assert in_score_range(verifier.score(params, cfg, feats, ids).value)
+        # float32 features still give float64 logits
+        logits = verifier.scorer_forward(params, cfg, feats.astype(np.float32), ids)
+        assert logits.dtype == np.float64
+
+
+# ---------------------------------------------------------------- selection
+
+def test_select_best_ties_go_to_lowest_index():
+    scores = [Score(False, -0.7), Score(True, 0.9), Score(True, 0.6), Score(True, 0.9)]
+    assert select_best(scores) == 1
+    assert select_best([Score(False, -0.5)] * 4) == 0
+
+
+def test_select_random_positive_picks_only_yes():
+    scores = [Score(False, -0.8), Score(True, 0.6), Score(False, -0.9), Score(True, 0.7)]
+    assert {select_random_positive(scores, seed) for seed in range(100)} == {1, 3}
+
+
+def test_select_random_positive_falls_back_to_all_when_none_says_yes():
+    scores = [Score(False, -0.8)] * 5
+    assert {select_random_positive(scores, seed) for seed in range(100)} == set(range(5))
+
+
+# ---------------------------------------------------------------- mode gating
+
+@pytest.mark.parametrize("mode", ["ae_latent", "pixel_reencode"])
+def test_full_run_modes_reject_tapped_state(mode, small_generator, rng):
+    cfg = VerifierConfig(mode=mode)
+    st = toygen.generate_tapped(small_generator, scenes.sample_prompt(rng), 3, None)
+    with pytest.raises(toygen.StateCompletionError):
+        verifier.extract_features(small_generator, st, cfg, None, None,
+                                  params=init_verifier(cfg))
+
+
+# ---------------------------------------------------------------- checkpoints
+
+def write_checkpoint(tmp_path, dtype=np.float64):
+    cfg = VerifierConfig()
+    params = {k: v.astype(dtype) for k, v in init_verifier(cfg).items()}
+    rng = np.random.default_rng(3)
+    stats = scenes.FeatureStats(mean=rng.standard_normal(64).astype(dtype),
+                                variance=rng.uniform(0.5, 2.0, 64).astype(dtype),
+                                sample_count=10)
+    prefix = tmp_path / "ckpt"
+    save_checkpoint(prefix, params, cfg, stats, meta={"step": 3})
+    return prefix, params, cfg, stats
+
+
+def test_checkpoint_round_trip_float32(tmp_path):
+    prefix, params, cfg, stats = write_checkpoint(tmp_path, np.float32)
+    got, got_cfg, got_stats, meta = load_checkpoint(prefix)
+    assert got_cfg == cfg and meta == {"step": 3}
+    assert got.keys() == params.keys()
+    for name, arr in params.items():
+        assert got[name].dtype == np.float32
+        assert got[name].tobytes() == arr.tobytes()
+    # statistics are stored as float64, which holds float32 values exactly
+    assert got_stats.sample_count == 10
+    assert np.array_equal(got_stats.mean, stats.mean)
+    assert np.array_equal(got_stats.variance, stats.variance)
+
+
+def _edit_header(edit):
+    def apply(prefix):
+        path = prefix.with_suffix(".json")
+        header = json.loads(path.read_text())
+        edit(header)
+        path.write_text(json.dumps(header))
+    return apply
+
+
+def _truncate_bin(prefix):
+    path = prefix.with_suffix(".bin")
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def _first_entry(**changes):
+    return _edit_header(lambda h: h["params"][0].update(changes))
+
+
+CORRUPTIONS = {
+    "bogus_mode": _edit_header(lambda h: h["config"].update(mode="bogus")),
+    "unknown_config_key": _edit_header(lambda h: h["config"].update(depth=3)),
+    "schema": _edit_header(lambda h: h.update(schema=99)),
+    "missing_entry_key": _edit_header(lambda h: h["params"][0].pop("offset")),
+    "offset_beyond_bin": _first_entry(offset=10 ** 9),
+    "negative_offset": _first_entry(offset=-8),
+    "nbytes_disagrees_with_shape": _first_entry(nbytes=8),
+    "integer_dtype": _first_entry(dtype="<i8"),
+    "big_endian_dtype": _first_entry(dtype=">f8"),
+    "truncated_bin": _truncate_bin,
+    "header_not_json": lambda prefix: prefix.with_suffix(".json").write_text("{"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_malformed_checkpoint_raises_checkpoint_error(name, tmp_path):
+    prefix = write_checkpoint(tmp_path)[0]
+    load_checkpoint(prefix)
+    CORRUPTIONS[name](prefix)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(prefix)

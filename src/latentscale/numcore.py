@@ -71,23 +71,19 @@ class MeterContext:
 
     An output's bytes are live from registration until its Tensor wrapper
     dies. A context must not be shared across concurrent kernel executions;
-    distinct contexts are independent. ``enabled=False`` turns the context
-    into a no-op (used on training hot paths where cost is not reported).
+    distinct contexts are independent. Kernels given ``ctx=None`` run
+    unmetered.
     """
 
     flops_accumulated: int = 0
     bytes_live: int = 0
     bytes_peak: int = 0
-    enabled: bool = True
 
     def add_flops(self, n: int) -> None:
-        if self.enabled:
-            self.flops_accumulated += int(n)
+        self.flops_accumulated += int(n)
 
     def register(self, tensor: "Tensor") -> None:
         """Count ``tensor``'s buffer as live until the wrapper dies."""
-        if not self.enabled:
-            return
         self.bytes_live += tensor.data.nbytes
         if self.bytes_live > self.bytes_peak:
             self.bytes_peak = self.bytes_live
@@ -105,9 +101,9 @@ class Tensor:
 
     __slots__ = ("data", "_meter")
 
-    def __init__(self, data, ctx: MeterContext | None = None, dtype=None):
+    def __init__(self, data, ctx: MeterContext | None = None):
         self._meter = None  # first, so __del__ holds even if the rest raises
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = np.ascontiguousarray(arr)
@@ -269,14 +265,9 @@ def linear(x: Operand, w: np.ndarray, b: np.ndarray | None,
     return out
 
 
-def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None,
-                    cache: dict | None = None) -> Tensor:
+def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None) -> Tensor:
     """Pre-norm transformer block: LN -> self-attention -> residual,
-    LN -> GELU MLP -> residual, with a constant conditioning bias at entry.
-
-    When ``cache`` is a dict, intermediates needed for backprop are stored
-    in it (the training module consumes them); metering is unaffected.
-    """
+    LN -> GELU MLP -> residual, with a constant conditioning bias at entry."""
     x = _data(x)
     if x.ndim != 2:
         raise ShapeMismatchError(f"attention_block needs [t, d] input, got {x.shape}")
@@ -301,13 +292,7 @@ def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None,
     u = add(matmul(m, w.w1, ctx), w.b1, ctx)
     g = gelu(u, ctx)
     y = add(matmul(g, w.w2, ctx), w.b2, ctx)
-    out = add(h2, y, ctx)
-
-    if cache is not None:
-        cache.update(h=h.data, a=a.data, q=q.data, k=k.data, v=v.data,
-                     probs=probs.data, att=att.data, h2=h2.data, m=m.data,
-                     u=u.data, g=g.data)
-    return out
+    return add(h2, y, ctx)
 
 
 def flops_for(descriptor: tuple) -> int:

@@ -92,16 +92,6 @@ class Scene:
 
 
 @dataclass
-class LabeledSample:
-    """One verifier training record: features of a candidate plus oracle label."""
-    prompt: Prompt
-    features: np.ndarray
-    label: bool  # True <=> "Yes"
-    category: str
-    seed: int
-
-
-@dataclass
 class FeatureStats:
     """Channelwise normalization statistics over a feature population."""
     mean: np.ndarray
@@ -485,26 +475,10 @@ ALIGNMENT_SLOT_SIZES = (len(SHAPES), len(COLORS), _MAX_COUNT, 1 + len(RELATIONS)
 
 # --------------------------------------------------------------- statistics
 
-def class_weights(labels) -> tuple[float, float]:
-    """(w_pos, w_neg) = (1 - freq, ...) computed exactly as count ratios."""
-    flags = [s.label if isinstance(s, LabeledSample) else bool(s) for s in labels]
-    n_pos = sum(flags)
-    n = len(flags)
-    if n_pos == 0 or n_pos == n:
-        raise ValueError("class_weights needs at least one sample of each class")
-    return (n - n_pos) / n, n_pos / n
-
-
-def calibrate_feature_stats(features, n_samples: int | None = None) -> FeatureStats:
-    """Channelwise mean/variance over feature tensors of shape [tokens, channels].
-
-    ``features`` is an iterable of arrays (or a callable index -> array when
-    ``n_samples`` is given). Statistics pool over samples and tokens.
+def calibrate_feature_stats(features) -> FeatureStats:
+    """Channelwise mean/variance over an iterable of feature arrays of shape
+    [tokens, channels]. Statistics pool over samples and tokens.
     """
-    if callable(features):
-        if n_samples is None:
-            raise ValueError("n_samples required with a callable source")
-        features = (features(i) for i in range(n_samples))
     total = None
     total_sq = None
     rows = 0

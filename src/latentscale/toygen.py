@@ -22,14 +22,14 @@ exactly equivalent to ``generate_full``, in values and in metered FLOPs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import scenes
 from .numcore import (
     BlockWeights, MeterContext, Tensor, add, attention_block, clamp01,
-    init_block_weights, matmul, scale,
+    concat_rows, init_block_weights, matmul, scale,
 )
 
 MATCH_CHANNELS = 4
@@ -127,11 +127,6 @@ class Generator:
     config: GeneratorConfig
     params: GeneratorParams
 
-    def with_tap(self, tap_layer: int) -> "Generator":
-        cfg = replace(self.config, tap_layer=tap_layer)
-        cfg.validate()
-        return Generator(cfg, self.params)
-
 
 @dataclass
 class GeneratorState:
@@ -213,12 +208,11 @@ def _embed_layer0(gen: Generator, prompt: scenes.Prompt, seed: int,
     mixed[:cfg.raster_dim, 0] = (raster - 0.5) * cfg.code_gain
     mixed[cfg.raster_dim:cfg.raster_dim + MATCH_CHANNELS, 0] = match
     content = matmul(p.code, mixed, ctx)
-    content_tokens = Tensor(
-        content.data.reshape(cfg.num_noise_tokens, cfg.model_width), ctx)
 
     ids = scenes.encode_prompt_tokens(prompt)
     prompt_tokens = add(p.token_table[ids], p.seg_prompt, ctx)
-    return Tensor(np.concatenate([content_tokens.data, prompt_tokens.data]), ctx)
+    return concat_rows(content.data.reshape(cfg.num_noise_tokens, cfg.model_width),
+                       prompt_tokens, ctx)
 
 
 def _run_blocks(gen: Generator, x: Tensor, start: int, stop: int,

@@ -17,8 +17,9 @@ attribute tokens] into a 2-logit yes/no head; the continuous score is the
 probability of the sampled class, negated for "no", giving values in
 [-1, -0.5] or [0.5, 1].
 
-Parameters live in a flat ``{name: array}`` dict so training, checkpoints,
-and freezing policies can address them uniformly.
+Parameters live in a flat ``{name: array}`` dict, which checkpoints store
+entry by entry. Every metered operation runs as a ``numcore`` kernel,
+except feature normalization, whose cost ``normalize_metered`` charges.
 
 Precision: the verifier works in float64 whatever the generator's
 precision. ``init_verifier`` creates float64 parameters, float32 features
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import scenes, toygen
 from .numcore import (
-    BlockWeights, MeterContext, attention_block, concat_rows, gelu, linear,
-    mean_pool,
+    BlockWeights, MeterContext, add, attention_block, concat_rows, gelu,
+    init_block_weights, linear, mean_pool, softmax,
 )
 
 MODES = ("hidden_state", "ae_latent", "pixel_reencode")
@@ -72,10 +73,6 @@ class VerifierConfig:
         if self.mode == "pixel_reencode" and self.in_dim != self.encoder_dim:
             raise VerifierConfigError("pixel mode feeds encoder output to the connector")
 
-    @property
-    def requires_full_run(self) -> bool:
-        return self.mode != "hidden_state"
-
 
 @dataclass
 class Score:
@@ -92,14 +89,13 @@ def block_view(params: dict[str, np.ndarray], prefix: str) -> BlockWeights:
 
 
 def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray]:
-    """Fresh parameter dict: trainable stack plus frozen auxiliaries."""
+    """Fresh random parameters for ``config``, drawn from ``seed``."""
     config.validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
     d = config.scorer_dim
     p: dict[str, np.ndarray] = {}
 
     def put_block(prefix: str, width: int, std: float):
-        from .numcore import init_block_weights
         bw = init_block_weights(rng, width, weight_std=std)
         for name, f in zip(_block_param_names(prefix), _BLOCK_FIELDS):
             p[name] = getattr(bw, f)
@@ -115,7 +111,7 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
         put_block(f"scorer.block{i}", d, 0.05)
     p["head.w"] = rng.standard_normal((d, 2)) * 0.05
     p["head.b"] = np.zeros(2)
-    # frozen random readouts used only by the alignment stage
+    # readouts nothing reads yet; drawing them keeps the encoder's draws below
     for k, size in enumerate(scenes.ALIGNMENT_SLOT_SIZES):
         p[f"align.slot{k}.w"] = rng.standard_normal((d, size)) * 0.3
     if config.mode == "pixel_reencode":
@@ -125,19 +121,6 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
         for i in range(config.encoder_depth):
             put_block(f"encoder.block{i}", config.encoder_dim, 0.05)
     return p
-
-
-def trainable_names(params: dict[str, np.ndarray], stage: str) -> list[str]:
-    """Freezing policy: alignment tunes the connector only; fine-tuning the
-    connector plus the whole scorer stack. Encoder and alignment readouts
-    stay frozen always."""
-    if stage == "alignment":
-        keep = ("connector.",)
-    elif stage == "finetune":
-        keep = ("connector.", "scorer.", "head.", "prompt_embed.", "segment.")
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
-    return sorted(n for n in params if n.startswith(keep))
 
 
 # ------------------------------------------------------------- features
@@ -174,9 +157,17 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
                      ctx: MeterContext | None,
                      params: dict[str, np.ndarray] | None = None,
                      image: toygen.RenderedImage | None = None) -> np.ndarray:
-    """Mode-appropriate candidate features, with the pathway's cost metered."""
+    """Mode-appropriate candidate features, with the pathway's cost metered.
+
+    ``hidden_state`` needs a state tapped at ``config.tap_layer``; the other
+    modes need a completed state. Otherwise StateCompletionError is raised.
+    """
     config.validate()
     if config.mode == "hidden_state":
+        if state.layers_done != config.tap_layer + 1:
+            raise toygen.StateCompletionError(
+                f"hidden_state verification taps layer {config.tap_layer}, "
+                f"but the state has run {state.layers_done} layers")
         feats = toygen.tap_hidden_features(state)
         if stats is not None:
             feats = normalize_metered(feats, stats, ctx)
@@ -195,13 +186,8 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
 
 def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
                    features: np.ndarray, prompt_ids: np.ndarray,
-                   ctx: MeterContext | None = None,
-                   cache: dict | None = None) -> np.ndarray:
-    """Connector + scorer forward pass; returns the 2 [yes, no] logits.
-
-    With ``cache`` supplied, intermediates are recorded for the training
-    module's hand-derived backward pass.
-    """
+                   ctx: MeterContext | None = None) -> np.ndarray:
+    """Connector + scorer forward pass; returns the 2 [yes, no] logits."""
     f = np.ascontiguousarray(features)
     if f.shape[-1] != params["connector.w1"].shape[0]:
         raise VerifierConfigError(
@@ -210,44 +196,19 @@ def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
     c_pre = linear(f, params["connector.w1"], params["connector.b1"], ctx)
     c_act = gelu(c_pre, ctx)
     projected = linear(c_act, params["connector.w2"], params["connector.b2"], ctx)
-    proj_seg = projected.data + params["segment.features"]
-    if ctx is not None:
-        ctx.add_flops(proj_seg.size)
-
-    prompt_tok = params["prompt_embed.table"][prompt_ids] + params["segment.prompt"]
-    if ctx is not None:
-        ctx.add_flops(prompt_tok.size)
-
-    seq = concat_rows(proj_seg, prompt_tok, ctx)
-    block_caches: list[dict] = []
-    x = seq
+    proj_seg = add(projected, params["segment.features"], ctx)
+    prompt_tok = add(params["prompt_embed.table"][prompt_ids], params["segment.prompt"], ctx)
+    x = concat_rows(proj_seg, prompt_tok, ctx)
     for i in range(config.scorer_blocks):
-        bc: dict | None = {} if cache is not None else None
-        x = attention_block(x, block_view(params, f"scorer.block{i}"), ctx, cache=bc)
-        if cache is not None:
-            bc["x_in"] = seq.data if i == 0 else block_caches[-1]["x_out"]
-            bc["x_out"] = x.data
-            block_caches.append(bc)
+        x = attention_block(x, block_view(params, f"scorer.block{i}"), ctx)
     pooled = mean_pool(x, ctx)
     logits = linear(pooled.data[None, :], params["head.w"], params["head.b"], ctx)
-
-    if cache is not None:
-        cache.update(features=np.asarray(features), c_pre=c_pre.data, c_act=c_act.data,
-                     projected=projected.data, prompt_ids=np.asarray(prompt_ids),
-                     seq=seq.data, blocks=block_caches, seq_out=x.data,
-                     pooled=pooled.data, logits=logits.data[0])
     return logits.data[0]
 
 
-def probabilities(logits: np.ndarray) -> np.ndarray:
-    """Stable 2-class softmax in float64."""
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def score_from_logits(logits: np.ndarray) -> Score:
-    p = probabilities(np.asarray(logits, dtype=np.float64))
+def score_from_logits(logits: np.ndarray, ctx: MeterContext | None = None) -> Score:
+    """Softmax over the 2 [yes, no] logits in float64, greedy decision."""
+    p = softmax(np.asarray(logits, dtype=np.float64), ctx).data
     decision = bool(p[0] >= p[1])
     value = float(p[0]) if decision else float(-p[1])
     return Score(decision=decision, value=value)
@@ -257,10 +218,7 @@ def score(params: dict[str, np.ndarray], config: VerifierConfig,
           features: np.ndarray, prompt_ids: np.ndarray,
           ctx: MeterContext | None = None) -> Score:
     """Forward pass, softmax over the 2 logits, greedy decision."""
-    logits = scorer_forward(params, config, features, prompt_ids, ctx)
-    if ctx is not None:
-        ctx.add_flops(2 * 5)  # softmax over the two logits
-    return score_from_logits(logits)
+    return score_from_logits(scorer_forward(params, config, features, prompt_ids, ctx), ctx)
 
 
 # ------------------------------------------------------------- selection

@@ -213,12 +213,6 @@ def test_bytes_live_falls_when_tensors_die():
     assert c.bytes_live < held
 
 
-def test_disabled_context_is_noop():
-    c = nc.MeterContext(enabled=False)
-    nc.matmul(nc.Tensor(np.ones((4, 4))), nc.Tensor(np.ones((4, 4))), c)
-    assert c.flops_accumulated == 0 and c.bytes_peak == 0
-
-
 def test_determinism_bit_identical():
     def run():
         rng = np.random.default_rng(42)

@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from latentscale import scenes
 from latentscale.scenes import (
-    MalformedPromptError, ObjectSpec, Prompt, Scene, SceneObject, SceneSpec,
-    class_weights, calibrate_feature_stats, corrupt_spec, make_prompt,
-    normalize, oracle_check, parse_scene, realize_scene, render, sample_prompt,
-    scenes_equal, spec_attributes,
+    CELL_GRID, COLORS, NUM_CELLS, SHAPES, MalformedPromptError, ObjectSpec,
+    Scene, SceneObject, SceneSpec, calibrate_feature_stats, corrupt_spec,
+    make_prompt, normalize, oracle_check, parse_scene, realize_scene, render,
+    sample_prompt, scenes_equal, spec_attributes,
 )
+
+SEEDS = hst.integers(0, 2 ** 32 - 1)
+PROMPTS = SEEDS.map(lambda s: sample_prompt(np.random.default_rng(s)))
+CELLS = hst.tuples(hst.integers(0, CELL_GRID - 1), hst.integers(0, CELL_GRID - 1))
+# every placement of glyphs on distinct cells, not only those realize_scene makes
+SCENES = hst.lists(hst.builds(SceneObject, hst.sampled_from(SHAPES),
+                              hst.sampled_from(COLORS), CELLS),
+                   max_size=NUM_CELLS, unique_by=lambda o: o.cell).map(
+    lambda objs: Scene(tuple(objs)))
 
 
 def scene_of(*objs):
@@ -75,14 +86,15 @@ def test_clean_realization_always_passes(rng):
         assert oracle_check(p, realize_scene(p.target, rng))
 
 
-def test_corrupt_spec_fails_oracle_and_flips_one_attribute(rng):
-    for _ in range(500):
-        p = sample_prompt(rng)
-        bad = corrupt_spec(p, rng)
-        before = spec_attributes(p.category, p.target)
-        after = spec_attributes(p.category, bad)
-        assert sum(before[k] != after[k] for k in before) == 1
-        assert not oracle_check(p, realize_scene(bad, rng))
+@settings(max_examples=500, deadline=None)
+@given(p=PROMPTS, seed=SEEDS)
+def test_corrupt_spec_fails_oracle_and_flips_one_attribute(p, seed):
+    rng = np.random.default_rng(seed)
+    bad = corrupt_spec(p, rng)
+    before = spec_attributes(p.category, p.target)
+    after = spec_attributes(p.category, bad)
+    assert sum(before[k] != after[k] for k in before) == 1
+    assert not oracle_check(p, realize_scene(bad, rng))
 
 
 def test_realize_scene_distinct_cells(rng):
@@ -109,13 +121,12 @@ def test_label_base_rate_tracks_corruption_rate():
 
 # ---------------------------------------------------------------- raster
 
-def test_render_parse_roundtrip(rng):
-    for _ in range(200):
-        p = sample_prompt(rng)
-        scene = realize_scene(p.target, rng)
-        img = render(scene)
-        assert img.min() >= 0.0 and img.max() <= 1.0
-        assert scenes_equal(parse_scene(img), scene)
+@settings(max_examples=200, deadline=None)
+@given(scene=SCENES)
+def test_render_parse_roundtrip(scene):
+    img = render(scene)
+    assert img.min() >= 0.0 and img.max() <= 1.0
+    assert scenes_equal(parse_scene(img), scene)
 
 
 def test_parse_robust_to_perturbation(rng):
@@ -143,23 +154,6 @@ def test_alignment_targets_within_slots(rng):
         ids = scenes.alignment_targets(scene)
         for value, size in zip(ids, scenes.ALIGNMENT_SLOT_SIZES):
             assert 0 <= value < size
-
-
-# ---------------------------------------------------------------- class weights
-
-def test_class_weights_63_percent_exact():
-    labels = [True] * 63 + [False] * 37
-    assert class_weights(labels) == (0.37, 0.63)
-
-
-def test_class_weights_balanced_and_skewed():
-    assert class_weights([True, False]) == (0.5, 0.5)
-    assert class_weights([True] * 9 + [False]) == (0.1, 0.9)
-
-
-def test_class_weights_single_class_rejected():
-    with pytest.raises(ValueError):
-        class_weights([True, True])
 
 
 # ---------------------------------------------------------------- feature stats

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ def test_metered_and_unmetered_runs_bitwise_equal(default_generator, rng):
         assert st_m.z0.data.tobytes() == st_u.z0.data.tobytes()
 
 
+def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
+    # each buffer the meter counts is held here, so none can be freed and reused
+    seen = []
+    register = MeterContext.register
+
+    def record(ctx, tensor):
+        seen.append(tensor.data)
+        register(ctx, tensor)
+
+    monkeypatch.setattr(MeterContext, "register", record)
+    generate_full(default_generator, sample_prompt(rng), 6, MeterContext())
+    assert len(seen) > 100
+    assert [(a.shape, b.shape) for a, b in itertools.combinations(seen, 2)
+            if np.shares_memory(a, b)] == []
+
+
 def test_bytes_live_returns_to_start_when_results_dropped(default_generator, rng):
     ctx = MeterContext()
     p = sample_prompt(rng)
@@ -143,20 +160,19 @@ def test_tap_at_last_layer_resume_only_decodes(rng):
     assert c_res.flops_accumulated == expected
 
 
-def test_flops_additivity_random_configs():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        layers = int(rng.integers(1, 7))
-        cfg = GeneratorConfig(num_layers=layers, tap_layer=int(rng.integers(0, layers)),
-                              corruption_rate=float(rng.uniform(0, 1)))
-        gen = build_generator(cfg, param_seed=int(rng.integers(1000)))
-        p = sample_prompt(rng)
-        seed = int(rng.integers(2 ** 62))
-        c_tap, c_res, c_full = MeterContext(), MeterContext(), MeterContext()
-        st = generate_tapped(gen, p, seed, c_tap)
-        resume_and_decode(gen, st, c_res)
-        generate_full(gen, p, seed, c_full)
-        assert c_tap.flops_accumulated + c_res.flops_accumulated == c_full.flops_accumulated
+@settings(max_examples=20, deadline=None)
+@given(layers=hst.integers(1, 6), tap_frac=hst.floats(0.0, 1.0, exclude_max=True),
+       corruption=hst.floats(0.0, 1.0), prompt_seed=hst.integers(0, 2 ** 32 - 1),
+       seed=hst.integers(0, 2 ** 62))
+def test_flops_additivity_random_configs(layers, tap_frac, corruption, prompt_seed, seed):
+    gen = _generator(GeneratorConfig(num_layers=layers, tap_layer=int(tap_frac * layers),
+                                     corruption_rate=corruption))
+    p = sample_prompt(np.random.default_rng(prompt_seed))
+    c_tap, c_res, c_full = MeterContext(), MeterContext(), MeterContext()
+    st = generate_tapped(gen, p, seed, c_tap)
+    resume_and_decode(gen, st, c_res)
+    generate_full(gen, p, seed, c_full)
+    assert c_tap.flops_accumulated + c_res.flops_accumulated == c_full.flops_accumulated
 
 
 def test_generation_flops_match_closed_form(default_generator, rng):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen, verifier
+from latentscale.numcore import MeterContext, flops_for
 from latentscale.verifier import (
     CheckpointError, Score, VerifierConfig, init_verifier, load_checkpoint,
     save_checkpoint, score_from_logits, select_best, select_random_positive,
@@ -39,6 +40,52 @@ def test_candidate_scores_in_range_and_float64(small_generator, rng):
         assert logits.dtype == np.float64
 
 
+# ---------------------------------------------------------------- FLOPs
+
+def scorer_flops(cfg: VerifierConfig, tokens: int) -> int:
+    """Closed-form FLOPs of ``score`` on ``tokens`` feature rows."""
+    d, seq = cfg.scorer_dim, tokens + scenes.PROMPT_TOKEN_LEN
+    return (flops_for(("linear", tokens, cfg.in_dim, cfg.connector_hidden, True))
+            + flops_for(("gelu", tokens * cfg.connector_hidden))
+            + flops_for(("linear", tokens, cfg.connector_hidden, d, True))
+            + flops_for(("add", tokens * d))                           # feature segment
+            + flops_for(("add", scenes.PROMPT_TOKEN_LEN * d))          # prompt segment
+            + cfg.scorer_blocks * flops_for(("attention_block", seq, d, 4 * d))
+            + flops_for(("mean_pool", seq, d))
+            + flops_for(("linear", 1, d, 2, True))
+            + flops_for(("softmax", 1, 2)))
+
+
+def metered_verification_flops(gen, cfg, stats, state, image=None) -> int:
+    params, ctx = init_verifier(cfg), MeterContext()
+    feats = verifier.extract_features(gen, state, cfg, stats, ctx, params=params, image=image)
+    verifier.score(params, cfg, feats, scenes.encode_prompt_tokens(state.prompt), ctx)
+    return ctx.flops_accumulated
+
+
+def test_hidden_state_verification_flops_match_closed_form(small_generator, rng):
+    cfg = VerifierConfig(tap_layer=small_generator.config.tap_layer)
+    st = toygen.generate_tapped(small_generator, scenes.sample_prompt(rng), 2, None)
+    feats = toygen.tap_hidden_features(st)
+    stats = scenes.calibrate_feature_stats([feats, feats + 1.0])
+    tokens, width = feats.shape
+    normalize = 2 * tokens * width + width
+    assert (metered_verification_flops(small_generator, cfg, stats, st)
+            == normalize + scorer_flops(cfg, tokens))
+
+
+def test_pixel_reencode_verification_flops_match_closed_form(small_generator, rng):
+    cfg = VerifierConfig(mode="pixel_reencode")
+    image, st = toygen.generate_full(small_generator, scenes.sample_prompt(rng), 2, None)
+    patches = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2
+    e = cfg.encoder_dim
+    encoder = (flops_for(("linear", patches, 3 * scenes.PATCH ** 2, e, True))
+               + cfg.encoder_depth * flops_for(("attention_block", patches, e, 4 * e)))
+    # the image is passed in, so nothing is decoded again
+    assert (metered_verification_flops(small_generator, cfg, None, st, image)
+            == encoder + scorer_flops(cfg, patches))
+
+
 # ---------------------------------------------------------------- selection
 
 def test_select_best_ties_go_to_lowest_index():
@@ -66,6 +113,19 @@ def test_full_run_modes_reject_tapped_state(mode, small_generator, rng):
     with pytest.raises(toygen.StateCompletionError):
         verifier.extract_features(small_generator, st, cfg, None, None,
                                   params=init_verifier(cfg))
+
+
+def test_hidden_state_mode_rejects_state_not_at_its_tap(small_generator, rng):
+    tap = small_generator.config.tap_layer
+    p = scenes.sample_prompt(rng)
+    _, completed = toygen.generate_full(small_generator, p, 3, None)
+    with pytest.raises(toygen.StateCompletionError):
+        verifier.extract_features(small_generator, completed,
+                                  VerifierConfig(tap_layer=tap), None, None)
+    tapped = toygen.generate_tapped(small_generator, p, 3, None)
+    with pytest.raises(toygen.StateCompletionError):
+        verifier.extract_features(small_generator, tapped,
+                                  VerifierConfig(tap_layer=tap + 1), None, None)
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -21,12 +21,16 @@ Published FLOPs conventions (cost per element unless stated):
     ============== ===========================================
 
 Composite kernels (``attention_block``, ``linear``) charge exactly the sum of
-their constituent primitives. ``flops_for`` evaluates the same table
-analytically without executing anything; the two routes are cross-checked in
-the test suite.
+their constituent primitives. They fuse the bias, scale and residual epilogues
+into the buffer of the product before them, so a fused step is one output and
+one charge; the table and the total charged are the same as unfused.
+``flops_for`` evaluates the same table analytically without executing
+anything; the two routes are cross-checked in the test suite.
 
 Data movement (copies, concatenation, gathers) and RNG draws are not FLOPs.
-Non-finite kernel output (NaN/Inf) is a hard error.
+Non-finite kernel output (NaN/Inf) is a hard error: each output gets one exact
+finite check. A dropped intermediate needs none, because adding any operand to
++/-Inf or NaN, or scaling it by a factor in (0, 1], never gives a finite value.
 """
 
 from __future__ import annotations
@@ -167,10 +171,18 @@ def _data(x: Operand) -> np.ndarray:
 
 def _finish(arr: np.ndarray, ctx: MeterContext | None, flops: int) -> Tensor:
     if ctx is not None:
-        ctx.add_flops(flops)
-    if not np.isfinite(arr).all():
+        ctx.flops_accumulated += flops
+    # the sum of squares is finite unless an element is, or finite values
+    # overflow on squaring; only then is each element tested
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NonFiniteError("kernel produced non-finite values")
     return Tensor(arr, ctx=ctx)
+
+
+def _into(buf: np.ndarray, other: np.ndarray) -> np.ndarray | None:
+    """``buf`` as the output of ``buf (op) other`` when NumPy would not widen
+    the result (e.g. float32 with a float64 operand); else None, a new one."""
+    return buf if np.promote_types(buf.dtype, other.dtype) == buf.dtype else None
 
 
 def matmul(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
@@ -209,34 +221,39 @@ def layer_norm(x: Operand, gamma: np.ndarray, beta: np.ndarray,
     x = _data(x)
     if x.shape[-1] != gamma.shape[0] or x.shape[-1] != beta.shape[0]:
         raise ShapeMismatchError("layer_norm affine width mismatch")
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)  # bitwise np.var
-    return _finish(centered / np.sqrt(var + eps) * gamma + beta, ctx,
+    d = x.shape[-1]
+    # add.reduce / d is bitwise np.mean; centered * centered reduced is np.var
+    c = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(c * c, axis=-1, keepdims=True) / d
+    var += eps
+    c /= np.sqrt(var, out=var)
+    c = np.multiply(c, gamma, out=_into(c, gamma))
+    return _finish(np.add(c, beta, out=_into(c, beta)), ctx,
                    FLOPS_PER_ELEMENT["layer_norm"] * x.size)
-
-
-def _gelu_raw(x: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    inner = GELU_C0 * (x + GELU_C1 * (x2 * x))  # x**3 spelled out: libm pow is slow
-    return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 def gelu(x: Operand, ctx: MeterContext | None) -> Tensor:
     """Tanh-approximation GELU."""
     x = _data(x)
-    return _finish(_gelu_raw(x), ctx, FLOPS_PER_ELEMENT["gelu"] * x.size)
-
-
-def _softmax_raw(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    inner = x * x
+    inner *= x  # x**3 spelled out: libm pow is slow
+    inner *= GELU_C1
+    inner += x
+    inner *= GELU_C0
+    gate = np.tanh(inner, out=inner)
+    gate += 1.0
+    out = x * 0.5
+    out *= gate
+    return _finish(out, ctx, FLOPS_PER_ELEMENT["gelu"] * x.size)
 
 
 def softmax(x: Operand, ctx: MeterContext | None) -> Tensor:
     """Row-wise softmax over the last axis (max-shifted for stability)."""
     x = _data(x)
-    return _finish(_softmax_raw(x), ctx, FLOPS_PER_ELEMENT["softmax"] * x.size)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return _finish(e, ctx, FLOPS_PER_ELEMENT["softmax"] * x.size)
 
 
 def mean_pool(x: Operand, ctx: MeterContext | None) -> Tensor:
@@ -251,18 +268,24 @@ def mean_pool(x: Operand, ctx: MeterContext | None) -> Tensor:
 def concat_rows(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
     """Stack two [*, d] tensors along the token axis (data movement only)."""
     a, b = _data(a), _data(b)
-    if a.shape[-1] != b.shape[-1]:
-        raise ShapeMismatchError(f"concat width mismatch: {a.shape} vs {b.shape}")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeMismatchError(f"concat needs two [*, d] operands, got {a.shape} and {b.shape}")
     return _finish(np.concatenate([a, b], axis=0), ctx, 0)
 
 
 def linear(x: Operand, w: np.ndarray, b: np.ndarray | None,
            ctx: MeterContext | None) -> Tensor:
-    """x[t,din] @ w[din,dout] (+ b); charged as matmul + broadcast add."""
-    out = matmul(x, w, ctx)
+    """x[t,din] @ w[din,dout] (+ b), one output; charged as matmul + broadcast add."""
+    x = _data(x)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"linear needs [t, din] @ [din, dout], got {x.shape} @ {w.shape}")
+    (t, din), dout = x.shape, w.shape[1]
+    out = x @ w
     if b is not None:
-        out = add(out, b, ctx)
-    return out
+        if b.shape != (dout,):
+            raise ShapeMismatchError(f"linear bias {b.shape} does not match output width {dout}")
+        out = np.add(out, b, out=_into(out, b))
+    return _finish(out, ctx, flops_for(("linear", t, din, dout, b is not None)))
 
 
 def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None) -> Tensor:
@@ -281,18 +304,23 @@ def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None) -> Te
     k = matmul(a, w.wk, ctx)
     v = matmul(a, w.wv, ctx)
     # k^T reaches BLAS C-contiguous (a strided view changes the bits); the
-    # Python float scale keeps float32 blocks float32 under NumPy 2
-    scores = scale(matmul(q, np.ascontiguousarray(k.data.T), ctx), 1.0 / math.sqrt(d), ctx)
+    # Python float scale keeps float32 blocks float32 under NumPy 2. The
+    # scores stay a checked output: an overflow to -Inf here would vanish in
+    # the softmax
+    scores = q.data @ np.ascontiguousarray(k.data.T)
+    scores *= 1.0 / math.sqrt(d)
+    scores = _finish(scores, ctx, 2 * t * d * t + t * t)
     probs = softmax(scores, ctx)
     att = matmul(probs, v, ctx)
-    att_out = matmul(att, w.wo, ctx)
-    h2 = add(h, att_out, ctx)
+    h2 = att.data @ w.wo
+    h2 = _finish(np.add(h2, h.data, out=_into(h2, h.data)), ctx, 2 * t * d * d + t * d)
 
     m = layer_norm(h2, w.ln2_gamma, w.ln2_beta, ctx)
-    u = add(matmul(m, w.w1, ctx), w.b1, ctx)
-    g = gelu(u, ctx)
-    y = add(matmul(g, w.w2, ctx), w.b2, ctx)
-    return add(h2, y, ctx)
+    g = gelu(linear(m, w.w1, w.b1, ctx), ctx)
+    out = g.data @ w.w2
+    out = np.add(out, w.b2, out=_into(out, w.b2))
+    out = np.add(out, h2.data, out=_into(out, h2.data))
+    return _finish(out, ctx, 2 * t * w.w2.shape[0] * d + 2 * t * d)
 
 
 def flops_for(descriptor: tuple) -> int:

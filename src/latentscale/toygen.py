@@ -163,13 +163,13 @@ def build_generator(config: GeneratorConfig, param_seed: int = 0) -> Generator:
     blocks = [init_block_weights(rng, d, weight_std=config.weight_std, dtype=dt)
               for _ in range(config.num_layers)]
     params = GeneratorParams(
-        code=q.astype(dt),
+        code=q.astype(dt, copy=False),
         token_table=(rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5).astype(dt),
         seg_prompt=(rng.standard_normal(d) * 0.1).astype(dt),
         blocks=blocks,
         w_proj=w_proj.astype(dt),
         w_proj_inv=np.linalg.inv(w_proj).astype(dt),
-        unembed=q[:, :3 * scenes.IMAGE_SIZE ** 2].T.copy().astype(dt),
+        unembed=np.ascontiguousarray(q[:, :3 * scenes.IMAGE_SIZE ** 2].T, dtype=dt),
     )
     # kernels take the weights as plain arrays, so freeze them here
     for arr in [*vars(params).values(), *(a for b in blocks for a in vars(b).values())]:

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from latentscale import numcore as nc
 
@@ -59,6 +61,21 @@ def test_matmul_against_triple_loop_oracle():
 def test_matmul_dim_mismatch():
     with pytest.raises(nc.ShapeMismatchError):
         nc.matmul(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((2, 3))), ctx())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nc.concat_rows(np.ones(64), np.ones((7, 64)), None),
+    lambda: nc.concat_rows(np.ones((7, 64)), np.ones((1, 7, 64)), None),
+    lambda: nc.concat_rows(np.ones((7, 64)), np.ones((7, 63)), None),
+    lambda: nc.linear(np.ones((5, 6)), np.ones((5, 3)), None, None),
+    lambda: nc.linear(np.ones(6), np.ones((6, 3)), None, None),
+    lambda: nc.linear(np.ones((5, 6)), np.ones((6, 3)), np.ones(4), None),
+    lambda: nc.linear(np.ones((5, 6)), np.ones((6, 3)), np.ones((5, 3)), None),
+], ids=["concat_1d", "concat_3d", "concat_width", "linear_inner", "linear_1d",
+        "linear_bias_width", "linear_bias_2d"])
+def test_shape_errors_are_typed(call):
+    with pytest.raises(nc.ShapeMismatchError):
+        call()
 
 
 def test_non_finite_is_hard_error():
@@ -154,7 +171,7 @@ def test_flops_for_unknown_kernel():
 def test_metering_exactness_100_random_shapes():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        kind = rng.choice(["matmul", "layer_norm", "gelu", "softmax", "attention_block"])
+        kind = rng.choice(["matmul", "layer_norm", "gelu", "softmax", "linear", "attention_block"])
         if kind == "matmul":
             m, k, n = (int(v) for v in rng.integers(1, 20, size=3))
             c = ctx()
@@ -177,6 +194,13 @@ def test_metering_exactness_100_random_shapes():
             c = ctx()
             nc.softmax(nc.Tensor(rng.standard_normal((r, n))), c)
             assert c.flops_accumulated == nc.flops_for(("softmax", r, n))
+        elif kind == "linear":
+            t, din, dout = (int(v) for v in rng.integers(1, 20, size=3))
+            bias = bool(rng.integers(2))
+            c = ctx()
+            nc.linear(rng.standard_normal((t, din)), rng.standard_normal((din, dout)),
+                      rng.standard_normal(dout) if bias else None, c)
+            assert c.flops_accumulated == nc.flops_for(("linear", t, din, dout, bias))
         else:
             t, d = int(rng.integers(1, 12)), int(rng.integers(4, 20))
             w = rand_block(rng, d, std=0.1)
@@ -200,8 +224,24 @@ def test_meter_monotone_and_peak_dominance():
         assert c.flops_accumulated >= before
         assert c.bytes_peak >= c.bytes_live
     assert seen == sorted(seen)
-    # one block allocates ~11 intermediate [t,d]-ish buffers; peak covers them
+    # peak covers at least the block's [8, 8] float64 output
     assert c.bytes_peak >= 8 * 8 * 8
+
+
+def test_block_registers_13_outputs(monkeypatch):
+    # the bias, scale and residual epilogues share their product's buffer:
+    # h, ln1, q, k, v, scores, probs, att, h2, ln2, MLP-up, gelu, out
+    seen = []
+    register = nc.MeterContext.register
+
+    def record(c, tensor):
+        seen.append(tensor.shape)
+        register(c, tensor)
+
+    monkeypatch.setattr(nc.MeterContext, "register", record)
+    rng = np.random.default_rng(6)
+    nc.attention_block(rng.standard_normal((5, 8)), rand_block(rng, 8, std=0.1), ctx())
+    assert len(seen) == 13
 
 
 def test_bytes_live_falls_when_tensors_die():
@@ -237,33 +277,85 @@ def test_float32_supported():
 
 # ---------------------------------------------------------------- operands and outputs
 
-def _kernel_cases():
-    rng = np.random.default_rng(13)
-    x, y = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
-    w, b = rng.standard_normal((6, 3)), rng.standard_normal(3)
-    blk = rand_block(rng, 6, std=0.3)
+def _kernel_cases(seed=13, dtype=np.float64):
+    """name -> (kernel, operands, params): ``kernel(*operands, *params, ctx)``.
+    Operands may be Tensors; params are the weights passed as plain arrays."""
+    rng = np.random.default_rng(seed)
+
+    def r(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    x, y = r(5, 6), r(5, 6)
+    w, b = r(6, 3), r(3)
+    blk = nc.init_block_weights(rng, 6, weight_std=0.3, dtype=dtype)
     return {
-        "matmul": (nc.matmul, (x, w)),
-        "add": (nc.add, (x, y)),
-        "add_row": (nc.add, (x, rng.standard_normal(6))),
-        "scale": (lambda a, c: nc.scale(a, 0.3, c), (x,)),
-        "clamp01": (nc.clamp01, (x,)),
-        "layer_norm": (lambda a, c: nc.layer_norm(a, w[:, 0], w[:, 1], c), (x,)),
-        "gelu": (nc.gelu, (x,)),
-        "softmax": (nc.softmax, (x,)),
-        "mean_pool": (nc.mean_pool, (x,)),
-        "concat_rows": (nc.concat_rows, (x, y)),
-        "linear": (lambda a, c: nc.linear(a, w, b, c), (x,)),
-        "attention_block": (lambda a, c: nc.attention_block(a, blk, c), (x,)),
+        "matmul": (nc.matmul, (x, w), ()),
+        "add": (nc.add, (x, y), ()),
+        "add_row": (nc.add, (x, r(6)), ()),
+        "scale": (nc.scale, (x,), (0.3,)),
+        "clamp01": (nc.clamp01, (x,), ()),
+        "layer_norm": (nc.layer_norm, (x,), (w[:, 0], w[:, 1])),
+        "gelu": (nc.gelu, (x,), ()),
+        "softmax": (nc.softmax, (x,), ()),
+        "mean_pool": (nc.mean_pool, (x,), ()),
+        "concat_rows": (nc.concat_rows, (x, y), ()),
+        "linear": (nc.linear, (x,), (w, b)),
+        "linear_nobias": (nc.linear, (x,), (w, None)),
+        "attention_block": (nc.attention_block, (x,), (blk,)),
     }
 
 
-@pytest.mark.parametrize("name", sorted(_kernel_cases()))
+def _ref_layer_norm(x, gamma, beta):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    return centered / np.sqrt(np.var(x, axis=-1, keepdims=True) + 1e-5) * gamma + beta
+
+
+def _ref_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(nc.GELU_C0 * (x + nc.GELU_C1 * (x * x * x))))
+
+
+def _ref_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_block(x, w):
+    """The block as unfused numpy steps in the kernels' order (bitwise reference)."""
+    h = x + w.t_bias
+    a = _ref_layer_norm(h, w.ln1_gamma, w.ln1_beta)
+    q, k, v = a @ w.wq, a @ w.wk, a @ w.wv
+    probs = _ref_softmax((q @ np.ascontiguousarray(k.T)) * (1.0 / math.sqrt(x.shape[1])))
+    h2 = h + (probs @ v) @ w.wo
+    m = _ref_layer_norm(h2, w.ln2_gamma, w.ln2_beta)
+    return h2 + (_ref_gelu(m @ w.w1 + w.b1) @ w.w2 + w.b2)
+
+
+_REFERENCE = {
+    "matmul": np.matmul,
+    "add": np.add,
+    "add_row": np.add,
+    "scale": np.multiply,
+    "clamp01": lambda a: np.clip(a, 0.0, 1.0),
+    "layer_norm": _ref_layer_norm,
+    "gelu": _ref_gelu,
+    "softmax": _ref_softmax,
+    "mean_pool": lambda a: a.mean(axis=0),
+    "concat_rows": lambda a, b: np.concatenate([a, b]),
+    "linear": lambda a, w, b: a @ w + b,
+    "linear_nobias": lambda a, w, _: a @ w,
+    "attention_block": _ref_block,
+}
+
+CASE_NAMES = sorted(_kernel_cases())
+DTYPES = hst.sampled_from([np.float64, np.float32])
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
 def test_plain_array_operands_match_tensor_operands(name):
-    kernel, args = _kernel_cases()[name]
+    kernel, args, params = _kernel_cases()[name]
     c_plain, c_tensor = ctx(), ctx()
-    plain = kernel(*args, c_plain)
-    wrapped = kernel(*(nc.Tensor(a) for a in args), c_tensor)
+    plain = kernel(*args, *params, c_plain)
+    wrapped = kernel(*(nc.Tensor(a) for a in args), *params, c_tensor)
     assert isinstance(plain, nc.Tensor)
     assert plain.data.tobytes() == wrapped.data.tobytes()
     assert c_plain.flops_accumulated == c_tensor.flops_accumulated
@@ -271,6 +363,113 @@ def test_plain_array_operands_match_tensor_operands(name):
     assert not plain.data.flags.writeable
     with pytest.raises(ValueError):
         plain.data[...] = 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=hst.sampled_from(CASE_NAMES), seed=hst.integers(0, 2 ** 32 - 1), dtype=DTYPES)
+def test_fused_kernels_match_unfused_reference_bitwise(name, seed, dtype):
+    kernel, args, params = _kernel_cases(seed, dtype)[name]
+    got = kernel(*args, *params, None).data
+    want = _REFERENCE[name](*args, *params)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fused_kernels_keep_numpy_promotion_of_mixed_precision():
+    # a float64 bias or affine on a float32 product widens the output, as
+    # the unfused add did; it must not be cast down into the product's buffer
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, 6)).astype(np.float32)
+    w, b = rng.standard_normal((6, 3)).astype(np.float32), rng.standard_normal(3)
+    out = nc.linear(x, w, b, None).data
+    assert out.dtype == np.float64 and out.tobytes() == (x @ w + b).tobytes()
+    g, beta = np.ones(6), rng.standard_normal(6)
+    out = nc.layer_norm(x, g, beta, None).data
+    assert out.dtype == np.float64 and out.tobytes() == _ref_layer_norm(x, g, beta).tobytes()
+
+
+def _arrays(values):
+    for v in values:
+        if isinstance(v, nc.BlockWeights):
+            yield from vars(v).values()
+        elif isinstance(v, np.ndarray):
+            yield v
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=hst.sampled_from(CASE_NAMES), seed=hst.integers(0, 2 ** 32 - 1), dtype=DTYPES)
+def test_kernels_never_write_to_their_operands(name, seed, dtype):
+    kernel, args, params = _kernel_cases(seed, dtype)[name]
+    arrays = list(_arrays(args + params))
+    assert arrays and all(a.flags.writeable for a in arrays)
+    before = [a.tobytes() for a in arrays]
+    kernel(*args, *params, ctx())
+    assert [a.tobytes() for a in arrays] == before
+
+
+# ---------------------------------------------------------------- finite check
+
+@settings(max_examples=200, deadline=None)
+@given(name=hst.sampled_from(CASE_NAMES), seed=hst.integers(0, 2 ** 32 - 1), dtype=DTYPES,
+       value=hst.sampled_from([np.nan, np.inf, -np.inf, "huge"]), where=hst.integers(0, 29))
+def test_kernel_raises_iff_output_is_non_finite(name, seed, dtype, value, where):
+    # "huge" is finite but its square overflows, so the exact fallback decides
+    kernel, args, params = _kernel_cases(seed, dtype)[name]
+    args[0].flat[where] = (1e200 if dtype == np.float64 else 1e30) if value == "huge" else value
+    with np.errstate(all="ignore"):
+        want = _REFERENCE[name](*args, *params)
+        if np.isfinite(want).all():
+            assert kernel(*args, *params, ctx()).data.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(nc.NonFiniteError):
+                kernel(*args, *params, ctx())
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_nan_operand_raises_for_every_kernel(name):
+    kernel, args, params = _kernel_cases()[name]
+    args[0].flat[7] = np.nan
+    with pytest.raises(nc.NonFiniteError):
+        kernel(*args, *params, ctx())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 9, 19])
+def test_any_non_finite_output_element_raises(dtype, value, where):
+    out = np.ones((4, 5), dtype=dtype)
+    out.flat[where] = value
+    with pytest.raises(nc.NonFiniteError):
+        nc.add(out, np.zeros(5, dtype), ctx())  # output == out, element for element
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float64, 1e200), (np.float32, 1e30)])
+def test_finite_values_whose_squares_overflow_pass(dtype, big):
+    x = np.full((3, 4), big, dtype=dtype)
+    assert not math.isfinite(np.vdot(x, x))  # the element-wise fallback runs
+    for out in (nc.add(x, np.zeros(4, dtype), ctx()), nc.scale(x, -1.0, ctx()),
+                nc.concat_rows(x, x, ctx()), nc.mean_pool(x, ctx())):
+        assert np.isfinite(out.data).all() and np.abs(out.data).min() > big / 2
+
+
+def test_overflowing_attention_scores_raise_though_softmax_would_hide_them():
+    # token 0's self-score q0.k0 overflows to -Inf and no other score does:
+    # the softmax would make that row [0, 1], so only the checked scores catch it
+    w = nc.init_block_weights(np.random.default_rng(8), 2, weight_std=0.3)
+    w.t_bias[:] = 0.0
+    x = np.array([[10.0, -10.0], [-10.0, 10.0]])
+    s = nc.layer_norm(x, w.ln1_gamma, w.ln1_beta, None).data[0, 0]
+    w.ln1_beta[:] = s  # the normalized tokens become exactly (2s, 0) and (0, 2s)
+    big = 1e200
+    w.wq = np.diag([big, 1.0]) / (2 * s)
+    w.wk = np.diag([-big, 1.0]) / (2 * s)
+    with np.errstate(all="ignore"):
+        a = nc.layer_norm(x, w.ln1_gamma, w.ln1_beta, None).data
+        scores = (a @ w.wq) @ (a @ w.wk).T
+        assert np.isneginf(scores[0, 0]) and np.isfinite(scores.ravel()[1:]).all()
+        assert np.isfinite(_ref_block(x, w)).all()
+        with pytest.raises(nc.NonFiniteError):
+            nc.attention_block(x, w, ctx())
 
 
 def test_tensor_copies_only_non_contiguous_or_non_float_input():

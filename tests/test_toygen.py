@@ -88,7 +88,8 @@ def test_metered_and_unmetered_runs_bitwise_equal(default_generator, rng):
 
 
 def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
-    # each buffer the meter counts is held here, so none can be freed and reused
+    # each buffer the meter counts is held here, so none can be freed and reused;
+    # the count is 3 at embed, 13 in each of 8 blocks, 1 projection, 5 at decode
     seen = []
     register = MeterContext.register
 
@@ -98,7 +99,7 @@ def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
 
     monkeypatch.setattr(MeterContext, "register", record)
     generate_full(default_generator, sample_prompt(rng), 6, MeterContext())
-    assert len(seen) > 100
+    assert len(seen) == 113
     assert [(a.shape, b.shape) for a, b in itertools.combinations(seen, 2)
             if np.shares_memory(a, b)] == []
 

@@ -23,7 +23,9 @@ Published FLOPs conventions (cost per element unless stated):
 Composite kernels (``attention_block``, ``linear``) charge exactly the sum of
 their constituent primitives. They fuse the bias, scale and residual epilogues
 into the buffer of the product before them, so a fused step is one output and
-one charge; the table and the total charged are the same as unfused.
+one charge; the table and the total charged are the same as unfused. The
+block's query, key and value are one product with the stacked ``wqkv``;
+NumPy runs each slab as its own BLAS call, so the bits are those of three.
 ``flops_for`` evaluates the same table analytically without executing
 anything; the two routes are cross-checked in the test suite.
 
@@ -139,15 +141,14 @@ class Tensor:
 class BlockWeights:
     """Parameters of one pre-norm transformer block (single-head attention).
 
-    ``t_bias`` is the constant conditioning bias added to the block input
-    (the single-step collapse of a timestep embedding).
+    ``wqkv`` is [3, d, d]: the query, key and value projections stacked in
+    that order. ``t_bias`` is the constant conditioning bias added to the
+    block input (the single-step collapse of a timestep embedding).
     """
 
     ln1_gamma: np.ndarray
     ln1_beta: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    wqkv: np.ndarray
     wo: np.ndarray
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
@@ -159,7 +160,7 @@ class BlockWeights:
 
     @property
     def width(self) -> int:
-        return self.wq.shape[0]
+        return self.wqkv.shape[1]
 
 
 Operand = Tensor | np.ndarray
@@ -300,14 +301,13 @@ def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None) -> Te
 
     h = add(x, w.t_bias, ctx)
     a = layer_norm(h, w.ln1_gamma, w.ln1_beta, ctx)
-    q = matmul(a, w.wq, ctx)
-    k = matmul(a, w.wk, ctx)
-    v = matmul(a, w.wv, ctx)
+    # three [t, d] products into contiguous slabs, with the bits of three calls
+    q, k, v = _finish(a.data @ w.wqkv, ctx, 2 * t * d * 3 * d).data
     # k^T reaches BLAS C-contiguous (a strided view changes the bits); the
     # Python float scale keeps float32 blocks float32 under NumPy 2. The
     # scores stay a checked output: an overflow to -Inf here would vanish in
     # the softmax
-    scores = q.data @ np.ascontiguousarray(k.data.T)
+    scores = q @ np.ascontiguousarray(k.T)
     scores *= 1.0 / math.sqrt(d)
     scores = _finish(scores, ctx, 2 * t * d * t + t * t)
     probs = softmax(scores, ctx)
@@ -347,7 +347,7 @@ def flops_for(descriptor: tuple) -> int:
         t, d, mlp = args
         total = flops_for(("add", t * d))                    # conditioning bias
         total += flops_for(("layer_norm", t, d))             # ln1
-        total += 3 * flops_for(("matmul", t, d, d))          # q, k, v
+        total += flops_for(("matmul", t, d, 3 * d))          # q, k, v
         total += flops_for(("matmul", t, d, t))              # scores
         total += flops_for(("scale", t * t))
         total += flops_for(("softmax", t, t))
@@ -371,7 +371,7 @@ def init_block_weights(rng: np.random.Generator, d: int, mlp_width: int | None =
         return (rng.standard_normal(shape) * weight_std).astype(dtype)
     return BlockWeights(
         ln1_gamma=np.ones(d, dtype=dtype), ln1_beta=np.zeros(d, dtype=dtype),
-        wq=w(d, d), wk=w(d, d), wv=w(d, d), wo=w(d, d),
+        wqkv=np.stack([w(d, d), w(d, d), w(d, d)]), wo=w(d, d),
         ln2_gamma=np.ones(d, dtype=dtype), ln2_beta=np.zeros(d, dtype=dtype),
         w1=w(d, m), b1=np.zeros(m, dtype=dtype), w2=w(m, d), b2=np.zeros(d, dtype=dtype),
         t_bias=w(d),

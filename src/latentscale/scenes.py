@@ -441,38 +441,6 @@ def encode_prompt_tokens(prompt: Prompt) -> np.ndarray:
     return np.array(tokens, dtype=np.int64)
 
 
-def canonical_relation(a: SceneObject, b: SceneObject) -> str | None:
-    """Column relation first, then row; None for aligned/single objects."""
-    if a.cell[1] != b.cell[1]:
-        return "left_of" if a.cell[1] < b.cell[1] else "right_of"
-    if a.cell[0] != b.cell[0]:
-        return "above" if a.cell[0] < b.cell[0] else "below"
-    return None
-
-
-def alignment_targets(scene: Scene) -> tuple[int, int, int, int]:
-    """Attribute class ids describing the scene itself (the re-caption analog):
-    (dominant shape, its color, object count, relation between first two)."""
-    objs = sorted(scene.objects, key=lambda o: o.cell)
-    counts: dict[str, int] = {}
-    for o in objs:
-        counts[o.shape] = counts.get(o.shape, 0) + 1
-    dominant = max(counts, key=lambda s: (counts[s], s))
-    first = next(o for o in objs if o.shape == dominant)
-    shape_id = SHAPES.index(dominant)
-    color_id = COLORS.index(first.color)
-    count_id = min(len(objs), _MAX_COUNT) - 1
-    if len(objs) >= 2:
-        rel = canonical_relation(objs[0], objs[1])
-        rel_id = 1 + RELATIONS.index(rel) if rel else 0
-    else:
-        rel_id = 0
-    return shape_id, color_id, count_id, rel_id
-
-
-ALIGNMENT_SLOT_SIZES = (len(SHAPES), len(COLORS), _MAX_COUNT, 1 + len(RELATIONS))
-
-
 # --------------------------------------------------------------- statistics
 
 def calibrate_feature_stats(features) -> FeatureStats:

@@ -13,10 +13,10 @@ splits the content-token space into three orthogonal banks:
   * noise bank    - the surviving component of the seed-derived latent, so
                     different seeds give different trajectories.
 
-Execution supports a tap-and-truncate mode: ``generate_tapped`` stops after
-the tap layer and returns the hidden state for scoring; ``resume_and_decode``
-completes the remaining layers, projects, and decodes. Composing the two is
-exactly equivalent to ``generate_full``, in values and in metered FLOPs.
+Execution is tap and resume: ``generate_tapped`` stops after the tap layer
+and returns the hidden state for scoring; ``resume_and_decode`` completes the
+remaining layers, projects, and decodes. ``generate_full`` is just the two in
+turn, so full and resumed runs share one path, values and metered FLOPs.
 """
 
 from __future__ import annotations
@@ -41,6 +41,19 @@ class GeneratorConfigError(ValueError):
 
 class StateCompletionError(RuntimeError):
     """Resume called on a completed state, or a full run was required."""
+
+
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def check_field_types(config, error: type[Exception]) -> None:
+    """Raise ``error`` unless each field of the dataclass ``config`` holds its
+    annotated type: an int for int, an int or float for float, a str for
+    str; a bool is never accepted."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise error(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,7 @@ class GeneratorConfig:
         return self.num_noise_tokens + scenes.PROMPT_TOKEN_LEN
 
     def validate(self) -> None:
+        check_field_types(self, GeneratorConfigError)
         if self.num_layers < 1:
             raise GeneratorConfigError("num_layers must be >= 1")
         if not 0 <= self.tap_layer <= self.num_layers - 1:
@@ -267,19 +281,9 @@ def resume_and_decode(gen: Generator, state: GeneratorState,
 
 def generate_full(gen: Generator, prompt: scenes.Prompt, seed: int,
                   ctx: MeterContext | None) -> tuple[RenderedImage, GeneratorState]:
-    """Uninterrupted run of all layers plus projection and decoding."""
-    cfg = gen.config
-    cfg.validate()
-    realized = scenes.candidate_scene(prompt, seed, cfg.corruption_rate)
-    z_noise = Tensor(_derive_noise(cfg, seed))
-    x = _embed_layer0(gen, prompt, seed, realized, z_noise, ctx)
-    x = _run_blocks(gen, x, 0, cfg.num_layers, ctx)
-    z0 = _project(gen, x, ctx)
-    state = GeneratorState(
-        prompt=prompt, seed=seed, z_noise=z_noise, hidden=x,
-        layers_done=cfg.num_layers, rendered_scene=realized.scene,
-        scene_spec=realized.spec, corrupted=realized.corrupted, z0=z0)
-    return decode_latent(gen, z0, ctx), state
+    """``generate_tapped`` then ``resume_and_decode``: the image and completed state."""
+    state = generate_tapped(gen, prompt, seed, ctx)
+    return resume_and_decode(gen, state, ctx), state
 
 
 def export_ae_latent(state: GeneratorState, ctx: MeterContext | None) -> Tensor:

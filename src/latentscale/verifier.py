@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +46,7 @@ from .numcore import (
 
 MODES = ("hidden_state", "ae_latent", "pixel_reencode")
 
-_BLOCK_FIELDS = ("ln1_gamma", "ln1_beta", "wq", "wk", "wv", "wo",
-                 "ln2_gamma", "ln2_beta", "w1", "b1", "w2", "b2", "t_bias")
+_BLOCK_FIELDS = tuple(f.name for f in fields(BlockWeights))
 
 
 class VerifierConfigError(ValueError):
@@ -66,8 +65,11 @@ class VerifierConfig:
     encoder_dim: int = 64
 
     def validate(self) -> None:
+        toygen.check_field_types(self, VerifierConfigError)
         if self.mode not in MODES:
             raise VerifierConfigError(f"unknown mode {self.mode!r}")
+        if min(self.in_dim, self.connector_hidden, self.scorer_dim, self.encoder_dim) < 1:
+            raise VerifierConfigError("feature, connector, scorer and encoder widths must be >= 1")
         if self.mode == "pixel_reencode" and self.encoder_depth < 1:
             raise VerifierConfigError("pixel_reencode needs encoder_depth >= 1")
         if self.mode == "pixel_reencode" and self.in_dim != self.encoder_dim:
@@ -80,16 +82,16 @@ class Score:
     value: float              # P(yes) if yes else -P(no); |value| >= 0.5
 
 
-def _block_param_names(prefix: str) -> list[str]:
-    return [f"{prefix}.{f}" for f in _BLOCK_FIELDS]
-
-
 def block_view(params: dict[str, np.ndarray], prefix: str) -> BlockWeights:
-    return BlockWeights(*(params[n] for n in _block_param_names(prefix)))
+    return BlockWeights(*(params[f"{prefix}.{f}"] for f in _BLOCK_FIELDS))
 
 
 def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray]:
-    """Fresh random parameters for ``config``, drawn from ``seed``."""
+    """Fresh random parameters for ``config``, drawn from ``seed``.
+
+    The pixel encoder comes after 28*d discarded normals, the draws of the
+    deleted, never-read alignment readouts, so its weights stay as they were.
+    """
     config.validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
     d = config.scorer_dim
@@ -97,8 +99,7 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
 
     def put_block(prefix: str, width: int, std: float):
         bw = init_block_weights(rng, width, weight_std=std)
-        for name, f in zip(_block_param_names(prefix), _BLOCK_FIELDS):
-            p[name] = getattr(bw, f)
+        p.update((f"{prefix}.{f}", getattr(bw, f)) for f in _BLOCK_FIELDS)
 
     p["connector.w1"] = rng.standard_normal((config.in_dim, config.connector_hidden)) * 0.05
     p["connector.b1"] = np.zeros(config.connector_hidden)
@@ -111,10 +112,8 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
         put_block(f"scorer.block{i}", d, 0.05)
     p["head.w"] = rng.standard_normal((d, 2)) * 0.05
     p["head.b"] = np.zeros(2)
-    # readouts nothing reads yet; drawing them keeps the encoder's draws below
-    for k, size in enumerate(scenes.ALIGNMENT_SLOT_SIZES):
-        p[f"align.slot{k}.w"] = rng.standard_normal((d, size)) * 0.3
     if config.mode == "pixel_reencode":
+        rng.standard_normal(28 * d)
         patch_dim = 3 * scenes.PATCH * scenes.PATCH
         p["encoder.patch.w"] = rng.standard_normal((patch_dim, config.encoder_dim)) * 0.1
         p["encoder.patch.b"] = np.zeros(config.encoder_dim)
@@ -242,7 +241,7 @@ def select_random_positive(scores: list[Score], seed: int) -> int:
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 CHECKPOINT_DTYPES = ("<f4", "<f8")
 
 
@@ -312,7 +311,8 @@ def load_checkpoint(prefix: str | Path):
     """Inverse of save_checkpoint; returns (params, config, stats, meta).
 
     A header or .bin that is malformed, or inconsistent with the other,
-    raises CheckpointError.
+    raises CheckpointError, as do entries whose names or shapes differ from
+    those ``init_verifier`` makes for the stored config.
     """
     prefix = Path(prefix)
     try:
@@ -335,4 +335,9 @@ def load_checkpoint(prefix: str | Path):
         meta = header["meta"]
     except (KeyError, TypeError, VerifierConfigError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+    found = {name: arr.shape for name, arr in arrays.items()}
+    expected = {name: arr.shape for name, arr in init_verifier(config).items()}
+    wrong = sorted(n for n in found.keys() | expected.keys() if found.get(n) != expected.get(n))
+    if wrong:
+        raise CheckpointError(f"entries missing, unexpected or mis-shaped for the config: {wrong}")
     return arrays, config, stats, meta

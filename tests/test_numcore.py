@@ -121,7 +121,7 @@ def reference_block(x, w):
 
     h = x + w.t_bias
     a = ln(h, w.ln1_gamma, w.ln1_beta)
-    q, k, v = a @ w.wq, a @ w.wk, a @ w.wv
+    q, k, v = a @ w.wqkv[0], a @ w.wqkv[1], a @ w.wqkv[2]
     p = sm(q @ k.T / math.sqrt(x.shape[1]))
     h2 = h + (p @ v) @ w.wo
     m = ln(h2, w.ln2_gamma, w.ln2_beta)
@@ -228,9 +228,10 @@ def test_meter_monotone_and_peak_dominance():
     assert c.bytes_peak >= 8 * 8 * 8
 
 
-def test_block_registers_13_outputs(monkeypatch):
-    # the bias, scale and residual epilogues share their product's buffer:
-    # h, ln1, q, k, v, scores, probs, att, h2, ln2, MLP-up, gelu, out
+def test_block_registers_11_outputs(monkeypatch):
+    # the bias, scale and residual epilogues share their product's buffer,
+    # and q, k, v are slabs of one: h, ln1, qkv, scores, probs, att, h2,
+    # ln2, MLP-up, gelu, out
     seen = []
     register = nc.MeterContext.register
 
@@ -241,7 +242,7 @@ def test_block_registers_13_outputs(monkeypatch):
     monkeypatch.setattr(nc.MeterContext, "register", record)
     rng = np.random.default_rng(6)
     nc.attention_block(rng.standard_normal((5, 8)), rand_block(rng, 8, std=0.1), ctx())
-    assert len(seen) == 13
+    assert len(seen) == 11
 
 
 def test_bytes_live_falls_when_tensors_die():
@@ -320,10 +321,11 @@ def _ref_softmax(x):
 
 
 def _ref_block(x, w):
-    """The block as unfused numpy steps in the kernels' order (bitwise reference)."""
+    """The block as unfused numpy steps in the kernels' order (bitwise reference),
+    with q, k and v projected separately."""
     h = x + w.t_bias
     a = _ref_layer_norm(h, w.ln1_gamma, w.ln1_beta)
-    q, k, v = a @ w.wq, a @ w.wk, a @ w.wv
+    q, k, v = a @ w.wqkv[0], a @ w.wqkv[1], a @ w.wqkv[2]
     probs = _ref_softmax((q @ np.ascontiguousarray(k.T)) * (1.0 / math.sqrt(x.shape[1])))
     h2 = h + (probs @ v) @ w.wo
     m = _ref_layer_norm(h2, w.ln2_gamma, w.ln2_beta)
@@ -373,6 +375,18 @@ def test_fused_kernels_match_unfused_reference_bitwise(name, seed, dtype):
     want = _REFERENCE[name](*args, *params)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=hst.integers(1, 39), d=hst.integers(1, 64), seed=hst.integers(0, 2 ** 32 - 1),
+       dtype=DTYPES)
+def test_block_matches_unfused_reference_bitwise_at_any_shape(t, d, seed, dtype):
+    # the one q/k/v product gives the bits of three separate products
+    rng = np.random.default_rng(seed)
+    w = nc.init_block_weights(rng, d, weight_std=0.3, dtype=dtype)
+    x = rng.standard_normal((t, d)).astype(dtype)
+    got = nc.attention_block(x, w, None).data
+    assert got.tobytes() == _ref_block(x, w).tobytes()
 
 
 def test_fused_kernels_keep_numpy_promotion_of_mixed_precision():
@@ -461,11 +475,11 @@ def test_overflowing_attention_scores_raise_though_softmax_would_hide_them():
     s = nc.layer_norm(x, w.ln1_gamma, w.ln1_beta, None).data[0, 0]
     w.ln1_beta[:] = s  # the normalized tokens become exactly (2s, 0) and (0, 2s)
     big = 1e200
-    w.wq = np.diag([big, 1.0]) / (2 * s)
-    w.wk = np.diag([-big, 1.0]) / (2 * s)
+    wq, wk = np.diag([big, 1.0]) / (2 * s), np.diag([-big, 1.0]) / (2 * s)
+    w.wqkv = np.stack([wq, wk, w.wqkv[2]])
     with np.errstate(all="ignore"):
         a = nc.layer_norm(x, w.ln1_gamma, w.ln1_beta, None).data
-        scores = (a @ w.wq) @ (a @ w.wk).T
+        scores = (a @ wq) @ (a @ wk).T
         assert np.isneginf(scores[0, 0]) and np.isfinite(scores.ravel()[1:]).all()
         assert np.isfinite(_ref_block(x, w)).all()
         with pytest.raises(nc.NonFiniteError):

@@ -148,14 +148,6 @@ def test_prompt_tokens_fixed_length_and_padding(rng):
     assert toks[2] == 0 and toks[3] == 0 and toks[4] == 0  # no colors, no 2nd shape
 
 
-def test_alignment_targets_within_slots(rng):
-    for _ in range(100):
-        scene = realize_scene(sample_prompt(rng).target, rng)
-        ids = scenes.alignment_targets(scene)
-        for value, size in zip(ids, scenes.ALIGNMENT_SLOT_SIZES):
-            assert 0 <= value < size
-
-
 # ---------------------------------------------------------------- feature stats
 
 def test_normalize_constant_features_is_zero():

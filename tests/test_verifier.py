@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen, verifier
-from latentscale.numcore import MeterContext, flops_for
+from latentscale.numcore import BlockWeights, MeterContext, flops_for
 from latentscale.verifier import (
     CheckpointError, Score, VerifierConfig, init_verifier, load_checkpoint,
     save_checkpoint, score_from_logits, select_best, select_random_positive,
@@ -174,6 +176,15 @@ def _first_entry(**changes):
     return _edit_header(lambda h: h["params"][0].update(changes))
 
 
+def _entry(name, /, **changes):
+    return _edit_header(lambda h: next(e for e in h["params"] if e["name"] == name)
+                        .update(changes))
+
+
+def _drop_entry(name):
+    return _edit_header(lambda h: h.update(params=[e for e in h["params"] if e["name"] != name]))
+
+
 CORRUPTIONS = {
     "bogus_mode": _edit_header(lambda h: h["config"].update(mode="bogus")),
     "unknown_config_key": _edit_header(lambda h: h["config"].update(depth=3)),
@@ -186,6 +197,13 @@ CORRUPTIONS = {
     "big_endian_dtype": _first_entry(dtype=">f8"),
     "truncated_bin": _truncate_bin,
     "header_not_json": lambda prefix: prefix.with_suffix(".json").write_text("{"),
+    "missing_entry": _drop_entry("head.b"),
+    "renamed_entry": _entry("head.b", name="head.bias"),
+    "misshaped_entry": _entry("connector.w1", shape=[128, 64]),  # same byte count
+    "string_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks="2")),
+    "float_in_dim": _edit_header(lambda h: h["config"].update(in_dim=64.0)),
+    "bool_encoder_depth": _edit_header(lambda h: h["config"].update(encoder_depth=True)),
+    "negative_width": _edit_header(lambda h: h["config"].update(connector_hidden=-3)),
 }
 
 
@@ -196,3 +214,22 @@ def test_malformed_checkpoint_raises_checkpoint_error(name, tmp_path):
     CORRUPTIONS[name](prefix)
     with pytest.raises(CheckpointError):
         load_checkpoint(prefix)
+
+
+# ---------------------------------------------------------------- parameters
+
+# sha256 of the encoder weights in draw order, taken while init_verifier still
+# drew the alignment readouts that its 28*d discarded normals stand in for
+ENCODER_SHA256 = "f06d64aa9fb1f84af5b21123a1fad7545ec0d5acc9f181732c3ea2d9d3c06231"
+
+
+def test_pixel_encoder_weights_are_unchanged():
+    cfg = VerifierConfig(mode="pixel_reencode")
+    params = init_verifier(cfg, seed=0)
+    names = ["encoder.patch.w", "encoder.patch.b"] + [
+        f"encoder.block{i}.{f.name}"
+        for i in range(cfg.encoder_depth) for f in dataclasses.fields(BlockWeights)]
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(params[name].tobytes())  # wqkv holds wq, wk, wv in turn
+    assert digest.hexdigest() == ENCODER_SHA256

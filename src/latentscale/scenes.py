@@ -6,6 +6,19 @@ Prompts come from a closed template set across six categories and carry a
 fully structured target, so the oracle is an exact rule evaluation rather
 than a learned judge.
 
+What a category constrains is data, not code. A target is read through six
+slots (the keys of ``SLOT_VALUES``: two shapes, two colors, a count and a
+relation), and
+``CATEGORY_TABLE`` gives each category its text template and the slots it
+sets; ``RELATION_TABLE`` gives each relation its text and the cell axis and
+sign it compares. Text, checks, sampling, corruption, the oracle, placement
+and tokens all read these two tables. A ``Prompt`` checks itself once, when
+built: its target sets exactly its category's slots, each to a known value,
+and its text states them. Templates and draw orders are frozen: the prompt
+text keys ``prompt_hash64`` and ``corruption_gate``, and every candidate's
+content is drawn from generators seeded with it, so a changed word or draw
+changes every candidate.
+
 The palette and glyph table are chosen so that rasterization is exactly
 invertible: distinct colors differ by at least 0.5 in some channel and
 glyph masks are pairwise distinct, so ``parse_scene`` recovers the scene
@@ -24,10 +37,30 @@ PATCH = 4
 CELL_GRID = IMAGE_SIZE // PATCH  # 4x4 cells
 NUM_CELLS = CELL_GRID * CELL_GRID
 
-CATEGORIES = ("single_object", "two_object", "counting", "colors", "position", "color_attr")
-RELATIONS = ("left_of", "right_of", "above", "below")
-RELATION_TEXT = {"left_of": "left of", "right_of": "right of",
-                 "above": "above", "below": "below"}
+# GenEval's six tasks (Ghosh et al. 2023): category -> (text template, the
+# slots it sets). Slots are listed in corruption draw order, which puts the
+# slot that tells two entries apart first, so a category's first ``_b`` slot
+# must differ from its ``_a`` slot.
+CATEGORY_TABLE = {
+    "single_object": ("a photo of a {shape_a}", ("shape_a",)),
+    "two_object": ("a photo of a {shape_a} and a {shape_b}", ("shape_a", "shape_b")),
+    "counting": ("a photo of {count} {shape_a}s", ("count", "shape_a")),
+    "colors": ("a photo of a {color_a} {shape_a}", ("color_a", "shape_a")),
+    "position": ("a photo of a {shape_a} {relation} a {shape_b}",
+                 ("relation", "shape_a", "shape_b")),
+    "color_attr": ("a photo of a {color_a} {shape_a} and a {color_b} {shape_b}",
+                   ("color_a", "color_b", "shape_a", "shape_b")),
+}
+# relation -> (text, cell axis, sign): "a <relation> b" holds when
+# sign * (b.cell[axis] - a.cell[axis]) > 0
+RELATION_TABLE = {
+    "left_of": ("left of", 1, 1),
+    "right_of": ("right of", 1, -1),
+    "above": ("above", 0, 1),
+    "below": ("below", 0, -1),
+}
+CATEGORIES = tuple(CATEGORY_TABLE)
+RELATIONS = tuple(RELATION_TABLE)
 COUNT_WORDS = {1: "one", 2: "two", 3: "three", 4: "four", 5: "five", 6: "six", 7: "seven"}
 PROMPT_COUNTS = (2, 3, 4, 5)
 
@@ -53,6 +86,10 @@ COLOR_RGB = {
     "white": (1.0, 1.0, 1.0), "orange": (1.0, 0.5, 0.0),
 }
 
+# slot -> the values a prompt may set it to; a count of 1 leaves "count" unset
+SLOT_VALUES = {"shape_a": SHAPES, "color_a": COLORS, "shape_b": SHAPES,
+               "color_b": COLORS, "count": tuple(COUNT_WORDS), "relation": RELATIONS}
+
 
 class MalformedPromptError(ValueError):
     """A prompt violates its category's well-formedness rules."""
@@ -74,9 +111,16 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class Prompt:
+    """A category, its target and its text; MalformedPromptError unless the
+    target sets exactly the category's slots, each to a known value, and
+    the text states them."""
     category: str
     target: SceneSpec
     text: str
+
+    def __post_init__(self):
+        if self.text != _spec_text(self.category, self.target):
+            raise MalformedPromptError(f"text {self.text!r} does not state the target")
 
 
 @dataclass(frozen=True)
@@ -101,85 +145,62 @@ class FeatureStats:
 
 # --------------------------------------------------------------- prompts
 
+_NO_ENTRY = ObjectSpec(None, None)
+
+
+def _slots(spec: SceneSpec) -> dict[str, object]:
+    """The slot view of a target: each slot's value, None where unset."""
+    a, b = (*spec.entries, _NO_ENTRY, _NO_ENTRY)[:2]
+    return {"shape_a": a.shape, "color_a": a.color, "shape_b": b.shape,
+            "color_b": b.color, "count": None if a.count == 1 else a.count,
+            "relation": spec.relation}
+
+
+def _spec(slots: dict[str, object]) -> SceneSpec:
+    """Inverse of ``_slots`` for targets that only set slots."""
+    entries = [ObjectSpec(slots["shape_a"], slots["color_a"], slots["count"] or 1)]
+    if slots["shape_b"] is not None:
+        entries.append(ObjectSpec(slots["shape_b"], slots["color_b"]))
+    return SceneSpec(tuple(entries), relation=slots["relation"])
+
+
 def _spec_text(category: str, spec: SceneSpec) -> str:
-    e = spec.entries
-    if category == "single_object":
-        return f"a photo of a {e[0].shape}"
-    if category == "two_object":
-        return f"a photo of a {e[0].shape} and a {e[1].shape}"
-    if category == "counting":
-        return f"a photo of {COUNT_WORDS[e[0].count]} {e[0].shape}s"
-    if category == "colors":
-        return f"a photo of a {e[0].color} {e[0].shape}"
-    if category == "position":
-        return f"a photo of a {e[0].shape} {RELATION_TEXT[spec.relation]} a {e[1].shape}"
-    if category == "color_attr":
-        return (f"a photo of a {e[0].color} {e[0].shape} "
-                f"and a {e[1].color} {e[1].shape}")
-    raise MalformedPromptError(f"unknown category {category!r}")
-
-
-def validate_prompt(prompt: Prompt) -> None:
-    """Raise MalformedPromptError unless the prompt fits its category's rules."""
-    cat, e = prompt.category, prompt.target.entries
-    if cat not in CATEGORIES:
-        raise MalformedPromptError(f"unknown category {cat!r}")
-    for obj in e:
-        if obj.shape not in SHAPES:
-            raise MalformedPromptError(f"unknown shape {obj.shape!r}")
-        if obj.color is not None and obj.color not in COLORS:
-            raise MalformedPromptError(f"unknown color {obj.color!r}")
-    if cat == "counting":
-        if len(e) != 1 or e[0].count < 2:
-            raise MalformedPromptError("counting prompts need one entry with count >= 2")
-    elif cat == "position":
-        if len(e) != 2 or prompt.target.relation not in RELATIONS:
-            raise MalformedPromptError("position prompts need two entries and a relation")
-        if e[0].shape == e[1].shape:
-            # a same-shape pair satisfies the mirrored relation read backwards
-            raise MalformedPromptError("position prompts need two distinct shapes")
-    elif cat == "color_attr":
-        if (len(e) != 2 or e[0].color is None or e[1].color is None
-                or e[0].color == e[1].color):
-            raise MalformedPromptError("color_attr prompts bind a distinct color per object")
-    elif cat == "colors":
-        if len(e) != 1 or e[0].color is None:
-            raise MalformedPromptError("colors prompts need one colored entry")
-    elif cat == "single_object":
-        if len(e) != 1:
-            raise MalformedPromptError("single_object prompts have one entry")
-    elif cat == "two_object":
-        if len(e) != 2 or e[0].shape == e[1].shape:
-            raise MalformedPromptError("two_object prompts need two distinct shapes")
+    """The text stating ``spec``; MalformedPromptError unless ``spec`` sets
+    exactly the category's slots, each to a known value."""
+    if category not in CATEGORY_TABLE:
+        raise MalformedPromptError(f"unknown category {category!r}")
+    template, wanted = CATEGORY_TABLE[category]
+    s = _slots(spec)
+    if {k for k, v in s.items() if v is not None} != set(wanted):
+        raise MalformedPromptError(f"{category} prompts set exactly {wanted}")
+    for k in wanted:
+        if s[k] not in SLOT_VALUES[k]:
+            raise MalformedPromptError(f"unknown {k} {s[k]!r}")
+    if _spec(s) != spec:
+        raise MalformedPromptError(f"{category} prompts set nothing but {wanted}")
+    b = next((k for k in wanted if k.endswith("_b")), None)
+    if b is not None and s[b] == s[b[:-1] + "a"]:
+        raise MalformedPromptError(f"{category} prompts need distinct {b[:-2]}s")
+    words = dict(s, count=COUNT_WORDS.get(s["count"]),
+                 relation=RELATION_TABLE[s["relation"]][0] if s["relation"] else None)
+    return template.format(**words)
 
 
 def make_prompt(category: str, spec: SceneSpec) -> Prompt:
-    p = Prompt(category=category, target=spec, text=_spec_text(category, spec))
-    validate_prompt(p)
-    return p
+    return Prompt(category=category, target=spec, text=_spec_text(category, spec))
 
 
 def sample_prompt(rng: np.random.Generator, category: str | None = None) -> Prompt:
     """Draw a well-formed prompt; uniform category mix when unspecified."""
     cat = category or CATEGORIES[rng.integers(len(CATEGORIES))]
-    shapes = list(rng.choice(SHAPES, size=2, replace=False))
-    colors = list(rng.choice(COLORS, size=2, replace=False))
-    if cat == "single_object":
-        spec = SceneSpec((ObjectSpec(shapes[0], None),))
-    elif cat == "two_object":
-        spec = SceneSpec((ObjectSpec(shapes[0], None), ObjectSpec(shapes[1], None)))
-    elif cat == "counting":
-        n = int(rng.choice(PROMPT_COUNTS))
-        spec = SceneSpec((ObjectSpec(shapes[0], None, n),))
-    elif cat == "colors":
-        spec = SceneSpec((ObjectSpec(shapes[0], colors[0]),))
-    elif cat == "position":
-        rel = RELATIONS[rng.integers(len(RELATIONS))]
-        spec = SceneSpec((ObjectSpec(shapes[0], None), ObjectSpec(shapes[1], None)),
-                         relation=rel)
-    else:  # color_attr
-        spec = SceneSpec((ObjectSpec(shapes[0], colors[0]), ObjectSpec(shapes[1], colors[1])))
-    return make_prompt(cat, spec)
+    shapes = rng.choice(SHAPES, size=2, replace=False)
+    colors = rng.choice(COLORS, size=2, replace=False)
+    wanted = CATEGORY_TABLE[cat][1]
+    drawn = {"shape_a": shapes[0], "color_a": colors[0],
+             "shape_b": shapes[1], "color_b": colors[1],
+             "count": int(rng.choice(PROMPT_COUNTS)) if "count" in wanted else None,
+             "relation": RELATIONS[rng.integers(len(RELATIONS))] if "relation" in wanted else None}
+    return make_prompt(cat, _spec({k: v if k in wanted else None for k, v in drawn.items()}))
 
 
 def prompt_hash64(prompt: Prompt) -> int:
@@ -189,67 +210,31 @@ def prompt_hash64(prompt: Prompt) -> int:
 
 # --------------------------------------------------------------- oracle
 
-def _relation_holds(a: SceneObject, b: SceneObject, relation: str) -> bool:
-    if relation == "left_of":
-        return a.cell[1] < b.cell[1]
-    if relation == "right_of":
-        return a.cell[1] > b.cell[1]
-    if relation == "above":
-        return a.cell[0] < b.cell[0]
-    if relation == "below":
-        return a.cell[0] > b.cell[0]
-    raise MalformedPromptError(f"unknown relation {relation!r}")
+def _relation_holds(a: tuple[int, int], b: tuple[int, int], relation: str) -> bool:
+    _, axis, sign = RELATION_TABLE[relation]
+    return sign * (b[axis] - a[axis]) > 0
 
 
-def _matches(obj: SceneObject, spec: ObjectSpec) -> bool:
-    return obj.shape == spec.shape and (spec.color is None or obj.color == spec.color)
+def _fits(obj: SceneObject, shape, color) -> bool:
+    return obj.shape == shape and (color is None or obj.color == color)
 
 
 def oracle_check(prompt: Prompt, scene: Scene) -> bool:
     """Exact rule evaluation of a scene against a prompt (True <=> "Yes")."""
-    validate_prompt(prompt)
-    cat, spec = prompt.category, prompt.target
+    s = _slots(prompt.target)
     objs = scene.objects
-    if cat in ("single_object", "colors"):
-        return any(_matches(o, spec.entries[0]) for o in objs)
-    if cat == "counting":
-        return sum(o.shape == spec.entries[0].shape for o in objs) == spec.entries[0].count
-    if cat in ("two_object", "color_attr"):
-        ea, eb = spec.entries
-        return any(
-            _matches(a, ea) and _matches(b, eb) and a is not b
-            for a in objs for b in objs
-        )
-    if cat == "position":
-        ea, eb = spec.entries
-        return any(
-            _matches(a, ea) and _matches(b, eb) and a is not b
-            and _relation_holds(a, b, spec.relation)
-            for a in objs for b in objs
-        )
-    raise MalformedPromptError(f"unknown category {cat!r}")
+    first = [o for o in objs if _fits(o, s["shape_a"], s["color_a"])]
+    if s["count"] is not None:
+        return len(first) == s["count"]
+    if s["shape_b"] is None:
+        return bool(first)
+    second = [o for o in objs if _fits(o, s["shape_b"], s["color_b"])]
+    return any(a is not b and (s["relation"] is None
+                               or _relation_holds(a.cell, b.cell, s["relation"]))
+               for a in first for b in second)
 
 
 # --------------------------------------------------------------- corruption
-
-def spec_attributes(category: str, spec: SceneSpec) -> dict[str, object]:
-    """Flat attribute view used to count spec-level differences."""
-    e = spec.entries
-    if category == "single_object":
-        return {"shape": e[0].shape}
-    if category == "two_object":
-        return {"shape_a": e[0].shape, "shape_b": e[1].shape}
-    if category == "counting":
-        return {"shape": e[0].shape, "count": e[0].count}
-    if category == "colors":
-        return {"shape": e[0].shape, "color": e[0].color}
-    if category == "position":
-        return {"shape_a": e[0].shape, "shape_b": e[1].shape, "relation": spec.relation}
-    if category == "color_attr":
-        return {"shape_a": e[0].shape, "color_a": e[0].color,
-                "shape_b": e[1].shape, "color_b": e[1].color}
-    raise MalformedPromptError(f"unknown category {category!r}")
-
 
 def _other(rng: np.random.Generator, pool, current):
     options = [x for x in pool if x != current]
@@ -257,34 +242,20 @@ def _other(rng: np.random.Generator, pool, current):
 
 
 def corrupt_spec(prompt: Prompt, rng: np.random.Generator) -> SceneSpec:
-    """Flip exactly one prompt-constrained attribute; the result always fails
-    the oracle for this prompt."""
-    cat, spec = prompt.category, prompt.target
-    e = list(spec.entries)
-    attrs = {
-        "single_object": ["shape_a"],
-        "two_object": ["shape_a", "shape_b"],
-        "counting": ["count", "shape_a"],
-        "colors": ["color_a", "shape_a"],
-        "position": ["relation", "shape_a", "shape_b"],
-        "color_attr": ["color_a", "color_b", "shape_a", "shape_b"],
-    }[cat]
-    which = attrs[rng.integers(len(attrs))]
-    relation = spec.relation
-    if which == "count":
-        new = _other(rng, range(1, max(PROMPT_COUNTS) + 2), e[0].count)
-        e[0] = ObjectSpec(e[0].shape, e[0].color, int(new))
-    elif which == "relation":
-        inverse = {"left_of": "right_of", "right_of": "left_of",
-                   "above": "below", "below": "above"}
-        relation = inverse[relation]
+    """Flip exactly one prompt-constrained slot; the result always fails
+    the oracle for this prompt. A relation flips to its mirror image."""
+    wanted = CATEGORY_TABLE[prompt.category][1]
+    which = wanted[rng.integers(len(wanted))]
+    s = _slots(prompt.target)
+    if which == "relation":
+        _, axis, sign = RELATION_TABLE[s["relation"]]
+        s["relation"] = next(r for r, (_, ax, sg) in RELATION_TABLE.items()
+                             if (ax, sg) == (axis, -sign))
+    elif which == "count":
+        s["count"] = _other(rng, range(1, max(PROMPT_COUNTS) + 2), s["count"])
     else:
-        idx = 0 if which.endswith("_a") else 1
-        if which.startswith("shape"):
-            e[idx] = ObjectSpec(_other(rng, SHAPES, e[idx].shape), e[idx].color, e[idx].count)
-        else:
-            e[idx] = ObjectSpec(e[idx].shape, _other(rng, COLORS, e[idx].color), e[idx].count)
-    return SceneSpec(tuple(e), relation=relation)
+        s[which] = _other(rng, SLOT_VALUES[which], s[which])
+    return _spec(s)
 
 
 # --------------------------------------------------------------- realization
@@ -294,39 +265,24 @@ def realize_scene(spec: SceneSpec, rng: np.random.Generator) -> Scene:
     objects: list[SceneObject] = []
     taken: set[tuple[int, int]] = set()
 
-    def free_cells(predicate=None):
+    def place(entry: ObjectSpec, fits=None) -> tuple[int, int]:
         cells = [(r, c) for r in range(CELL_GRID) for c in range(CELL_GRID)
-                 if (r, c) not in taken and (predicate is None or predicate((r, c)))]
-        return cells
-
-    def place(entry: ObjectSpec, predicate=None) -> SceneObject:
-        cells = free_cells(predicate)
+                 if (r, c) not in taken and (fits is None or fits((r, c)))]
         cell = cells[rng.integers(len(cells))]
         taken.add(cell)
         color = entry.color or COLORS[rng.integers(len(COLORS))]
-        obj = SceneObject(entry.shape, color, cell)
-        objects.append(obj)
-        return obj
+        objects.append(SceneObject(entry.shape, color, cell))
+        return cell
 
     if spec.relation is not None:
-        rel = spec.relation
+        _, axis, sign = RELATION_TABLE[spec.relation]
         # anchor placed away from the far edge so a consistent partner cell exists
-        if rel == "left_of":
-            a = place(spec.entries[0], lambda c: c[1] < CELL_GRID - 1)
-            place(spec.entries[1], lambda c: c[1] > a.cell[1])
-        elif rel == "right_of":
-            a = place(spec.entries[0], lambda c: c[1] > 0)
-            place(spec.entries[1], lambda c: c[1] < a.cell[1])
-        elif rel == "above":
-            a = place(spec.entries[0], lambda c: c[0] < CELL_GRID - 1)
-            place(spec.entries[1], lambda c: c[0] > a.cell[0])
-        else:
-            a = place(spec.entries[0], lambda c: c[0] > 0)
-            place(spec.entries[1], lambda c: c[0] < a.cell[0])
+        anchor = place(spec.entries[0], lambda c: 0 <= c[axis] + sign < CELL_GRID)
+        place(spec.entries[1], lambda c: _relation_holds(anchor, c, spec.relation))
     else:
         for entry in spec.entries:
             for _ in range(entry.count):
-                place(ObjectSpec(entry.shape, entry.color))
+                place(entry)
     return Scene(tuple(objects))
 
 
@@ -352,7 +308,6 @@ def candidate_scene(prompt: Prompt, seed: int, corruption_rate: float) -> Realiz
     (seed, prompt), independent of the noise latent, so candidate content is
     reproducible without running the generator.
     """
-    validate_prompt(prompt)
     rng = np.random.default_rng(np.random.SeedSequence([seed, prompt_hash64(prompt), 2]))
     corrupted = corruption_gate(seed, prompt, corruption_rate)
     spec = corrupt_spec(prompt, rng) if corrupted else prompt.target
@@ -411,33 +366,20 @@ _CAT_BASE = 1
 _SHAPE_BASE = _CAT_BASE + len(CATEGORIES)
 _COLOR_BASE = _SHAPE_BASE + len(SHAPES)
 _COUNT_BASE = _COLOR_BASE + len(COLORS)
-_MAX_COUNT = max(PROMPT_COUNTS) + 2
-_REL_BASE = _COUNT_BASE + _MAX_COUNT
+_REL_BASE = _COUNT_BASE + len(COUNT_WORDS)
 VOCAB_SIZE = _REL_BASE + len(RELATIONS)
-PROMPT_TOKEN_LEN = 7
+PROMPT_TOKEN_LEN = 1 + len(SLOT_VALUES)
+_SLOT_BASE = {"shape_a": _SHAPE_BASE, "color_a": _COLOR_BASE, "shape_b": _SHAPE_BASE,
+              "color_b": _COLOR_BASE, "count": _COUNT_BASE, "relation": _REL_BASE}
 
 
 def encode_prompt_tokens(prompt: Prompt) -> np.ndarray:
     """Fixed-length attribute token ids:
     [category, shape_a, color_a, shape_b, color_b, count, relation]."""
-    e = prompt.target.entries
-
-    def shape_id(i):
-        return _SHAPE_BASE + SHAPES.index(e[i].shape) if i < len(e) else _NONE
-
-    def color_id(i):
-        if i < len(e) and e[i].color is not None:
-            return _COLOR_BASE + COLORS.index(e[i].color)
-        return _NONE
-
-    count = e[0].count
-    tokens = [
-        _CAT_BASE + CATEGORIES.index(prompt.category),
-        shape_id(0), color_id(0), shape_id(1), color_id(1),
-        _COUNT_BASE + (count - 1) if count > 1 else _NONE,
-        _REL_BASE + RELATIONS.index(prompt.target.relation)
-        if prompt.target.relation else _NONE,
-    ]
+    s = _slots(prompt.target)
+    tokens = [_CAT_BASE + CATEGORIES.index(prompt.category)] + [
+        _NONE if v is None else _SLOT_BASE[k] + SLOT_VALUES[k].index(v)
+        for k, v in s.items()]
     return np.array(tokens, dtype=np.int64)
 
 

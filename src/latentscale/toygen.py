@@ -22,6 +22,7 @@ turn, so full and resumed runs share one path, values and metered FLOPs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,16 +49,19 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 def check_field_types(config, error: type[Exception]) -> None:
     """Raise ``error`` unless each field of the dataclass ``config`` holds its
-    annotated type: an int for int, an int or float for float, a str for
-    str; a bool is never accepted."""
+    annotated type: an int for int, a finite int or float for float, a str
+    for str; a bool is never accepted."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
             raise error(f"{f.name} must be {f.type}, got {value!r}")
+        if f.type == "float" and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Generator settings, checked when built: GeneratorConfigError if invalid."""
     num_layers: int = 8
     model_width: int = 64
     num_noise_tokens: int = 16
@@ -87,7 +91,7 @@ class GeneratorConfig:
     def num_tokens(self) -> int:
         return self.num_noise_tokens + scenes.PROMPT_TOKEN_LEN
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_field_types(self, GeneratorConfigError)
         if self.num_layers < 1:
             raise GeneratorConfigError("num_layers must be >= 1")
@@ -95,6 +99,8 @@ class GeneratorConfig:
             raise GeneratorConfigError("tap_layer must lie in [0, num_layers-1]")
         if not 0.0 <= self.corruption_rate <= 1.0:
             raise GeneratorConfigError("corruption_rate must lie in [0, 1]")
+        if self.code_gain <= 0:
+            raise GeneratorConfigError("code_gain must be > 0")
         if self.code_dim < self.raster_dim + MATCH_CHANNELS:
             raise GeneratorConfigError(
                 f"token capacity {self.code_dim} cannot hold raster "
@@ -109,7 +115,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorConfig":
-        """Parse and validate; malformed text raises GeneratorConfigError."""
+        """Parse and build; malformed text raises GeneratorConfigError."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -119,9 +125,7 @@ class GeneratorConfig:
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise GeneratorConfigError(f"unknown config keys: {unknown}")
-        cfg = cls(**obj)
-        cfg.validate()
-        return cfg
+        return cls(**obj)
 
 
 @dataclass
@@ -167,7 +171,6 @@ class RenderedImage:
 
 def build_generator(config: GeneratorConfig, param_seed: int = 0) -> Generator:
     """Construct fixed generator parameters for a config."""
-    config.validate()
     dt = config.dtype
     d = config.model_width
     n = config.code_dim
@@ -254,7 +257,6 @@ def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
                     ctx: MeterContext | None) -> GeneratorState:
     """Run layers 0..tap_layer only; returns the state holding the tap hidden."""
     cfg = gen.config
-    cfg.validate()
     realized = scenes.candidate_scene(prompt, seed, cfg.corruption_rate)
     z_noise = Tensor(_derive_noise(cfg, seed))
     x = _embed_layer0(gen, prompt, seed, realized, z_noise, ctx)
@@ -284,13 +286,6 @@ def generate_full(gen: Generator, prompt: scenes.Prompt, seed: int,
     """``generate_tapped`` then ``resume_and_decode``: the image and completed state."""
     state = generate_tapped(gen, prompt, seed, ctx)
     return resume_and_decode(gen, state, ctx), state
-
-
-def export_ae_latent(state: GeneratorState, ctx: MeterContext | None) -> Tensor:
-    """Terminal latent z0 as [spatial tokens, channels]; needs a full run."""
-    if not state.completed:
-        raise StateCompletionError("AE latent requires a completed generation")
-    return state.z0
 
 
 def tap_hidden_features(state: GeneratorState) -> np.ndarray:

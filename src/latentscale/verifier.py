@@ -55,6 +55,7 @@ class VerifierConfigError(ValueError):
 
 @dataclass(frozen=True)
 class VerifierConfig:
+    """Verifier settings, checked when built: VerifierConfigError if invalid."""
     mode: str = "hidden_state"
     tap_layer: int = 3                 # hidden_state mode only
     in_dim: int = 64                   # feature channel width entering the connector
@@ -64,10 +65,12 @@ class VerifierConfig:
     encoder_depth: int = 2             # pixel_reencode stand-in encoder
     encoder_dim: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self):
         toygen.check_field_types(self, VerifierConfigError)
         if self.mode not in MODES:
             raise VerifierConfigError(f"unknown mode {self.mode!r}")
+        if self.tap_layer < 0:
+            raise VerifierConfigError("tap_layer must be >= 0")
         if min(self.in_dim, self.connector_hidden, self.scorer_dim, self.encoder_dim) < 1:
             raise VerifierConfigError("feature, connector, scorer and encoder widths must be >= 1")
         if self.mode == "pixel_reencode" and self.encoder_depth < 1:
@@ -92,7 +95,6 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
     The pixel encoder comes after 28*d discarded normals, the draws of the
     deleted, never-read alignment readouts, so its weights stay as they were.
     """
-    config.validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
     d = config.scorer_dim
     p: dict[str, np.ndarray] = {}
@@ -161,7 +163,6 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
     ``hidden_state`` needs a state tapped at ``config.tap_layer``; the other
     modes need a completed state. Otherwise StateCompletionError is raised.
     """
-    config.validate()
     if config.mode == "hidden_state":
         if state.layers_done != config.tap_layer + 1:
             raise toygen.StateCompletionError(
@@ -175,7 +176,7 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
         raise toygen.StateCompletionError(
             f"{config.mode} verification needs a completed generation")
     if config.mode == "ae_latent":
-        return toygen.export_ae_latent(state, ctx).data
+        return state.z0.data
     if image is None:
         image = toygen.decode_latent(gen, state.z0, ctx)
     return encode_pixels(params, config, image.pixels.data, ctx)
@@ -227,16 +228,6 @@ def select_best(scores: list[Score]) -> int:
     if not scores:
         raise ValueError("select_best needs a non-empty score list")
     return int(np.argmax([s.value for s in scores]))
-
-
-def select_random_positive(scores: list[Score], seed: int) -> int:
-    """Uniform choice among yes-decisions; uniform over all if none."""
-    if not scores:
-        raise ValueError("select_random_positive needs a non-empty score list")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
-    positives = [i for i, s in enumerate(scores) if s.decision]
-    pool = positives if positives else list(range(len(scores)))
-    return int(pool[rng.integers(len(pool))])
 
 
 # ------------------------------------------------------------- checkpoints
@@ -331,7 +322,6 @@ def load_checkpoint(prefix: str | Path):
             stats = scenes.FeatureStats(
                 mean=arrays.pop("stats.mean"), variance=arrays.pop("stats.variance"),
                 sample_count=header["stats_ref"]["sample_count"])
-        config.validate()
         meta = header["meta"]
     except (KeyError, TypeError, VerifierConfigError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc

@@ -1,3 +1,7 @@
+import dataclasses
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +9,10 @@ from hypothesis import strategies as hst
 
 from latentscale import scenes
 from latentscale.scenes import (
-    CELL_GRID, COLORS, NUM_CELLS, SHAPES, MalformedPromptError, ObjectSpec,
-    Scene, SceneObject, SceneSpec, calibrate_feature_stats, corrupt_spec,
-    make_prompt, normalize, oracle_check, parse_scene, realize_scene, render,
-    sample_prompt, scenes_equal, spec_attributes,
+    CATEGORY_TABLE, CELL_GRID, COLORS, NUM_CELLS, RELATIONS, SHAPES,
+    MalformedPromptError, ObjectSpec, Prompt, Scene, SceneObject, SceneSpec,
+    calibrate_feature_stats, corrupt_spec, make_prompt, normalize, oracle_check,
+    parse_scene, realize_scene, render, sample_prompt, scenes_equal,
 )
 
 SEEDS = hst.integers(0, 2 ** 32 - 1)
@@ -23,6 +27,11 @@ SCENES = hst.lists(hst.builds(SceneObject, hst.sampled_from(SHAPES),
 
 def scene_of(*objs):
     return Scene(tuple(SceneObject(s, c, cell) for s, c, cell in objs))
+
+
+def spec_fields(spec: SceneSpec) -> list:
+    """Each entry's shape, color and count, then the relation."""
+    return [f for e in spec.entries for f in (e.shape, e.color, e.count)] + [spec.relation]
 
 
 # ---------------------------------------------------------------- oracle
@@ -65,17 +74,71 @@ def test_oracle_deterministic_and_total(rng):
         assert oracle_check(p, scene) == oracle_check(p, scene)
 
 
-def test_malformed_prompts_raise():
+DOT, CROSS = ObjectSpec("dot", None), ObjectSpec("cross", None)
+
+
+def _malformed(name, category, spec, text=None):
+    build = (functools.partial(make_prompt, category, spec) if text is None
+             else functools.partial(Prompt, category, spec, text))
+    return pytest.param(build, id=name)
+
+
+@pytest.mark.parametrize("build", [
+    _malformed("counting_count_1", "counting", SceneSpec((ObjectSpec("circle", None, 1),))),
+    _malformed("position_same_shapes", "position", SceneSpec((DOT, DOT), relation="left_of")),
+    _malformed("color_attr_same_color", "color_attr",
+               SceneSpec((ObjectSpec("dot", "red"), ObjectSpec("cross", "red")))),
+    _malformed("colors_uncolored", "colors", SceneSpec((DOT,))),
+    _malformed("single_object_colored", "single_object", SceneSpec((ObjectSpec("dot", "red"),))),
+    _malformed("single_object_count_3", "single_object", SceneSpec((ObjectSpec("dot", None, 3),))),
+    _malformed("two_object_relation", "two_object", SceneSpec((DOT, CROSS), relation="left_of")),
+    _malformed("counting_colored", "counting", SceneSpec((ObjectSpec("dot", "red", 3),))),
+    _malformed("counting_count_8", "counting", SceneSpec((ObjectSpec("dot", None, 8),))),
+    _malformed("relation_sideways", "position", SceneSpec((DOT, CROSS), relation="sideways")),
+    _malformed("position_one_entry", "position", SceneSpec((DOT,), relation="left_of")),
+    _malformed("two_object_one_entry", "two_object", SceneSpec((DOT,))),
+    _malformed("second_entry_count", "two_object", SceneSpec((DOT, ObjectSpec("cross", None, 2)))),
+    _malformed("unknown_category", "landscape", SceneSpec((DOT,))),
+    _malformed("text_not_stating_target", "single_object", SceneSpec((DOT,)),
+               text="a photo of a cross"),
+])
+def test_malformed_prompts_raise(build):
     with pytest.raises(MalformedPromptError):
-        make_prompt("counting", SceneSpec((ObjectSpec("circle", None, 1),)))
+        build()
+
+
+def _with_slot(spec: SceneSpec, slot: str, value) -> SceneSpec:
+    """``spec`` with ``slot`` set to ``value``; setting a second entry's
+    color adds a dot as that entry when there is none."""
+    a, *b = spec.entries
+    if slot == "relation":
+        return dataclasses.replace(spec, relation=value)
+    if slot == "color_a":
+        a = dataclasses.replace(a, color=value)
+    elif slot == "count":
+        a = dataclasses.replace(a, count=value)
+    elif slot == "shape_b":
+        b = [ObjectSpec(value, None)]
+    else:  # color_b
+        b = [dataclasses.replace(b[0] if b else DOT, color=value)]
+    return SceneSpec((a, *b), spec.relation)
+
+
+SLOT_DRAWS = {"color_a": hst.sampled_from(COLORS), "shape_b": hst.sampled_from(SHAPES),
+              "color_b": hst.sampled_from(COLORS), "count": hst.integers(2, 7),
+              "relation": hst.sampled_from(RELATIONS)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=PROMPTS, data=hst.data())
+def test_setting_an_unconstrained_slot_raises(p, data):
+    slot = data.draw(hst.sampled_from(
+        [s for s in SLOT_DRAWS if s not in CATEGORY_TABLE[p.category][1]]))
+    spec = _with_slot(p.target, slot, data.draw(SLOT_DRAWS[slot]))
     with pytest.raises(MalformedPromptError):
-        make_prompt("position", SceneSpec(
-            (ObjectSpec("dot", None), ObjectSpec("dot", None)), relation="left_of"))
+        make_prompt(p.category, spec)
     with pytest.raises(MalformedPromptError):
-        make_prompt("color_attr", SceneSpec(
-            (ObjectSpec("dot", "red"), ObjectSpec("cross", "red"))))
-    with pytest.raises(MalformedPromptError):
-        make_prompt("colors", SceneSpec((ObjectSpec("dot", None),)))
+        Prompt(p.category, spec, p.text)
 
 
 # ---------------------------------------------------------------- planted corruption
@@ -91,10 +154,32 @@ def test_clean_realization_always_passes(rng):
 def test_corrupt_spec_fails_oracle_and_flips_one_attribute(p, seed):
     rng = np.random.default_rng(seed)
     bad = corrupt_spec(p, rng)
-    before = spec_attributes(p.category, p.target)
-    after = spec_attributes(p.category, bad)
-    assert sum(before[k] != after[k] for k in before) == 1
+    assert len(bad.entries) == len(p.target.entries)
+    assert sum(x != y for x, y in zip(spec_fields(p.target), spec_fields(bad))) == 1
     assert not oracle_check(p, realize_scene(bad, rng))
+
+
+def _stream_text(spec: SceneSpec) -> str:
+    return ";".join(f"{e.shape},{e.color},{e.count}" for e in spec.entries) + f";{spec.relation}"
+
+
+# sha256 of the first 200 prompts of sample_prompt(default_rng(0)) and of
+# their candidate scenes at corruption rates 0.3 and 1.0, taken while each
+# category still had its own code path; the streams must never move
+STREAM_SHA256 = "fc557d576bb26962d0024dd489d18e93e8c1759d196f6aa4bdb1d7ee7cdb7afa"
+
+
+def test_prompt_and_candidate_streams_are_unchanged():
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for i in range(200):
+        p = sample_prompt(rng)
+        digest.update(f"{p.category}|{_stream_text(p.target)}|{p.text}".encode())
+        for rate in (0.3, 1.0):
+            cand = scenes.candidate_scene(p, i, rate)
+            objs = ";".join(f"{o.shape},{o.color},{o.cell}" for o in cand.scene.objects)
+            digest.update(f"{objs}|{_stream_text(cand.spec)}|{cand.corrupted}".encode())
+    assert digest.hexdigest() == STREAM_SHA256
 
 
 def test_realize_scene_distinct_cells(rng):

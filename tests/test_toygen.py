@@ -9,12 +9,13 @@ from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen
 from latentscale.numcore import MeterContext, Tensor, flops_for
-from latentscale.scenes import oracle_check, parse_scene, sample_prompt, scenes_equal, spec_attributes
+from latentscale.scenes import oracle_check, parse_scene, sample_prompt, scenes_equal
 from latentscale.toygen import (
     Generator, GeneratorConfig, GeneratorConfigError, StateCompletionError,
-    build_generator, export_ae_latent, generate_full, generate_tapped,
-    resume_and_decode, tap_hidden_features,
+    build_generator, generate_full, generate_tapped, resume_and_decode,
+    tap_hidden_features,
 )
+from latentscale.verifier import VerifierConfig, VerifierConfigError
 
 
 def test_zero_corruption_matches_target(rng, default_generator):
@@ -35,9 +36,11 @@ def test_full_corruption_flips_exactly_one_attribute(rng, default_generator):
         st = generate_tapped(gen, p, seed, None)
         assert st.corrupted
         assert not oracle_check(p, st.rendered_scene)
-        before = spec_attributes(p.category, p.target)
-        after = spec_attributes(p.category, st.scene_spec)
-        assert sum(before[k] != after[k] for k in before) == 1
+        # each entry's shape, color and count, then the relation
+        before, after = ([f for e in s.entries for f in (e.shape, e.color, e.count)]
+                         + [s.relation] for s in (p.target, st.scene_spec))
+        assert len(before) == len(after)
+        assert sum(x != y for x, y in zip(before, after)) == 1
 
 
 def test_corruption_frequency_monte_carlo():
@@ -231,16 +234,10 @@ def test_different_seeds_different_latents(default_generator, rng):
 def test_export_ae_latent_token_count(default_generator, rng):
     p = sample_prompt(rng)
     _, st = generate_full(default_generator, p, 21, None)
-    latent = export_ae_latent(st, None)
+    latent = st.z0
     assert latent.shape == (default_generator.config.num_noise_tokens,
                             default_generator.config.model_width)
     assert latent.shape[0] == (scenes.IMAGE_SIZE // scenes.PATCH) ** 2
-
-
-def test_export_ae_latent_requires_completion(default_generator, rng):
-    st = generate_tapped(default_generator, sample_prompt(rng), 4, None)
-    with pytest.raises(StateCompletionError):
-        export_ae_latent(st, None)
 
 
 # -------------------------------------------------------- config
@@ -259,6 +256,9 @@ def test_config_json_roundtrip():
     '{"tap_layer": 2.5}',              # int field given a float
     '{"weight_std": "0.01"}',          # float field given a string
     '{"tap_layer": true}',             # a bool is not an int
+    '{"weight_std": NaN}',             # floats must be finite
+    '{"match_gain": Infinity}',
+    '{"code_gain": 0}',                # the decoder divides by it
 ])
 def test_config_json_malformed_raises_typed_error(text):
     with pytest.raises(GeneratorConfigError):
@@ -271,11 +271,17 @@ def test_config_float_fields_accept_ints():
 
 def test_invalid_configs_rejected():
     with pytest.raises(GeneratorConfigError):
-        GeneratorConfig(tap_layer=8).validate()
+        GeneratorConfig(tap_layer=8)
     with pytest.raises(GeneratorConfigError):
-        GeneratorConfig(corruption_rate=1.5).validate()
+        GeneratorConfig(corruption_rate=1.5)
     with pytest.raises(GeneratorConfigError):
-        GeneratorConfig(model_width=16).validate()  # too little code capacity
+        GeneratorConfig(model_width=16)  # too little code capacity
+    with pytest.raises(GeneratorConfigError):
+        dataclasses.replace(GeneratorConfig(), tap_layer=99)
+    with pytest.raises(VerifierConfigError):
+        VerifierConfig(mode="bogus")
+    with pytest.raises(VerifierConfigError):
+        dataclasses.replace(VerifierConfig(), tap_layer=-1)  # no generator depth to exceed
 
 
 # -------------------------------------------------------- informativeness

@@ -11,7 +11,7 @@ from latentscale import scenes, toygen, verifier
 from latentscale.numcore import BlockWeights, MeterContext, flops_for
 from latentscale.verifier import (
     CheckpointError, Score, VerifierConfig, init_verifier, load_checkpoint,
-    save_checkpoint, score_from_logits, select_best, select_random_positive,
+    save_checkpoint, score_from_logits, select_best,
 )
 
 
@@ -94,16 +94,6 @@ def test_select_best_ties_go_to_lowest_index():
     scores = [Score(False, -0.7), Score(True, 0.9), Score(True, 0.6), Score(True, 0.9)]
     assert select_best(scores) == 1
     assert select_best([Score(False, -0.5)] * 4) == 0
-
-
-def test_select_random_positive_picks_only_yes():
-    scores = [Score(False, -0.8), Score(True, 0.6), Score(False, -0.9), Score(True, 0.7)]
-    assert {select_random_positive(scores, seed) for seed in range(100)} == {1, 3}
-
-
-def test_select_random_positive_falls_back_to_all_when_none_says_yes():
-    scores = [Score(False, -0.8)] * 5
-    assert {select_random_positive(scores, seed) for seed in range(100)} == set(range(5))
 
 
 # ---------------------------------------------------------------- mode gating

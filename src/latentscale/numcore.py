@@ -18,6 +18,7 @@ Published FLOPs conventions (cost per element unless stated):
     gelu            12  (cubic 5, tanh 4, gate 3; tanh approximation)
     softmax         5   (max, shift, exp, sum, divide)
     mean_pool t,d   t*d + d
+    normalize t,d   2*t*d + d (subtract, divide; d for the channel scale)
     ============== ===========================================
 
 Composite kernels (``attention_block``, ``linear``) charge exactly the sum of
@@ -84,9 +85,6 @@ class MeterContext:
     flops_accumulated: int = 0
     bytes_live: int = 0
     bytes_peak: int = 0
-
-    def add_flops(self, n: int) -> None:
-        self.flops_accumulated += int(n)
 
     def register(self, tensor: "Tensor") -> None:
         """Count ``tensor``'s buffer as live until the wrapper dies."""
@@ -266,6 +264,20 @@ def mean_pool(x: Operand, ctx: MeterContext | None) -> Tensor:
     return _finish(x.mean(axis=0), ctx, t * d + d)
 
 
+def normalize(x: Operand, mean: np.ndarray, variance: np.ndarray,
+              ctx: MeterContext | None, eps: float = 1e-6) -> Tensor:
+    """(x - mean) / sqrt(variance + eps), channelwise over the last axis."""
+    x = _data(x)
+    d = x.shape[-1]
+    if mean.shape != (d,) or variance.shape != (d,):
+        raise ShapeMismatchError(
+            f"normalize statistics {mean.shape}, {variance.shape} do not match width {d}")
+    c = x - mean
+    s = np.sqrt(variance + eps)
+    return _finish(np.divide(c, s, out=_into(c, s)), ctx,
+                   flops_for(("normalize", x.size // d, d)))
+
+
 def concat_rows(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
     """Stack two [*, d] tensors along the token axis (data movement only)."""
     a, b = _data(a), _data(b)
@@ -328,7 +340,7 @@ def flops_for(descriptor: tuple) -> int:
 
     Descriptors: ("matmul", m, k, n), ("add", n), ("scale", n), ("clamp", n),
     ("layer_norm", rows, d), ("gelu", n), ("softmax", rows, n),
-    ("mean_pool", t, d), ("linear", t, din, dout, bias),
+    ("mean_pool", t, d), ("normalize", t, d), ("linear", t, din, dout, bias),
     ("attention_block", t, d, mlp_width).
     """
     name, *args = descriptor
@@ -340,6 +352,9 @@ def flops_for(descriptor: tuple) -> int:
     if name == "mean_pool":
         t, d = args
         return t * d + d
+    if name == "normalize":
+        t, d = args
+        return 2 * t * d + d
     if name == "linear":
         t, din, dout, bias = args
         return 2 * t * din * dout + (t * dout if bias else 0)

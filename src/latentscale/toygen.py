@@ -3,8 +3,16 @@
 The generator is constructed, not trained. Scene content enters the token
 stream at layer 0 through a fixed orthogonal linear code and is carried by
 genuine attention blocks whose small random weights perturb it only mildly,
-so a fixed linear un-embedding recovers the image at the end. The code
-splits the content-token space into three orthogonal banks:
+so a fixed linear un-embedding recovers the image at the end.
+
+The code is the Kronecker product ``A ⊗ B`` of two small orthogonal factors:
+``A`` [T, T] over the content tokens and ``B`` [d, d] over the channels,
+each the QR of a normal draw. With the code coordinates ``X`` laid out as
+[T, d] (row-major), the content tokens are ``A @ X @ Bᵀ``, which is exactly
+``(A ⊗ B) @ vec(X)`` without the [T·d, T·d] matrix. Its inverse is
+``Aᵀ @ C @ B``; the decoder needs only the first ``ceil(raster_dim / d)``
+rows of ``X``, so it multiplies by those columns of ``A`` alone. The code
+coordinates split into three orthogonal banks:
 
   * raster bank   - the centered pixel raster of the candidate's scene;
   * match bank    - a few redundant channels holding a noisy indicator of
@@ -131,13 +139,13 @@ class GeneratorConfig:
 @dataclass
 class GeneratorParams:
     """Fixed random parameters; immutable after construction."""
-    code: np.ndarray        # orthogonal [code_dim, code_dim]
-    token_table: np.ndarray  # [VOCAB_SIZE, d] prompt attribute embeddings
-    seg_prompt: np.ndarray   # [d] segment vector added to prompt tokens
+    token_code: np.ndarray    # A: orthogonal [T, T], the code's factor over tokens
+    channel_code: np.ndarray  # B: orthogonal [d, d], its factor over channels
+    token_table: np.ndarray   # [VOCAB_SIZE, d] prompt attribute embeddings
+    seg_prompt: np.ndarray    # [d] segment vector added to prompt tokens
     blocks: list[BlockWeights]
-    w_proj: np.ndarray       # [d, d] final projection producing z0
-    w_proj_inv: np.ndarray   # decoder half 1: undo the projection
-    unembed: np.ndarray      # decoder half 2: [raster_dim, code_dim] = raster rows of code^T
+    w_proj: np.ndarray        # [d, d] final projection producing z0
+    w_proj_inv: np.ndarray    # decoder half 1: undo the projection; half 2 is Aᵀ and B
 
 
 @dataclass
@@ -173,20 +181,20 @@ def build_generator(config: GeneratorConfig, param_seed: int = 0) -> Generator:
     """Construct fixed generator parameters for a config."""
     dt = config.dtype
     d = config.model_width
-    n = config.code_dim
     rng = np.random.default_rng(np.random.SeedSequence([param_seed, 101]))
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a, _ = np.linalg.qr(rng.standard_normal((config.num_noise_tokens,) * 2))
+    b, _ = np.linalg.qr(rng.standard_normal((d, d)))
     w_proj = np.eye(d) + 0.02 * rng.standard_normal((d, d))
     blocks = [init_block_weights(rng, d, weight_std=config.weight_std, dtype=dt)
               for _ in range(config.num_layers)]
     params = GeneratorParams(
-        code=q.astype(dt, copy=False),
+        token_code=a.astype(dt, copy=False),
+        channel_code=b.astype(dt, copy=False),
         token_table=(rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5).astype(dt),
         seg_prompt=(rng.standard_normal(d) * 0.1).astype(dt),
         blocks=blocks,
         w_proj=w_proj.astype(dt),
         w_proj_inv=np.linalg.inv(w_proj).astype(dt),
-        unembed=np.ascontiguousarray(q[:, :3 * scenes.IMAGE_SIZE ** 2].T, dtype=dt),
     )
     # kernels take the weights as plain arrays, so freeze them here
     for arr in [*vars(params).values(), *(a for b in blocks for a in vars(b).values())]:
@@ -202,11 +210,10 @@ def _derive_noise(config: GeneratorConfig, seed: int) -> np.ndarray:
     return (config.noise_gain * z).astype(config.dtype)
 
 
-def _embed_layer0(gen: Generator, prompt: scenes.Prompt, seed: int,
-                  realized: scenes.RealizedCandidate, z_noise: Tensor,
-                  ctx: MeterContext | None) -> Tensor:
-    """Token stream at layer 0: coded content tokens then prompt tokens."""
-    cfg, p = gen.config, gen.params
+def _code_coordinates(cfg: GeneratorConfig, prompt: scenes.Prompt, seed: int,
+                      realized: scenes.RealizedCandidate, z_noise: Tensor) -> np.ndarray:
+    """The coordinates X [T, d] that the code maps to content tokens; read
+    row-major, they are the raster bank, the match bank, then the noise bank."""
     raster = scenes.render(realized.scene).reshape(-1).astype(cfg.dtype)
 
     # noisy alignment evidence; per-candidate noise level varies so that
@@ -218,18 +225,26 @@ def _embed_layer0(gen: Generator, prompt: scenes.Prompt, seed: int,
     match = (bit * cfg.match_gain
              + sigma * rng.standard_normal(MATCH_CHANNELS)).astype(cfg.dtype)
 
-    # code coordinates: scene banks are overwritten, the noise bank takes its
-    # coefficients straight from the latent (an orthogonal basis makes any
-    # fixed linear restriction of z distributionally equivalent)
-    mixed = z_noise.data.reshape(-1, 1).copy()
-    mixed[:cfg.raster_dim, 0] = (raster - 0.5) * cfg.code_gain
-    mixed[cfg.raster_dim:cfg.raster_dim + MATCH_CHANNELS, 0] = match
-    content = matmul(p.code, mixed, ctx)
+    # scene banks are overwritten, the noise bank takes its coefficients
+    # straight from the latent (an orthogonal basis makes any fixed linear
+    # restriction of z distributionally equivalent)
+    mixed = z_noise.data.copy()
+    flat = mixed.reshape(-1)
+    flat[:cfg.raster_dim] = (raster - 0.5) * cfg.code_gain
+    flat[cfg.raster_dim:cfg.raster_dim + MATCH_CHANNELS] = match
+    return mixed
 
+
+def _embed_layer0(gen: Generator, prompt: scenes.Prompt, seed: int,
+                  realized: scenes.RealizedCandidate, z_noise: Tensor,
+                  ctx: MeterContext | None) -> Tensor:
+    """Token stream at layer 0: coded content tokens A @ X @ Bᵀ, then prompt tokens."""
+    cfg, p = gen.config, gen.params
+    mixed = _code_coordinates(cfg, prompt, seed, realized, z_noise)
+    content = matmul(matmul(p.token_code, mixed, ctx), p.channel_code.T, ctx)
     ids = scenes.encode_prompt_tokens(prompt)
     prompt_tokens = add(p.token_table[ids], p.seg_prompt, ctx)
-    return concat_rows(content.data.reshape(cfg.num_noise_tokens, cfg.model_width),
-                       prompt_tokens, ctx)
+    return concat_rows(content, prompt_tokens, ctx)
 
 
 def _run_blocks(gen: Generator, x: Tensor, start: int, stop: int,
@@ -244,9 +259,13 @@ def _project(gen: Generator, x: Tensor, ctx: MeterContext | None) -> Tensor:
 
 
 def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> RenderedImage:
+    """Undo the projection and the code on the raster rows, then un-centre and clamp."""
     cfg, p = gen.config, gen.params
     t = matmul(z0, p.w_proj_inv, ctx)
-    coef = matmul(p.unembed, t.data.reshape(-1, 1), ctx)
+    # the raster coordinates fill the first r rows of X = Aᵀ @ t @ B
+    r = -(-cfg.raster_dim // cfg.model_width)
+    x = matmul(matmul(p.token_code[:, :r].T, t, ctx), p.channel_code, ctx)
+    coef = x.data.reshape(-1)[:cfg.raster_dim]
     shifted = add(scale(coef, 1.0 / cfg.code_gain, ctx),
                   np.full(coef.shape, 0.5, dtype=cfg.dtype), ctx)
     pixels = clamp01(shifted.data.reshape(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3), ctx)

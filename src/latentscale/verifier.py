@@ -18,8 +18,8 @@ probability of the sampled class, negated for "no", giving values in
 [-1, -0.5] or [0.5, 1].
 
 Parameters live in a flat ``{name: array}`` dict, which checkpoints store
-entry by entry. Every metered operation runs as a ``numcore`` kernel,
-except feature normalization, whose cost ``normalize_metered`` charges.
+entry by entry. Every metered operation, feature normalization included,
+runs as a ``numcore`` kernel.
 
 Precision: the verifier works in float64 whatever the generator's
 precision. ``init_verifier`` creates float64 parameters, float32 features
@@ -41,7 +41,7 @@ import numpy as np
 from . import scenes, toygen
 from .numcore import (
     BlockWeights, MeterContext, add, attention_block, concat_rows, gelu,
-    init_block_weights, linear, mean_pool, softmax,
+    init_block_weights, linear, mean_pool, normalize, softmax,
 )
 
 MODES = ("hidden_state", "ae_latent", "pixel_reencode")
@@ -128,11 +128,9 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
 
 def normalize_metered(features: np.ndarray, stats: scenes.FeatureStats,
                       ctx: MeterContext | None) -> np.ndarray:
-    """scenes.normalize with its arithmetic charged (2 FLOPs/element plus
-    the per-channel inverse-std preparation)."""
-    if ctx is not None:
-        ctx.add_flops(2 * features.size + stats.mean.shape[-1])
-    return scenes.normalize(features, stats)
+    """scenes.normalize as the metered ``numcore.normalize`` kernel: the same
+    bits, charged 2 FLOPs per element plus one per channel."""
+    return normalize(features, stats.mean, stats.variance, ctx).data
 
 
 def patchify(pixels: np.ndarray) -> np.ndarray:

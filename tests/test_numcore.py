@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from latentscale import numcore as nc
+from latentscale import scenes
 
 
 def ctx():
@@ -71,8 +72,10 @@ def test_matmul_dim_mismatch():
     lambda: nc.linear(np.ones(6), np.ones((6, 3)), None, None),
     lambda: nc.linear(np.ones((5, 6)), np.ones((6, 3)), np.ones(4), None),
     lambda: nc.linear(np.ones((5, 6)), np.ones((6, 3)), np.ones((5, 3)), None),
+    lambda: nc.normalize(np.ones((4, 6)), np.zeros(5), np.ones(5), None),
+    lambda: nc.normalize(np.ones((4, 6)), np.zeros(6), np.ones((1, 6)), None),
 ], ids=["concat_1d", "concat_3d", "concat_width", "linear_inner", "linear_1d",
-        "linear_bias_width", "linear_bias_2d"])
+        "linear_bias_width", "linear_bias_2d", "normalize_width", "normalize_2d_stats"])
 def test_shape_errors_are_typed(call):
     with pytest.raises(nc.ShapeMismatchError):
         call()
@@ -161,6 +164,18 @@ def test_flops_for_attention_block_frozen_constant():
 def test_flops_for_softmax_linear_in_n():
     for n in (1, 7, 64, 1000):
         assert nc.flops_for(("softmax", 1, n)) == nc.FLOPS_PER_ELEMENT["softmax"] * n
+
+
+@pytest.mark.parametrize("shape", [(6,), (1, 6), (16, 64), (2, 3, 5)])
+def test_normalize_charges_two_per_element_plus_one_per_channel(shape):
+    rng = np.random.default_rng(2)
+    d = shape[-1]
+    c = ctx()
+    out = nc.normalize(rng.standard_normal(shape), rng.standard_normal(d),
+                       rng.uniform(0.5, 2.0, d), c)
+    assert out.shape == shape
+    assert c.flops_accumulated == nc.flops_for(("normalize", math.prod(shape) // d, d))
+    assert c.flops_accumulated == 2 * math.prod(shape) + d
 
 
 def test_flops_for_unknown_kernel():
@@ -299,6 +314,7 @@ def _kernel_cases(seed=13, dtype=np.float64):
         "gelu": (nc.gelu, (x,), ()),
         "softmax": (nc.softmax, (x,), ()),
         "mean_pool": (nc.mean_pool, (x,), ()),
+        "normalize": (nc.normalize, (x,), (r(6), rng.uniform(0.5, 2.0, 6).astype(dtype))),
         "concat_rows": (nc.concat_rows, (x, y), ()),
         "linear": (nc.linear, (x,), (w, b)),
         "linear_nobias": (nc.linear, (x,), (w, None)),
@@ -342,6 +358,7 @@ _REFERENCE = {
     "gelu": _ref_gelu,
     "softmax": _ref_softmax,
     "mean_pool": lambda a: a.mean(axis=0),
+    "normalize": lambda a, mean, var: scenes.normalize(a, scenes.FeatureStats(mean, var, 2)),
     "concat_rows": lambda a, b: np.concatenate([a, b]),
     "linear": lambda a, w, b: a @ w + b,
     "linear_nobias": lambda a, w, _: a @ w,

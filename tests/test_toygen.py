@@ -1,10 +1,12 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen
@@ -104,7 +106,7 @@ def test_metered_and_unmetered_runs_bitwise_equal(default_generator, rng):
 
 def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
     # each buffer the meter counts is held here, so none can be freed and reused;
-    # the count is 3 at embed, 11 in each of 8 blocks, 1 projection, 5 at decode
+    # the count is 4 at embed, 11 in each of 8 blocks, 1 projection, 6 at decode
     seen = []
     register = MeterContext.register
 
@@ -114,7 +116,7 @@ def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
 
     monkeypatch.setattr(MeterContext, "register", record)
     generate_full(default_generator, sample_prompt(rng), 6, MeterContext())
-    assert len(seen) == 97
+    assert len(seen) == 99
     assert [(a.shape, b.shape) for a, b in itertools.combinations(seen, 2)
             if np.shares_memory(a, b)] == []
 
@@ -143,14 +145,15 @@ def test_f32_precision_is_honoured_end_to_end(rng):
 
 def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
     p = default_generator.params
-    arrays = [p.code, p.token_table, p.seg_prompt, p.w_proj, p.w_proj_inv, p.unembed]
+    arrays = [p.token_code, p.channel_code, p.token_table, p.seg_prompt, p.w_proj,
+              p.w_proj_inv]
     arrays += [getattr(b, f.name) for b in p.blocks for f in dataclasses.fields(b)]
     assert not any(a.flags.writeable for a in arrays)
     img, st = generate_full(default_generator, sample_prompt(rng), 1, MeterContext())
     for a in (img.pixels.data, st.z0.data, st.hidden.data, st.z_noise.data):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
-        p.code[0, 0] = 1.0
+        p.channel_code[0, 0] = 1.0
 
 
 def test_resume_on_completed_state_raises(default_generator, rng):
@@ -171,7 +174,7 @@ def test_tap_at_last_layer_resume_only_decodes(rng):
     # resume ran zero blocks: projection + decode only
     d, n = cfg.model_width, cfg.num_noise_tokens
     expected = (flops_for(("matmul", n, d, d)) * 2
-                + flops_for(("matmul", cfg.raster_dim, cfg.code_dim, 1))
+                + _unembed_flops(cfg)
                 + 3 * cfg.raster_dim)  # scale + shift + clamp
     assert c_res.flops_accumulated == expected
 
@@ -191,6 +194,13 @@ def test_flops_additivity_random_configs(layers, tap_frac, corruption, prompt_se
     assert c_tap.flops_accumulated + c_res.flops_accumulated == c_full.flops_accumulated
 
 
+def _unembed_flops(cfg: GeneratorConfig) -> int:
+    """Decoder's un-embed: A[:, :r]ᵀ @ t, then @ B, for the r raster rows."""
+    n, d = cfg.num_noise_tokens, cfg.model_width
+    r = -(-cfg.raster_dim // d)
+    return flops_for(("matmul", r, n, d)) + flops_for(("matmul", r, d, d))
+
+
 def test_generation_flops_match_closed_form(default_generator, rng):
     cfg = default_generator.config
     ctx = MeterContext()
@@ -198,15 +208,90 @@ def test_generation_flops_match_closed_form(default_generator, rng):
     t, d = cfg.num_tokens, cfg.model_width
     n = cfg.num_noise_tokens
     expected = (
-        flops_for(("matmul", cfg.code_dim, cfg.code_dim, 1))        # scene code embed
+        flops_for(("matmul", n, n, d)) + flops_for(("matmul", n, d, d))  # code embed A @ X @ Bᵀ
         + scenes.PROMPT_TOKEN_LEN * d                               # prompt segment add
         + cfg.num_layers * flops_for(("attention_block", t, d, 4 * d))
         + flops_for(("matmul", n, d, d))                            # final projection
         + flops_for(("matmul", n, d, d))                            # decoder: undo projection
-        + flops_for(("matmul", cfg.raster_dim, cfg.code_dim, 1))    # decoder: un-embed
+        + _unembed_flops(cfg)                                       # decoder: un-embed
         + 3 * cfg.raster_dim                                        # scale + shift + clamp
     )
-    assert ctx.flops_accumulated == expected
+    assert ctx.flops_accumulated == expected == 20_596_208
+
+
+# -------------------------------------------------------- scene code
+
+def _param_arrays(params) -> list[np.ndarray]:
+    return [a for a in (*vars(params).values(), *(v for b in params.blocks
+                                                   for v in vars(b).values()))
+            if isinstance(a, np.ndarray)]
+
+
+@hst.composite
+def _code_shapes(draw):
+    """(num_noise_tokens, model_width) of a valid config, code_dim <= 1280."""
+    tokens = draw(hst.integers(8, 24))
+    least = -(-(GeneratorConfig().raster_dim + toygen.MATCH_CHANNELS) // tokens)
+    return tokens, draw(hst.integers(least, 1280 // tokens))
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=_code_shapes(), precision=hst.sampled_from(["f64", "f32"]),
+       prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62))
+@example(shape=(16, 80), precision="f64", prompt_seed=0, seed=0)  # raster_dim % d != 0
+@example(shape=(16, 80), precision="f32", prompt_seed=0, seed=0)
+def test_factored_code_is_the_dense_orthogonal_code(shape, precision, prompt_seed, seed):
+    tokens, width = shape
+    cfg = GeneratorConfig(num_layers=1, tap_layer=0, num_noise_tokens=tokens,
+                          model_width=width, precision=precision)
+    gen = build_generator(cfg)
+    tol = 1e-12 if precision == "f64" else 1e-5
+    a, b = gen.params.token_code, gen.params.channel_code
+    code = np.kron(a.astype(np.float64), b.astype(np.float64))
+    assert np.abs(code @ code.T - np.eye(cfg.code_dim)).max() <= tol
+
+    p = sample_prompt(np.random.default_rng(prompt_seed))
+    realized = scenes.candidate_scene(p, seed, cfg.corruption_rate)
+    z_noise = Tensor(toygen._derive_noise(cfg, seed))
+    coords = toygen._code_coordinates(cfg, p, seed, realized, z_noise)
+    x = toygen._embed_layer0(gen, p, seed, realized, z_noise, None)
+    dense = (code @ coords.reshape(-1)).reshape(tokens, width)
+    assert np.abs(x.data[:tokens] - dense).max() <= tol
+    if precision == "f64":
+        # no blocks between embed and projection: decoding inverts the code
+        img = toygen.decode_latent(gen, toygen._project(gen, x, None), None)
+        assert np.abs(img.pixels.data - scenes.render(realized.scene)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("width", [64, 80])
+def test_no_parameter_spans_the_code_dimension(width):
+    cfg = GeneratorConfig(model_width=width)
+    tracemalloc.start()
+    try:
+        gen = build_generator(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = _param_arrays(gen.params)
+    assert all(cfg.code_dim not in a.shape for a in arrays)
+    assert peak <= 2 * sum(a.nbytes for a in arrays)
+
+
+def test_code_does_not_feed_prompts_scenes_or_noise():
+    # prompts, realized scenes, corruption flags and noise latents of 12
+    # requests of 8 candidates; sha256 taken before the code was factored
+    cfg = GeneratorConfig()
+    rng = np.random.default_rng(np.random.SeedSequence([1, 8111]))
+    prompts = [sample_prompt(rng) for _ in range(12)]
+    seeds = rng.choice(2 ** 62, size=(12, 8), replace=False)
+    h = hashlib.sha256()
+    for prompt, row in zip(prompts, seeds):
+        h.update(repr(prompt).encode())
+        for seed in row.tolist():
+            realized = scenes.candidate_scene(prompt, seed, cfg.corruption_rate)
+            h.update(repr((realized.spec, realized.scene, realized.corrupted)).encode())
+            h.update(toygen._derive_noise(cfg, seed).tobytes())
+    assert h.hexdigest() == "a1a50f0117ee251bcdffb603136b88745b20bc055c821907ddb4aab9099c18f0"
 
 
 # -------------------------------------------------------- decoding

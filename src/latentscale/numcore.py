@@ -265,15 +265,15 @@ def mean_pool(x: Operand, ctx: MeterContext | None) -> Tensor:
 
 
 def normalize(x: Operand, mean: np.ndarray, variance: np.ndarray,
-              ctx: MeterContext | None, eps: float = 1e-6) -> Tensor:
-    """(x - mean) / sqrt(variance + eps), channelwise over the last axis."""
+              ctx: MeterContext | None) -> Tensor:
+    """(x - mean) / sqrt(variance + 1e-6), channelwise over the last axis."""
     x = _data(x)
     d = x.shape[-1]
     if mean.shape != (d,) or variance.shape != (d,):
         raise ShapeMismatchError(
             f"normalize statistics {mean.shape}, {variance.shape} do not match width {d}")
     c = x - mean
-    s = np.sqrt(variance + eps)
+    s = np.sqrt(variance + 1e-6)
     return _finish(np.divide(c, s, out=_into(c, s)), ctx,
                    flops_for(("normalize", x.size // d, d)))
 

@@ -410,8 +410,3 @@ def calibrate_feature_stats(features) -> FeatureStats:
     mean = total / rows
     variance = np.maximum(total_sq / rows - mean ** 2, 0.0)
     return FeatureStats(mean=mean, variance=variance, sample_count=count)
-
-
-def normalize(features: np.ndarray, stats: FeatureStats, eps: float = 1e-6) -> np.ndarray:
-    """(x - mean) / sqrt(variance + eps), channelwise over the last axis."""
-    return (np.asarray(features) - stats.mean) / np.sqrt(stats.variance + eps)

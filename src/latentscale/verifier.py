@@ -128,8 +128,8 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
 
 def normalize_metered(features: np.ndarray, stats: scenes.FeatureStats,
                       ctx: MeterContext | None) -> np.ndarray:
-    """scenes.normalize as the metered ``numcore.normalize`` kernel: the same
-    bits, charged 2 FLOPs per element plus one per channel."""
+    """Standardize features with calibrated statistics through the metered
+    ``numcore.normalize`` kernel, charged 2 FLOPs per element plus one per channel."""
     return normalize(features, stats.mean, stats.variance, ctx).data
 
 

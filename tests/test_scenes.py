@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from latentscale import scenes
+from latentscale import scenes, toygen
+from latentscale.verifier import normalize_metered
 from latentscale.scenes import (
     CATEGORY_TABLE, CELL_GRID, COLORS, NUM_CELLS, RELATIONS, SHAPES,
     MalformedPromptError, ObjectSpec, Prompt, Scene, SceneObject, SceneSpec,
-    calibrate_feature_stats, corrupt_spec, make_prompt, normalize, oracle_check,
+    calibrate_feature_stats, corrupt_spec, make_prompt, oracle_check,
     parse_scene, realize_scene, render, sample_prompt, scenes_equal,
 )
 
@@ -163,10 +164,11 @@ def _stream_text(spec: SceneSpec) -> str:
     return ";".join(f"{e.shape},{e.color},{e.count}" for e in spec.entries) + f";{spec.relation}"
 
 
-# sha256 of the first 200 prompts of sample_prompt(default_rng(0)) and of
-# their candidate scenes at corruption rates 0.3 and 1.0, taken while each
-# category still had its own code path; the streams must never move
-STREAM_SHA256 = "fc557d576bb26962d0024dd489d18e93e8c1759d196f6aa4bdb1d7ee7cdb7afa"
+# sha256 of the first 200 prompts of sample_prompt(default_rng(0)), of their
+# candidate scenes at corruption rates 0.3 and 1.0 and of the default
+# generator's noise latents for the same seeds, taken before the scene code
+# was factored; the streams must never move
+STREAM_SHA256 = "40bf1cfb8fee4e99f033fc8f1f2647ec5f8bbfd0134ba217000a1c8cca223cad"
 
 
 def test_prompt_and_candidate_streams_are_unchanged():
@@ -179,6 +181,7 @@ def test_prompt_and_candidate_streams_are_unchanged():
             cand = scenes.candidate_scene(p, i, rate)
             objs = ";".join(f"{o.shape},{o.color},{o.cell}" for o in cand.scene.objects)
             digest.update(f"{objs}|{_stream_text(cand.spec)}|{cand.corrupted}".encode())
+        digest.update(toygen._derive_noise(toygen.GeneratorConfig(), i).tobytes())
     assert digest.hexdigest() == STREAM_SHA256
 
 
@@ -238,7 +241,7 @@ def test_prompt_tokens_fixed_length_and_padding(rng):
 def test_normalize_constant_features_is_zero():
     feats = [np.full((4, 3), 2.5) for _ in range(5)]
     stats = calibrate_feature_stats(feats)
-    out = normalize(feats[0], stats)
+    out = normalize_metered(feats[0], stats, None)
     assert np.abs(out).max() == 0.0
 
 
@@ -246,7 +249,7 @@ def test_normalize_standardizes_gaussian():
     rng = np.random.default_rng(3)
     feats = rng.standard_normal((10_000, 8)) * 3.0 + 1.0
     stats = calibrate_feature_stats(feats[:, None, :])
-    z = normalize(feats, stats)
+    z = normalize_metered(feats, stats, None)
     assert np.abs(z.mean(axis=0)).max() <= 0.05
     assert 0.9 <= z.var(axis=0).min() and z.var(axis=0).max() <= 1.1
 
@@ -255,7 +258,7 @@ def test_recalibration_idempotent():
     rng = np.random.default_rng(4)
     feats = [rng.standard_normal((16, 8)) * 5 + 2 for _ in range(400)]
     stats = calibrate_feature_stats(feats)
-    renorm = [normalize(f, stats) for f in feats]
+    renorm = [normalize_metered(f, stats, None) for f in feats]
     stats2 = calibrate_feature_stats(renorm)
     assert np.abs(stats2.mean).max() <= 0.05
     assert 0.9 <= stats2.variance.min() and stats2.variance.max() <= 1.1
@@ -266,7 +269,7 @@ def test_sana_shaped_features_accepted():
     feats = [rng.standard_normal((1024, 2240)).astype(np.float32) for _ in range(2)]
     stats = calibrate_feature_stats(feats)
     assert stats.mean.shape == (2240,)
-    assert normalize(feats[0], stats).shape == (1024, 2240)
+    assert normalize_metered(feats[0], stats, None).shape == (1024, 2240)
 
 
 def test_calibrate_requires_two_samples():

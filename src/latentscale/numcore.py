@@ -44,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
-_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_C1 = 0.044715
@@ -97,21 +96,19 @@ class MeterContext:
 class Tensor:
     """Immutable dense array: explicit shape over a row-major float buffer.
 
-    64-bit scalars by default; 32-bit selectable per run. The buffer is
-    read-only, copied only if it is not C-contiguous float64/float32. A
-    buffer registered with a MeterContext is live there until the wrapper
-    dies. Kernels treat tensors as values and never write through them.
+    64-bit scalars by default; 32-bit selectable per run. ``data`` must be
+    a C-contiguous float64/float32 array that nothing else writes to (a
+    kernel's fresh output); it is kept as is and made read-only. A buffer
+    registered with a MeterContext is live there until the wrapper dies.
+    Kernels treat tensors as values and never write through them.
     """
 
     __slots__ = ("data", "_meter")
 
-    def __init__(self, data, ctx: MeterContext | None = None):
+    def __init__(self, data: np.ndarray, ctx: MeterContext | None = None):
         self._meter = None  # first, so __del__ holds even if the rest raises
-        arr = np.asarray(data)
-        if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = np.ascontiguousarray(arr)
-        self.data.flags.writeable = False
+        self.data = data
+        data.flags.writeable = False
         if ctx is not None:
             ctx.register(self)
 
@@ -215,8 +212,8 @@ def clamp01(a: Operand, ctx: MeterContext | None) -> Tensor:
 
 
 def layer_norm(x: Operand, gamma: np.ndarray, beta: np.ndarray,
-               ctx: MeterContext | None, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer norm over the last axis with affine output."""
+               ctx: MeterContext | None) -> Tensor:
+    """Row-wise layer norm over the last axis (epsilon 1e-5) with affine output."""
     x = _data(x)
     if x.shape[-1] != gamma.shape[0] or x.shape[-1] != beta.shape[0]:
         raise ShapeMismatchError("layer_norm affine width mismatch")
@@ -224,7 +221,7 @@ def layer_norm(x: Operand, gamma: np.ndarray, beta: np.ndarray,
     # add.reduce / d is bitwise np.mean; centered * centered reduced is np.var
     c = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(c * c, axis=-1, keepdims=True) / d
-    var += eps
+    var += 1e-5
     c /= np.sqrt(var, out=var)
     c = np.multiply(c, gamma, out=_into(c, gamma))
     return _finish(np.add(c, beta, out=_into(c, beta)), ctx,

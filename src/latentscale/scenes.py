@@ -6,18 +6,19 @@ Prompts come from a closed template set across six categories and carry a
 fully structured target, so the oracle is an exact rule evaluation rather
 than a learned judge.
 
-What a category constrains is data, not code. A target is read through six
-slots (the keys of ``SLOT_VALUES``: two shapes, two colors, a count and a
-relation), and
-``CATEGORY_TABLE`` gives each category its text template and the slots it
-sets; ``RELATION_TABLE`` gives each relation its text and the cell axis and
-sign it compares. Text, checks, sampling, corruption, the oracle, placement
-and tokens all read these two tables. A ``Prompt`` checks itself once, when
-built: its target sets exactly its category's slots, each to a known value,
-and its text states them. Templates and draw orders are frozen: the prompt
-text keys ``prompt_hash64`` and ``corruption_gate``, and every candidate's
-content is drawn from generators seeded with it, so a changed word or draw
-changes every candidate.
+What a category constrains is data, not code. A target, ``SceneSpec``, is
+six slots in token order (the keys of ``SLOT_VALUES``: two shapes, two
+colors, a count and a relation), each None where unset, so a target has
+exactly one spelling. ``CATEGORY_TABLE`` gives each category its text
+template and the slots it sets; ``RELATION_TABLE`` gives each relation its
+text and the cell axis and sign it compares. Text, checks, sampling,
+corruption, the oracle, placement and tokens all read these two tables. A
+``Prompt`` derives its text from its category and target once, when built,
+and raises unless the target sets exactly the category's slots, each to a
+known value. Templates and draw orders are frozen: the prompt text keys
+``prompt_hash64`` and ``corruption_gate``, and every candidate's content is
+drawn from generators seeded with it, so a changed word or draw changes
+every candidate.
 
 The palette and glyph table are chosen so that rasterization is exactly
 invertible: distinct colors differ by at least 0.5 in some channel and
@@ -28,7 +29,7 @@ from any image within 0.25 per-channel error of a clean render.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ NUM_CELLS = CELL_GRID * CELL_GRID
 
 # GenEval's six tasks (Ghosh et al. 2023): category -> (text template, the
 # slots it sets). Slots are listed in corruption draw order, which puts the
-# slot that tells two entries apart first, so a category's first ``_b`` slot
+# slot that tells the two objects apart first, so a category's first ``_b`` slot
 # must differ from its ``_a`` slot.
 CATEGORY_TABLE = {
     "single_object": ("a photo of a {shape_a}", ("shape_a",)),
@@ -61,7 +62,7 @@ RELATION_TABLE = {
 }
 CATEGORIES = tuple(CATEGORY_TABLE)
 RELATIONS = tuple(RELATION_TABLE)
-COUNT_WORDS = {1: "one", 2: "two", 3: "three", 4: "four", 5: "five", 6: "six", 7: "seven"}
+COUNT_WORDS = {2: "two", 3: "three", 4: "four", 5: "five", 6: "six", 7: "seven"}
 PROMPT_COUNTS = (2, 3, 4, 5)
 
 SHAPES = ("square", "circle", "triangle", "cross", "diamond", "stripe", "wedge", "dot")
@@ -86,7 +87,7 @@ COLOR_RGB = {
     "white": (1.0, 1.0, 1.0), "orange": (1.0, 0.5, 0.0),
 }
 
-# slot -> the values a prompt may set it to; a count of 1 leaves "count" unset
+# slot -> the values a prompt may set it to; one object leaves "count" unset
 SLOT_VALUES = {"shape_a": SHAPES, "color_a": COLORS, "shape_b": SHAPES,
                "color_b": COLORS, "count": tuple(COUNT_WORDS), "relation": RELATIONS}
 
@@ -96,31 +97,30 @@ class MalformedPromptError(ValueError):
 
 
 @dataclass(frozen=True)
-class ObjectSpec:
-    shape: str
-    color: str | None  # None: any color acceptable
-    count: int = 1
-
-
-@dataclass(frozen=True)
 class SceneSpec:
-    """Structured description of what a scene must contain."""
-    entries: tuple[ObjectSpec, ...]
-    relation: str | None = None  # between entries[0] and entries[1]
+    """What a scene must contain: the six slots of ``SLOT_VALUES`` in token
+    order, each None where unset. ``count`` copies of object a (one when
+    None), then object b if set; a None color accepts any color, and the
+    relation holds between a and b."""
+    shape_a: str | None = None
+    color_a: str | None = None
+    shape_b: str | None = None
+    color_b: str | None = None
+    count: int | None = None
+    relation: str | None = None
 
 
 @dataclass(frozen=True)
 class Prompt:
-    """A category, its target and its text; MalformedPromptError unless the
-    target sets exactly the category's slots, each to a known value, and
-    the text states them."""
+    """A category and its target; ``text`` is derived from them when built
+    (``dataclasses.replace`` derives it anew). MalformedPromptError unless
+    the target sets exactly the category's slots, each to a known value."""
     category: str
     target: SceneSpec
-    text: str
+    text: str = field(init=False)
 
     def __post_init__(self):
-        if self.text != _spec_text(self.category, self.target):
-            raise MalformedPromptError(f"text {self.text!r} does not state the target")
+        object.__setattr__(self, "text", _spec_text(self.category, self.target))
 
 
 @dataclass(frozen=True)
@@ -145,49 +145,24 @@ class FeatureStats:
 
 # --------------------------------------------------------------- prompts
 
-_NO_ENTRY = ObjectSpec(None, None)
-
-
-def _slots(spec: SceneSpec) -> dict[str, object]:
-    """The slot view of a target: each slot's value, None where unset."""
-    a, b = (*spec.entries, _NO_ENTRY, _NO_ENTRY)[:2]
-    return {"shape_a": a.shape, "color_a": a.color, "shape_b": b.shape,
-            "color_b": b.color, "count": None if a.count == 1 else a.count,
-            "relation": spec.relation}
-
-
-def _spec(slots: dict[str, object]) -> SceneSpec:
-    """Inverse of ``_slots`` for targets that only set slots."""
-    entries = [ObjectSpec(slots["shape_a"], slots["color_a"], slots["count"] or 1)]
-    if slots["shape_b"] is not None:
-        entries.append(ObjectSpec(slots["shape_b"], slots["color_b"]))
-    return SceneSpec(tuple(entries), relation=slots["relation"])
-
-
 def _spec_text(category: str, spec: SceneSpec) -> str:
     """The text stating ``spec``; MalformedPromptError unless ``spec`` sets
     exactly the category's slots, each to a known value."""
     if category not in CATEGORY_TABLE:
         raise MalformedPromptError(f"unknown category {category!r}")
     template, wanted = CATEGORY_TABLE[category]
-    s = _slots(spec)
+    s = vars(spec)
     if {k for k, v in s.items() if v is not None} != set(wanted):
         raise MalformedPromptError(f"{category} prompts set exactly {wanted}")
     for k in wanted:
         if s[k] not in SLOT_VALUES[k]:
             raise MalformedPromptError(f"unknown {k} {s[k]!r}")
-    if _spec(s) != spec:
-        raise MalformedPromptError(f"{category} prompts set nothing but {wanted}")
     b = next((k for k in wanted if k.endswith("_b")), None)
     if b is not None and s[b] == s[b[:-1] + "a"]:
         raise MalformedPromptError(f"{category} prompts need distinct {b[:-2]}s")
     words = dict(s, count=COUNT_WORDS.get(s["count"]),
                  relation=RELATION_TABLE[s["relation"]][0] if s["relation"] else None)
     return template.format(**words)
-
-
-def make_prompt(category: str, spec: SceneSpec) -> Prompt:
-    return Prompt(category=category, target=spec, text=_spec_text(category, spec))
 
 
 def sample_prompt(rng: np.random.Generator, category: str | None = None) -> Prompt:
@@ -200,7 +175,7 @@ def sample_prompt(rng: np.random.Generator, category: str | None = None) -> Prom
              "shape_b": shapes[1], "color_b": colors[1],
              "count": int(rng.choice(PROMPT_COUNTS)) if "count" in wanted else None,
              "relation": RELATIONS[rng.integers(len(RELATIONS))] if "relation" in wanted else None}
-    return make_prompt(cat, _spec({k: v if k in wanted else None for k, v in drawn.items()}))
+    return Prompt(cat, SceneSpec(**{k: v if k in wanted else None for k, v in drawn.items()}))
 
 
 def prompt_hash64(prompt: Prompt) -> int:
@@ -221,16 +196,16 @@ def _fits(obj: SceneObject, shape, color) -> bool:
 
 def oracle_check(prompt: Prompt, scene: Scene) -> bool:
     """Exact rule evaluation of a scene against a prompt (True <=> "Yes")."""
-    s = _slots(prompt.target)
+    t = prompt.target
     objs = scene.objects
-    first = [o for o in objs if _fits(o, s["shape_a"], s["color_a"])]
-    if s["count"] is not None:
-        return len(first) == s["count"]
-    if s["shape_b"] is None:
+    first = [o for o in objs if _fits(o, t.shape_a, t.color_a)]
+    if t.count is not None:
+        return len(first) == t.count
+    if t.shape_b is None:
         return bool(first)
-    second = [o for o in objs if _fits(o, s["shape_b"], s["color_b"])]
-    return any(a is not b and (s["relation"] is None
-                               or _relation_holds(a.cell, b.cell, s["relation"]))
+    second = [o for o in objs if _fits(o, t.shape_b, t.color_b)]
+    return any(a is not b and (t.relation is None
+                               or _relation_holds(a.cell, b.cell, t.relation))
                for a in first for b in second)
 
 
@@ -243,19 +218,20 @@ def _other(rng: np.random.Generator, pool, current):
 
 def corrupt_spec(prompt: Prompt, rng: np.random.Generator) -> SceneSpec:
     """Flip exactly one prompt-constrained slot; the result always fails
-    the oracle for this prompt. A relation flips to its mirror image."""
+    the oracle for this prompt. A relation flips to its mirror image, and a
+    count drawn as one object leaves ``count`` unset."""
     wanted = CATEGORY_TABLE[prompt.category][1]
     which = wanted[rng.integers(len(wanted))]
-    s = _slots(prompt.target)
+    old = getattr(prompt.target, which)
     if which == "relation":
-        _, axis, sign = RELATION_TABLE[s["relation"]]
-        s["relation"] = next(r for r, (_, ax, sg) in RELATION_TABLE.items()
-                             if (ax, sg) == (axis, -sign))
+        _, axis, sign = RELATION_TABLE[old]
+        new = next(r for r, (_, ax, sg) in RELATION_TABLE.items() if (ax, sg) == (axis, -sign))
     elif which == "count":
-        s["count"] = _other(rng, range(1, max(PROMPT_COUNTS) + 2), s["count"])
+        new = _other(rng, range(1, max(PROMPT_COUNTS) + 2), old)
+        new = None if new == 1 else new
     else:
-        s[which] = _other(rng, SLOT_VALUES[which], s[which])
-    return _spec(s)
+        new = _other(rng, SLOT_VALUES[which], old)
+    return replace(prompt.target, **{which: new})
 
 
 # --------------------------------------------------------------- realization
@@ -265,24 +241,25 @@ def realize_scene(spec: SceneSpec, rng: np.random.Generator) -> Scene:
     objects: list[SceneObject] = []
     taken: set[tuple[int, int]] = set()
 
-    def place(entry: ObjectSpec, fits=None) -> tuple[int, int]:
+    def place(shape: str, color: str | None, fits=None) -> tuple[int, int]:
         cells = [(r, c) for r in range(CELL_GRID) for c in range(CELL_GRID)
                  if (r, c) not in taken and (fits is None or fits((r, c)))]
         cell = cells[rng.integers(len(cells))]
         taken.add(cell)
-        color = entry.color or COLORS[rng.integers(len(COLORS))]
-        objects.append(SceneObject(entry.shape, color, cell))
+        color = color or COLORS[rng.integers(len(COLORS))]
+        objects.append(SceneObject(shape, color, cell))
         return cell
 
     if spec.relation is not None:
         _, axis, sign = RELATION_TABLE[spec.relation]
         # anchor placed away from the far edge so a consistent partner cell exists
-        anchor = place(spec.entries[0], lambda c: 0 <= c[axis] + sign < CELL_GRID)
-        place(spec.entries[1], lambda c: _relation_holds(anchor, c, spec.relation))
+        anchor = place(spec.shape_a, spec.color_a, lambda c: 0 <= c[axis] + sign < CELL_GRID)
+        place(spec.shape_b, spec.color_b, lambda c: _relation_holds(anchor, c, spec.relation))
     else:
-        for entry in spec.entries:
-            for _ in range(entry.count):
-                place(entry)
+        for _ in range(spec.count or 1):
+            place(spec.shape_a, spec.color_a)
+        if spec.shape_b is not None:
+            place(spec.shape_b, spec.color_b)
     return Scene(tuple(objects))
 
 
@@ -365,7 +342,7 @@ _NONE = 0
 _CAT_BASE = 1
 _SHAPE_BASE = _CAT_BASE + len(CATEGORIES)
 _COLOR_BASE = _SHAPE_BASE + len(SHAPES)
-_COUNT_BASE = _COLOR_BASE + len(COLORS)
+_COUNT_BASE = _COLOR_BASE + len(COLORS) + 1  # one unused id keeps every pinned token id
 _REL_BASE = _COUNT_BASE + len(COUNT_WORDS)
 VOCAB_SIZE = _REL_BASE + len(RELATIONS)
 PROMPT_TOKEN_LEN = 1 + len(SLOT_VALUES)
@@ -376,10 +353,9 @@ _SLOT_BASE = {"shape_a": _SHAPE_BASE, "color_a": _COLOR_BASE, "shape_b": _SHAPE_
 def encode_prompt_tokens(prompt: Prompt) -> np.ndarray:
     """Fixed-length attribute token ids:
     [category, shape_a, color_a, shape_b, color_b, count, relation]."""
-    s = _slots(prompt.target)
     tokens = [_CAT_BASE + CATEGORIES.index(prompt.category)] + [
         _NONE if v is None else _SLOT_BASE[k] + SLOT_VALUES[k].index(v)
-        for k, v in s.items()]
+        for k, v in vars(prompt.target).items()]
     return np.array(tokens, dtype=np.int64)
 
 

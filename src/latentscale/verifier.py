@@ -126,13 +126,6 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
 
 # ------------------------------------------------------------- features
 
-def normalize_metered(features: np.ndarray, stats: scenes.FeatureStats,
-                      ctx: MeterContext | None) -> np.ndarray:
-    """Standardize features with calibrated statistics through the metered
-    ``numcore.normalize`` kernel, charged 2 FLOPs per element plus one per channel."""
-    return normalize(features, stats.mean, stats.variance, ctx).data
-
-
 def patchify(pixels: np.ndarray) -> np.ndarray:
     """[G, G, 3] image -> [cells, PATCH*PATCH*3] rows (data movement only)."""
     g, patch = scenes.IMAGE_SIZE, scenes.PATCH
@@ -168,7 +161,7 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
                 f"but the state has run {state.layers_done} layers")
         feats = toygen.tap_hidden_features(state)
         if stats is not None:
-            feats = normalize_metered(feats, stats, ctx)
+            feats = normalize(feats, stats.mean, stats.variance, ctx).data
         return feats
     if not state.completed:
         raise toygen.StateCompletionError(

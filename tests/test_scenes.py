@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen
-from latentscale.verifier import normalize_metered
+from latentscale.numcore import normalize
 from latentscale.scenes import (
-    CATEGORY_TABLE, CELL_GRID, COLORS, NUM_CELLS, RELATIONS, SHAPES,
-    MalformedPromptError, ObjectSpec, Prompt, Scene, SceneObject, SceneSpec,
-    calibrate_feature_stats, corrupt_spec, make_prompt, oracle_check,
+    CATEGORY_TABLE, CELL_GRID, COLORS, NUM_CELLS, RELATIONS, SHAPES, SLOT_VALUES,
+    MalformedPromptError, Prompt, Scene, SceneObject, SceneSpec,
+    calibrate_feature_stats, corrupt_spec, oracle_check,
     parse_scene, realize_scene, render, sample_prompt, scenes_equal,
 )
 
@@ -30,29 +31,23 @@ def scene_of(*objs):
     return Scene(tuple(SceneObject(s, c, cell) for s, c, cell in objs))
 
 
-def spec_fields(spec: SceneSpec) -> list:
-    """Each entry's shape, color and count, then the relation."""
-    return [f for e in spec.entries for f in (e.shape, e.color, e.count)] + [spec.relation]
-
-
 # ---------------------------------------------------------------- oracle
 
 def test_counting_exact():
-    p = make_prompt("counting", SceneSpec((ObjectSpec("circle", None, 3),)))
+    p = Prompt("counting", SceneSpec(shape_a="circle", count=3))
     yes = scene_of(("circle", "red", (0, 0)), ("circle", "blue", (1, 1)),
                    ("circle", "green", (2, 2)))
     assert oracle_check(p, yes)
 
 
 def test_counting_off_by_one_rejected():
-    p = make_prompt("counting", SceneSpec((ObjectSpec("wedge", None, 4),)))
+    p = Prompt("counting", SceneSpec(shape_a="wedge", count=4))
     five = scene_of(*((("wedge", "red", (i // 4, i % 4))) for i in range(5)))
     assert not oracle_check(p, five)
 
 
 def test_position_and_reflection():
-    p = make_prompt("position", SceneSpec(
-        (ObjectSpec("square", None), ObjectSpec("dot", None)), relation="left_of"))
+    p = Prompt("position", SceneSpec(shape_a="square", shape_b="dot", relation="left_of"))
     good = scene_of(("square", "red", (1, 0)), ("dot", "blue", (1, 3)))
     reflected = scene_of(("square", "red", (1, 3)), ("dot", "blue", (1, 0)))
     assert oracle_check(p, good)
@@ -60,8 +55,7 @@ def test_position_and_reflection():
 
 
 def test_color_attr_binding():
-    p = make_prompt("color_attr", SceneSpec(
-        (ObjectSpec("square", "red"), ObjectSpec("circle", "green"))))
+    p = Prompt("color_attr", SceneSpec("square", "red", "circle", "green"))
     assert oracle_check(p, scene_of(("square", "red", (0, 0)), ("circle", "green", (3, 3))))
     # colors swapped between the objects
     assert not oracle_check(p, scene_of(("square", "green", (0, 0)), ("circle", "red", (3, 3))))
@@ -75,54 +69,56 @@ def test_oracle_deterministic_and_total(rng):
         assert oracle_check(p, scene) == oracle_check(p, scene)
 
 
-DOT, CROSS = ObjectSpec("dot", None), ObjectSpec("cross", None)
-
-
-def _malformed(name, category, spec, text=None):
-    build = (functools.partial(make_prompt, category, spec) if text is None
-             else functools.partial(Prompt, category, spec, text))
-    return pytest.param(build, id=name)
+def _malformed(name, category, **slots):
+    return pytest.param(functools.partial(Prompt, category, SceneSpec(**slots)), id=name)
 
 
 @pytest.mark.parametrize("build", [
-    _malformed("counting_count_1", "counting", SceneSpec((ObjectSpec("circle", None, 1),))),
-    _malformed("position_same_shapes", "position", SceneSpec((DOT, DOT), relation="left_of")),
-    _malformed("color_attr_same_color", "color_attr",
-               SceneSpec((ObjectSpec("dot", "red"), ObjectSpec("cross", "red")))),
-    _malformed("colors_uncolored", "colors", SceneSpec((DOT,))),
-    _malformed("single_object_colored", "single_object", SceneSpec((ObjectSpec("dot", "red"),))),
-    _malformed("single_object_count_3", "single_object", SceneSpec((ObjectSpec("dot", None, 3),))),
-    _malformed("two_object_relation", "two_object", SceneSpec((DOT, CROSS), relation="left_of")),
-    _malformed("counting_colored", "counting", SceneSpec((ObjectSpec("dot", "red", 3),))),
-    _malformed("counting_count_8", "counting", SceneSpec((ObjectSpec("dot", None, 8),))),
-    _malformed("relation_sideways", "position", SceneSpec((DOT, CROSS), relation="sideways")),
-    _malformed("position_one_entry", "position", SceneSpec((DOT,), relation="left_of")),
-    _malformed("two_object_one_entry", "two_object", SceneSpec((DOT,))),
-    _malformed("second_entry_count", "two_object", SceneSpec((DOT, ObjectSpec("cross", None, 2)))),
-    _malformed("unknown_category", "landscape", SceneSpec((DOT,))),
-    _malformed("text_not_stating_target", "single_object", SceneSpec((DOT,)),
-               text="a photo of a cross"),
+    _malformed("counting_count_1", "counting", shape_a="circle", count=1),
+    _malformed("position_same_shapes", "position", shape_a="dot", shape_b="dot",
+               relation="left_of"),
+    _malformed("color_attr_same_color", "color_attr", shape_a="dot", color_a="red",
+               shape_b="cross", color_b="red"),
+    _malformed("colors_uncolored", "colors", shape_a="dot"),
+    _malformed("single_object_colored", "single_object", shape_a="dot", color_a="red"),
+    _malformed("single_object_count_3", "single_object", shape_a="dot", count=3),
+    _malformed("two_object_relation", "two_object", shape_a="dot", shape_b="cross",
+               relation="left_of"),
+    _malformed("counting_colored", "counting", shape_a="dot", color_a="red", count=3),
+    _malformed("counting_count_8", "counting", shape_a="dot", count=8),
+    _malformed("relation_sideways", "position", shape_a="dot", shape_b="cross",
+               relation="sideways"),
+    _malformed("position_one_entry", "position", shape_a="dot", relation="left_of"),
+    _malformed("two_object_one_entry", "two_object", shape_a="dot"),
+    _malformed("unknown_category", "landscape", shape_a="dot"),
 ])
 def test_malformed_prompts_raise(build):
     with pytest.raises(MalformedPromptError):
         build()
 
 
-def _with_slot(spec: SceneSpec, slot: str, value) -> SceneSpec:
-    """``spec`` with ``slot`` set to ``value``; setting a second entry's
-    color adds a dot as that entry when there is none."""
-    a, *b = spec.entries
-    if slot == "relation":
-        return dataclasses.replace(spec, relation=value)
-    if slot == "color_a":
-        a = dataclasses.replace(a, color=value)
-    elif slot == "count":
-        a = dataclasses.replace(a, count=value)
-    elif slot == "shape_b":
-        b = [ObjectSpec(value, None)]
-    else:  # color_b
-        b = [dataclasses.replace(b[0] if b else DOT, color=value)]
-    return SceneSpec((a, *b), spec.relation)
+def test_every_slot_assignment_builds_iff_well_formed_with_distinct_text():
+    texts = []
+    for category, (_, wanted) in CATEGORY_TABLE.items():
+        b = next((k for k in wanted if k.endswith("_b")), None)
+        for values in itertools.product(*(SLOT_VALUES[k] for k in wanted)):
+            slots = dict(zip(wanted, values))
+            if b is not None and slots[b] == slots[b[:-1] + "a"]:
+                with pytest.raises(MalformedPromptError):
+                    Prompt(category, SceneSpec(**slots))
+            else:
+                texts.append(Prompt(category, SceneSpec(**slots)).text)
+    # prompt_hash64 and corruption_gate key on the text alone
+    assert len(texts) == len(set(texts)) == 3984
+
+
+def test_replace_derives_the_text_anew():
+    p = Prompt("counting", SceneSpec(shape_a="dot", count=3))
+    q = dataclasses.replace(p, target=SceneSpec(shape_a="wedge", count=5))
+    assert q.text == "a photo of five wedges"
+    assert q == Prompt("counting", SceneSpec(shape_a="wedge", count=5))
+    with pytest.raises(TypeError):  # the text is derived, never given
+        Prompt("single_object", SceneSpec(shape_a="dot"), "a photo of a cross")
 
 
 SLOT_DRAWS = {"color_a": hst.sampled_from(COLORS), "shape_b": hst.sampled_from(SHAPES),
@@ -135,11 +131,11 @@ SLOT_DRAWS = {"color_a": hst.sampled_from(COLORS), "shape_b": hst.sampled_from(S
 def test_setting_an_unconstrained_slot_raises(p, data):
     slot = data.draw(hst.sampled_from(
         [s for s in SLOT_DRAWS if s not in CATEGORY_TABLE[p.category][1]]))
-    spec = _with_slot(p.target, slot, data.draw(SLOT_DRAWS[slot]))
+    spec = dataclasses.replace(p.target, **{slot: data.draw(SLOT_DRAWS[slot])})
     with pytest.raises(MalformedPromptError):
-        make_prompt(p.category, spec)
+        Prompt(p.category, spec)
     with pytest.raises(MalformedPromptError):
-        Prompt(p.category, spec, p.text)
+        dataclasses.replace(p, target=spec)
 
 
 # ---------------------------------------------------------------- planted corruption
@@ -155,20 +151,26 @@ def test_clean_realization_always_passes(rng):
 def test_corrupt_spec_fails_oracle_and_flips_one_attribute(p, seed):
     rng = np.random.default_rng(seed)
     bad = corrupt_spec(p, rng)
-    assert len(bad.entries) == len(p.target.entries)
-    assert sum(x != y for x, y in zip(spec_fields(p.target), spec_fields(bad))) == 1
+    assert sum(x != y for x, y in zip(dataclasses.astuple(p.target),
+                                      dataclasses.astuple(bad))) == 1
+    assert bad.count != 1  # one object is stated by an unset count
     assert not oracle_check(p, realize_scene(bad, rng))
 
 
 def _stream_text(spec: SceneSpec) -> str:
-    return ";".join(f"{e.shape},{e.color},{e.count}" for e in spec.entries) + f";{spec.relation}"
+    """The target as the digest was first taken: each object's shape, color
+    and count, then the relation."""
+    objs = [(spec.shape_a, spec.color_a, spec.count or 1)]
+    if spec.shape_b is not None:
+        objs.append((spec.shape_b, spec.color_b, 1))
+    return ";".join(f"{s},{c},{n}" for s, c, n in objs) + f";{spec.relation}"
 
 
-# sha256 of the first 200 prompts of sample_prompt(default_rng(0)), of their
-# candidate scenes at corruption rates 0.3 and 1.0 and of the default
-# generator's noise latents for the same seeds, taken before the scene code
-# was factored; the streams must never move
-STREAM_SHA256 = "40bf1cfb8fee4e99f033fc8f1f2647ec5f8bbfd0134ba217000a1c8cca223cad"
+# sha256 of the first 200 prompts of sample_prompt(default_rng(0)) and their
+# token ids, of their candidate scenes at corruption rates 0.3 and 1.0 and of
+# the default generator's noise latents for the same seeds, taken while a
+# target was still a list of entries; the streams must never move
+STREAM_SHA256 = "917b4ee1f462d5f394db615b0599325d9c6b8015e4889326090cb2ce749b3fe7"
 
 
 def test_prompt_and_candidate_streams_are_unchanged():
@@ -177,6 +179,7 @@ def test_prompt_and_candidate_streams_are_unchanged():
     for i in range(200):
         p = sample_prompt(rng)
         digest.update(f"{p.category}|{_stream_text(p.target)}|{p.text}".encode())
+        digest.update(scenes.encode_prompt_tokens(p).tobytes())
         for rate in (0.3, 1.0):
             cand = scenes.candidate_scene(p, i, rate)
             objs = ";".join(f"{o.shape},{o.color},{o.cell}" for o in cand.scene.objects)
@@ -231,7 +234,8 @@ def test_prompt_tokens_fixed_length_and_padding(rng):
         toks = scenes.encode_prompt_tokens(sample_prompt(rng))
         assert toks.shape == (scenes.PROMPT_TOKEN_LEN,)
         assert (toks >= 0).all() and (toks < scenes.VOCAB_SIZE).all()
-    single = make_prompt("single_object", SceneSpec((ObjectSpec("dot", None),)))
+    single = Prompt("single_object", SceneSpec(shape_a="dot"))
+    assert tuple(vars(single.target)) == tuple(SLOT_VALUES)  # slots in token order
     toks = scenes.encode_prompt_tokens(single)
     assert toks[2] == 0 and toks[3] == 0 and toks[4] == 0  # no colors, no 2nd shape
 
@@ -241,7 +245,7 @@ def test_prompt_tokens_fixed_length_and_padding(rng):
 def test_normalize_constant_features_is_zero():
     feats = [np.full((4, 3), 2.5) for _ in range(5)]
     stats = calibrate_feature_stats(feats)
-    out = normalize_metered(feats[0], stats, None)
+    out = normalize(feats[0], stats.mean, stats.variance, None).data
     assert np.abs(out).max() == 0.0
 
 
@@ -249,7 +253,7 @@ def test_normalize_standardizes_gaussian():
     rng = np.random.default_rng(3)
     feats = rng.standard_normal((10_000, 8)) * 3.0 + 1.0
     stats = calibrate_feature_stats(feats[:, None, :])
-    z = normalize_metered(feats, stats, None)
+    z = normalize(feats, stats.mean, stats.variance, None).data
     assert np.abs(z.mean(axis=0)).max() <= 0.05
     assert 0.9 <= z.var(axis=0).min() and z.var(axis=0).max() <= 1.1
 
@@ -258,7 +262,7 @@ def test_recalibration_idempotent():
     rng = np.random.default_rng(4)
     feats = [rng.standard_normal((16, 8)) * 5 + 2 for _ in range(400)]
     stats = calibrate_feature_stats(feats)
-    renorm = [normalize_metered(f, stats, None) for f in feats]
+    renorm = [normalize(f, stats.mean, stats.variance, None).data for f in feats]
     stats2 = calibrate_feature_stats(renorm)
     assert np.abs(stats2.mean).max() <= 0.05
     assert 0.9 <= stats2.variance.min() and stats2.variance.max() <= 1.1
@@ -269,7 +273,7 @@ def test_sana_shaped_features_accepted():
     feats = [rng.standard_normal((1024, 2240)).astype(np.float32) for _ in range(2)]
     stats = calibrate_feature_stats(feats)
     assert stats.mean.shape == (2240,)
-    assert normalize_metered(feats[0], stats, None).shape == (1024, 2240)
+    assert normalize(feats[0], stats.mean, stats.variance, None).shape == (1024, 2240)
 
 
 def test_calibrate_requires_two_samples():

@@ -112,15 +112,22 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class Prompt:
-    """A category and its target; ``text`` is derived from them when built
-    (``dataclasses.replace`` derives it anew). MalformedPromptError unless
+    """A category and its target; ``text``, the read-only ``token_ids`` and
+    the text's ``hash64`` are derived from them when built
+    (``dataclasses.replace`` derives them anew). MalformedPromptError unless
     the target sets exactly the category's slots, each to a known value."""
     category: str
     target: SceneSpec
     text: str = field(init=False)
+    token_ids: np.ndarray = field(init=False, compare=False, repr=False)
+    hash64: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "text", _spec_text(self.category, self.target))
+        text = _spec_text(self.category, self.target)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "token_ids", _token_ids(self.category, self.target))
+        object.__setattr__(self, "hash64", int.from_bytes(
+            hashlib.blake2b(text.encode(), digest_size=8).digest(), "little"))
 
 
 @dataclass(frozen=True)
@@ -179,8 +186,8 @@ def sample_prompt(rng: np.random.Generator, category: str | None = None) -> Prom
 
 
 def prompt_hash64(prompt: Prompt) -> int:
-    """Stable 64-bit digest of the canonical prompt text."""
-    return int.from_bytes(hashlib.blake2b(prompt.text.encode(), digest_size=8).digest(), "little")
+    """Stable 64-bit digest of the canonical prompt text, derived when built."""
+    return prompt.hash64
 
 
 # --------------------------------------------------------------- oracle
@@ -350,13 +357,19 @@ _SLOT_BASE = {"shape_a": _SHAPE_BASE, "color_a": _COLOR_BASE, "shape_b": _SHAPE_
               "color_b": _COLOR_BASE, "count": _COUNT_BASE, "relation": _REL_BASE}
 
 
-def encode_prompt_tokens(prompt: Prompt) -> np.ndarray:
-    """Fixed-length attribute token ids:
-    [category, shape_a, color_a, shape_b, color_b, count, relation]."""
-    tokens = [_CAT_BASE + CATEGORIES.index(prompt.category)] + [
+def _token_ids(category: str, spec: SceneSpec) -> np.ndarray:
+    tokens = [_CAT_BASE + CATEGORIES.index(category)] + [
         _NONE if v is None else _SLOT_BASE[k] + SLOT_VALUES[k].index(v)
-        for k, v in vars(prompt.target).items()]
-    return np.array(tokens, dtype=np.int64)
+        for k, v in vars(spec).items()]
+    ids = np.array(tokens, dtype=np.int64)
+    ids.flags.writeable = False
+    return ids
+
+
+def encode_prompt_tokens(prompt: Prompt) -> np.ndarray:
+    """Fixed-length attribute token ids, derived when built and read-only:
+    [category, shape_a, color_a, shape_b, color_b, count, relation]."""
+    return prompt.token_ids
 
 
 # --------------------------------------------------------------- statistics

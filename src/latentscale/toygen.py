@@ -25,6 +25,12 @@ Execution is tap and resume: ``generate_tapped`` stops after the tap layer
 and returns the hidden state for scoring; ``resume_and_decode`` completes the
 remaining layers, projects, and decodes. ``generate_full`` is just the two in
 turn, so full and resumed runs share one path, values and metered FLOPs.
+
+The default tap is layer 0, the first block. The match bank is written at
+embed and the blocks' small weights barely touch it, so a linear readout
+finds the alignment evidence as well after block 0 as after block 3 or 7;
+a candidate then runs the embed and one block before it is scored.
+``VerifierConfig.tap_layer`` defaults to the same layer.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ class GeneratorConfig:
     num_layers: int = 8
     model_width: int = 64
     num_noise_tokens: int = 16
-    tap_layer: int = 3
+    tap_layer: int = 0
     corruption_rate: float = 0.3
     weight_std: float = 0.01
     code_gain: float = 1.0

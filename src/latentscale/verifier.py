@@ -5,7 +5,8 @@ where their visual features come from:
 
   * ``hidden_state``   - the generator's tap-layer activations, normalized
                          by pre-computed channel statistics; candidates only
-                         need to run up to the tap.
+                         need to run up to the tap, by default block 0, the
+                         generator's default tap.
   * ``ae_latent``      - the terminal latent z0, flattened over spatial
                          positions; needs a completed generation.
   * ``pixel_reencode`` - decoded pixels pushed through a frozen stand-in
@@ -57,7 +58,7 @@ class VerifierConfigError(ValueError):
 class VerifierConfig:
     """Verifier settings, checked when built: VerifierConfigError if invalid."""
     mode: str = "hidden_state"
-    tap_layer: int = 3                 # hidden_state mode only
+    tap_layer: int = 0                 # hidden_state mode only; the generator's default tap
     in_dim: int = 64                   # feature channel width entering the connector
     connector_hidden: int = 128
     scorer_dim: int = 64

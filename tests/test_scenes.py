@@ -115,8 +115,11 @@ def test_every_slot_assignment_builds_iff_well_formed_with_distinct_text():
 def test_replace_derives_the_text_anew():
     p = Prompt("counting", SceneSpec(shape_a="dot", count=3))
     q = dataclasses.replace(p, target=SceneSpec(shape_a="wedge", count=5))
+    fresh = Prompt("counting", SceneSpec(shape_a="wedge", count=5))
     assert q.text == "a photo of five wedges"
-    assert q == Prompt("counting", SceneSpec(shape_a="wedge", count=5))
+    assert q == fresh
+    assert q.token_ids.tobytes() == fresh.token_ids.tobytes() != p.token_ids.tobytes()
+    assert q.hash64 == fresh.hash64 != p.hash64
     with pytest.raises(TypeError):  # the text is derived, never given
         Prompt("single_object", SceneSpec(shape_a="dot"), "a photo of a cross")
 
@@ -238,6 +241,20 @@ def test_prompt_tokens_fixed_length_and_padding(rng):
     assert tuple(vars(single.target)) == tuple(SLOT_VALUES)  # slots in token order
     toks = scenes.encode_prompt_tokens(single)
     assert toks[2] == 0 and toks[3] == 0 and toks[4] == 0  # no colors, no 2nd shape
+
+
+def test_token_ids_and_hash_are_derived_once_and_read_only(rng):
+    for _ in range(20):
+        p = sample_prompt(rng)
+        assert scenes.encode_prompt_tokens(p) is p.token_ids
+        assert not p.token_ids.flags.writeable
+        with pytest.raises(ValueError):
+            p.token_ids[0] = 1
+        text_digest = hashlib.blake2b(p.text.encode(), digest_size=8).digest()
+        assert scenes.prompt_hash64(p) == p.hash64 == int.from_bytes(text_digest, "little")
+        # the derived fields take no part in equality or hashing
+        twin = Prompt(p.category, p.target)
+        assert twin == p and hash(twin) == hash(p) and twin.token_ids is not p.token_ids
 
 
 # ---------------------------------------------------------------- feature stats

@@ -199,20 +199,29 @@ def _unembed_flops(cfg: GeneratorConfig) -> int:
 
 def test_generation_flops_match_closed_form(default_generator, rng):
     cfg = default_generator.config
-    ctx = MeterContext()
-    generate_full(default_generator, sample_prompt(rng), 3, ctx)
+    p = sample_prompt(rng)
+    c_tap, c_res, c_full = MeterContext(), MeterContext(), MeterContext()
+    resume_and_decode(default_generator, generate_tapped(default_generator, p, 3, c_tap), c_res)
+    generate_full(default_generator, p, 3, c_full)
     t, d = cfg.num_tokens, cfg.model_width
     n = cfg.num_noise_tokens
-    expected = (
+    block = flops_for(("attention_block", t, d, 4 * d))
+    tapped = (
         flops_for(("matmul", n, n, d)) + flops_for(("matmul", n, d, d))  # code embed A @ X @ Bᵀ
         + scenes.PROMPT_TOKEN_LEN * d                               # prompt segment add
-        + cfg.num_layers * flops_for(("attention_block", t, d, 4 * d))
+        + (cfg.tap_layer + 1) * block
+    )
+    resumed = (
+        (cfg.num_layers - cfg.tap_layer - 1) * block
         + flops_for(("matmul", n, d, d))                            # final projection
         + flops_for(("matmul", n, d, d))                            # decoder: undo projection
         + _unembed_flops(cfg)                                       # decoder: un-embed
         + 3 * cfg.raster_dim                                        # scale + shift + clamp
     )
-    assert ctx.flops_accumulated == expected == 20_596_208
+    # the default tap is block 0
+    assert c_tap.flops_accumulated == tapped == 2_669_862
+    assert c_res.flops_accumulated == resumed == 17_926_346
+    assert c_full.flops_accumulated == tapped + resumed == 20_596_208
 
 
 # -------------------------------------------------------- scene code
@@ -296,7 +305,7 @@ def test_different_seeds_different_latents(default_generator, rng):
     assert not np.array_equal(st1.hidden.data, st2.hidden.data)
 
 
-def test_export_ae_latent_token_count(default_generator, rng):
+def test_terminal_latent_has_one_token_per_cell(default_generator, rng):
     p = sample_prompt(rng)
     _, st = generate_full(default_generator, p, 21, None)
     latent = st.z0
@@ -328,6 +337,11 @@ def test_config_json_roundtrip():
 def test_config_json_malformed_raises_typed_error(text):
     with pytest.raises(GeneratorConfigError):
         GeneratorConfig.from_json(text)
+
+
+def test_generator_and_verifier_default_to_the_same_tap():
+    # otherwise every default hidden_state request raises StateCompletionError
+    assert GeneratorConfig().tap_layer == VerifierConfig().tap_layer
 
 
 def test_config_float_fields_accept_ints():

@@ -76,6 +76,21 @@ def test_hidden_state_verification_flops_match_closed_form(small_generator, rng)
             == normalize + scorer_flops(cfg, tokens))
 
 
+def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
+    # per candidate: tap and verify; then one resume for the selected candidate
+    cfg, p = VerifierConfig(), scenes.sample_prompt(rng)
+    c_tap, c_res = MeterContext(), MeterContext()
+    st = toygen.generate_tapped(default_generator, p, 4, c_tap)
+    feats = toygen.tap_hidden_features(st)
+    stats = scenes.calibrate_feature_stats([feats, feats + 1.0])
+    verify = metered_verification_flops(default_generator, cfg, stats, st)
+    toygen.resume_and_decode(default_generator, st, c_res)
+    tokens, width = feats.shape
+    assert verify == 2 * tokens * width + width + scorer_flops(cfg, tokens) == 5_568_472
+    assert (32 * (c_tap.flops_accumulated + verify) + c_res.flops_accumulated
+            == 281_553_034)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_metered_normalization_is_bitwise_reference(dtype):
     # float32 tap features meet float64 statistics, as in a float32 generator

@@ -43,8 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float64
-
 GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_C1 = 0.044715
 
@@ -96,10 +94,11 @@ class MeterContext:
 class Tensor:
     """Immutable dense array: explicit shape over a row-major float buffer.
 
-    64-bit scalars by default; 32-bit selectable per run. ``data`` must be
-    a C-contiguous float64/float32 array that nothing else writes to (a
-    kernel's fresh output); it is kept as is and made read-only. A buffer
-    registered with a MeterContext is live there until the wrapper dies.
+    Its scalars are float64 or float32, whichever the kernel computed in.
+    ``data`` must be a C-contiguous float64/float32 array that nothing else
+    writes to (a kernel's fresh output); it is kept as is and made
+    read-only. A buffer registered with a MeterContext is live there until
+    the wrapper dies.
     Kernels treat tensors as values and never write through them.
     """
 
@@ -376,8 +375,9 @@ def flops_for(descriptor: tuple) -> int:
 
 
 def init_block_weights(rng: np.random.Generator, d: int, mlp_width: int | None = None,
-                       weight_std: float = 0.02, dtype=DEFAULT_DTYPE) -> BlockWeights:
-    """Random block parameters at the given scale; LN affine at identity."""
+                       weight_std: float = 0.02, *, dtype) -> BlockWeights:
+    """Random block parameters at the given scale, drawn in float64 and
+    rounded once to ``dtype``; LN affine at identity."""
     m = 4 * d if mlp_width is None else mlp_width
     def w(*shape):
         return (rng.standard_normal(shape) * weight_std).astype(dtype)

@@ -31,6 +31,11 @@ embed and the blocks' small weights barely touch it, so a linear readout
 finds the alignment evidence as well after block 0 as after block 3 or 7;
 a candidate then runs the embed and one block before it is scored.
 ``VerifierConfig.tap_layer`` defaults to the same layer.
+
+The default precision is float32 (``precision="f32"``), as the verifier's;
+``"f64"`` serves in float64 with the same FLOPs. Parameters and noise are
+drawn in float64 and rounded once, so the float32 ones are exactly the
+float64 ones cast.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ from .numcore import (
 )
 
 MATCH_CHANNELS = 4
+
+# serving precisions of the generator and the verifier configs
+PRECISIONS = {"f64": np.float64, "f32": np.float32}
 
 
 class GeneratorConfigError(ValueError):
@@ -73,6 +81,12 @@ def check_field_types(config, error: type[Exception]) -> None:
             raise error(f"{f.name} must be finite, got {value!r}")
 
 
+def check_precision(config, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``config.precision`` names one of PRECISIONS."""
+    if config.precision not in PRECISIONS:
+        raise error(f"precision must be one of {sorted(PRECISIONS)}, got {config.precision!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Generator settings, checked when built: GeneratorConfigError if invalid."""
@@ -87,11 +101,11 @@ class GeneratorConfig:
     match_noise_lo: float = 0.2
     match_noise_hi: float = 0.75
     noise_gain: float = 0.5
-    precision: str = "f64"
+    precision: str = "f32"
 
     @property
     def dtype(self):
-        return np.float64 if self.precision == "f64" else np.float32
+        return PRECISIONS[self.precision]
 
     @property
     def code_dim(self) -> int:
@@ -121,8 +135,7 @@ class GeneratorConfig:
                 f"({self.raster_dim}) plus match channels")
         if not 0 <= self.match_noise_lo <= self.match_noise_hi:
             raise GeneratorConfigError("match noise range must be ordered and non-negative")
-        if self.precision not in ("f64", "f32"):
-            raise GeneratorConfigError("precision must be 'f64' or 'f32'")
+        check_precision(self, GeneratorConfigError)
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)

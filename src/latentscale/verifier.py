@@ -22,12 +22,17 @@ Parameters live in a flat ``{name: array}`` dict, which checkpoints store
 entry by entry. Every metered operation, feature normalization included,
 runs as a ``numcore`` kernel.
 
-Precision: the verifier works in float64 whatever the generator's
-precision. ``init_verifier`` creates float64 parameters, float32 features
-are promoted to float64 by normalization or the first connector product,
-and scores are computed from float64 logits. Checkpoints keep each
-array's dtype (``<f4`` or ``<f8``); normalization statistics are stored
-as float64.
+Precision: ``VerifierConfig.precision`` selects float32 (``"f32"``, the
+default) or float64 (``"f64"``), from the same table as the generator's,
+and the verifier computes in that dtype whatever the generator's
+precision. ``init_verifier`` makes the same float64 draws for both and
+rounds them once, so float32 parameters are exactly the float64 ones cast.
+Features, pixels and normalization statistics are cast to the verifier's
+dtype where they enter it: at the normalization, the connector and the
+encoder. Only the 2 head logits are promoted to float64, for the softmax
+that gives the score. The metered FLOPs are the same in either precision.
+A checkpoint records the precision in its config and stores every entry,
+statistics included, in it (``<f4`` or ``<f8``).
 """
 
 from __future__ import annotations
@@ -65,9 +70,15 @@ class VerifierConfig:
     scorer_blocks: int = 2
     encoder_depth: int = 2             # pixel_reencode stand-in encoder
     encoder_dim: int = 64
+    precision: str = "f32"             # "f32" or "f64", as GeneratorConfig.precision
+
+    @property
+    def dtype(self):
+        return toygen.PRECISIONS[self.precision]
 
     def __post_init__(self):
         toygen.check_field_types(self, VerifierConfigError)
+        toygen.check_precision(self, VerifierConfigError)
         if self.mode not in MODES:
             raise VerifierConfigError(f"unknown mode {self.mode!r}")
         if self.tap_layer < 0:
@@ -93,15 +104,17 @@ def block_view(params: dict[str, np.ndarray], prefix: str) -> BlockWeights:
 def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Fresh random parameters for ``config``, drawn from ``seed``.
 
-    The pixel encoder comes after 28*d discarded normals, the draws of the
-    deleted, never-read alignment readouts, so its weights stay as they were.
+    The draws are float64 in either precision and rounded once to the
+    config's dtype. The pixel encoder comes after 28*d discarded normals,
+    the draws of the deleted, never-read alignment readouts, so its weights
+    stay as they were.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
     d = config.scorer_dim
     p: dict[str, np.ndarray] = {}
 
     def put_block(prefix: str, width: int, std: float):
-        bw = init_block_weights(rng, width, weight_std=std)
+        bw = init_block_weights(rng, width, weight_std=std, dtype=config.dtype)
         p.update((f"{prefix}.{f}", getattr(bw, f)) for f in _BLOCK_FIELDS)
 
     p["connector.w1"] = rng.standard_normal((config.in_dim, config.connector_hidden)) * 0.05
@@ -122,7 +135,7 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
         p["encoder.patch.b"] = np.zeros(config.encoder_dim)
         for i in range(config.encoder_depth):
             put_block(f"encoder.block{i}", config.encoder_dim, 0.05)
-    return p
+    return {name: arr.astype(config.dtype, copy=False) for name, arr in p.items()}
 
 
 # ------------------------------------------------------------- features
@@ -137,8 +150,9 @@ def patchify(pixels: np.ndarray) -> np.ndarray:
 
 def encode_pixels(params: dict[str, np.ndarray], config: VerifierConfig,
                   pixels: np.ndarray, ctx: MeterContext | None) -> np.ndarray:
-    """Frozen stand-in visual encoder: patch projection + attention blocks."""
-    x = linear(patchify(pixels), params["encoder.patch.w"],
+    """Frozen stand-in visual encoder: patch projection + attention blocks,
+    on the pixels cast to the verifier's dtype."""
+    x = linear(patchify(pixels.astype(config.dtype, copy=False)), params["encoder.patch.w"],
                params["encoder.patch.b"], ctx)
     for i in range(config.encoder_depth):
         x = attention_block(x, block_view(params, f"encoder.block{i}"), ctx)
@@ -154,6 +168,9 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
 
     ``hidden_state`` needs a state tapped at ``config.tap_layer``; the other
     modes need a completed state. Otherwise StateCompletionError is raised.
+    Normalization and the encoder run in the verifier's dtype. Without an
+    ``image``, pixel mode decodes one first; that decode is the generator's
+    and runs in its precision.
     """
     if config.mode == "hidden_state":
         if state.layers_done != config.tap_layer + 1:
@@ -162,7 +179,9 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
                 f"but the state has run {state.layers_done} layers")
         feats = toygen.tap_hidden_features(state)
         if stats is not None:
-            feats = normalize(feats, stats.mean, stats.variance, ctx).data
+            dt = config.dtype
+            feats = normalize(feats.astype(dt, copy=False), stats.mean.astype(dt, copy=False),
+                              stats.variance.astype(dt, copy=False), ctx).data
         return feats
     if not state.completed:
         raise toygen.StateCompletionError(
@@ -179,8 +198,9 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
 def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
                    features: np.ndarray, prompt_ids: np.ndarray,
                    ctx: MeterContext | None = None) -> np.ndarray:
-    """Connector + scorer forward pass; returns the 2 [yes, no] logits."""
-    f = np.ascontiguousarray(features)
+    """Connector + scorer forward pass in the verifier's dtype; returns the
+    2 [yes, no] logits as float64."""
+    f = np.ascontiguousarray(features, dtype=config.dtype)
     if f.shape[-1] != params["connector.w1"].shape[0]:
         raise VerifierConfigError(
             f"feature width {f.shape[-1]} does not match connector input "
@@ -195,7 +215,7 @@ def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
         x = attention_block(x, block_view(params, f"scorer.block{i}"), ctx)
     pooled = mean_pool(x, ctx)
     logits = linear(pooled.data[None, :], params["head.w"], params["head.b"], ctx)
-    return logits.data[0]
+    return logits.data[0].astype(np.float64)
 
 
 def score_from_logits(logits: np.ndarray, ctx: MeterContext | None = None) -> Score:
@@ -224,8 +244,7 @@ def select_best(scores: list[Score]) -> int:
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_SCHEMA = 2
-CHECKPOINT_DTYPES = ("<f4", "<f8")
+CHECKPOINT_SCHEMA = 3
 
 
 class CheckpointError(ValueError):
@@ -236,26 +255,23 @@ def save_checkpoint(prefix: str | Path, params: dict[str, np.ndarray],
                     config: VerifierConfig, stats: scenes.FeatureStats | None,
                     meta: dict | None = None) -> tuple[Path, Path]:
     """Write <prefix>.json header plus <prefix>.bin of named little-endian
-    tensors; normalization statistics ride along as stats.* entries."""
+    tensors in the config's precision; normalization statistics ride along
+    as stats.* entries."""
     prefix = Path(prefix)
+    dtype = _stored_dtype(config)
     arrays = dict(params)
     stats_ref = None
     if stats is not None:
-        arrays["stats.mean"] = np.asarray(stats.mean, dtype=np.float64)
-        arrays["stats.variance"] = np.asarray(stats.variance, dtype=np.float64)
+        arrays["stats.mean"] = stats.mean
+        arrays["stats.variance"] = stats.variance
         stats_ref = {"sample_count": int(stats.sample_count)}
     entries = []
     offset = 0
     blob = bytearray()
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype == np.float32:
-            dtype = "<f4"
-        else:
-            arr = arr.astype(np.float64)
-            dtype = "<f8"
-        raw = arr.astype(dtype).tobytes()
-        entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape),
+        arr = np.asarray(arrays[name], dtype=dtype)
+        raw = arr.tobytes()
+        entries.append({"name": name, "dtype": dtype.str, "shape": list(arr.shape),
                         "offset": offset, "nbytes": len(raw)})
         blob.extend(raw)
         offset += len(raw)
@@ -274,17 +290,23 @@ def save_checkpoint(prefix: str | Path, params: dict[str, np.ndarray],
     return json_path, bin_path
 
 
-def _read_entry(entry: dict, blob: bytes) -> np.ndarray:
-    name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+def _stored_dtype(config: VerifierConfig) -> np.dtype:
+    """The little-endian dtype of every entry of a ``config`` checkpoint."""
+    return np.dtype(config.dtype).newbyteorder("<")
+
+
+def _read_entry(entry: dict, blob: bytes, dtype: np.dtype) -> np.ndarray:
+    name, shape = entry["name"], entry["shape"]
     offset, nbytes = entry["offset"], entry["nbytes"]
-    if dtype not in CHECKPOINT_DTYPES:
-        raise CheckpointError(f"{name}: dtype {dtype!r} is not one of {CHECKPOINT_DTYPES}")
+    if entry["dtype"] != dtype.str:
+        raise CheckpointError(
+            f"{name}: dtype {entry['dtype']!r} disagrees with the precision's {dtype.str!r}")
     if not all(isinstance(v, int) and v >= 0 for v in (offset, nbytes, *shape)):
         raise CheckpointError(f"{name}: offset, nbytes and shape must be non-negative integers")
     if offset + nbytes > len(blob):
         raise CheckpointError(
             f"{name}: bytes [{offset}, {offset + nbytes}) lie beyond the {len(blob)}-byte .bin")
-    if nbytes != math.prod(shape) * np.dtype(dtype).itemsize:
+    if nbytes != math.prod(shape) * dtype.itemsize:
         raise CheckpointError(f"{name}: {nbytes} bytes do not hold {dtype} of shape {shape}")
     return np.frombuffer(blob, dtype=dtype, count=math.prod(shape),
                          offset=offset).reshape(shape).copy()
@@ -294,7 +316,8 @@ def load_checkpoint(prefix: str | Path):
     """Inverse of save_checkpoint; returns (params, config, stats, meta).
 
     A header or .bin that is malformed, or inconsistent with the other,
-    raises CheckpointError, as do entries whose names or shapes differ from
+    raises CheckpointError, as do a name listed twice, a dtype other than
+    the stored precision's, and entries whose names or shapes differ from
     those ``init_verifier`` makes for the stored config.
     """
     prefix = Path(prefix)
@@ -307,8 +330,13 @@ def load_checkpoint(prefix: str | Path):
         raise CheckpointError(f"unsupported checkpoint schema {schema!r}")
     blob = prefix.with_suffix(".bin").read_bytes()
     try:
-        arrays = {e["name"]: _read_entry(e, blob) for e in header["params"]}
         config = VerifierConfig(**header["config"])
+        names = [e["name"] for e in header["params"]]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise CheckpointError(f"entries listed more than once: {repeated}")
+        dtype = _stored_dtype(config)
+        arrays = {e["name"]: _read_entry(e, blob, dtype) for e in header["params"]}
         stats = None
         if header["stats_ref"] is not None:
             stats = scenes.FeatureStats(

@@ -15,7 +15,7 @@ def ctx():
 
 
 def rand_block(rng, d, mlp=None, std=0.5):
-    return nc.init_block_weights(rng, d, mlp_width=mlp, weight_std=std)
+    return nc.init_block_weights(rng, d, mlp_width=mlp, weight_std=std, dtype=np.float64)
 
 
 # ---------------------------------------------------------------- matmul
@@ -90,7 +90,7 @@ def test_non_finite_is_hard_error():
 
 def test_block_zero_input_zero_weights():
     rng = np.random.default_rng(0)
-    w = nc.init_block_weights(rng, 8, weight_std=0.0)
+    w = nc.init_block_weights(rng, 8, weight_std=0.0, dtype=np.float64)
     x = nc.Tensor(np.zeros((5, 8)))
     out = nc.attention_block(x, w, ctx())
     assert np.array_equal(out.data, np.zeros((5, 8)))
@@ -98,7 +98,8 @@ def test_block_zero_input_zero_weights():
 
 def test_block_zero_attn_mlp_weights_is_identity():
     rng = np.random.default_rng(1)
-    w = nc.init_block_weights(rng, 8, weight_std=0.0)  # zero weights, LN at identity
+    # zero weights, LN at identity
+    w = nc.init_block_weights(rng, 8, weight_std=0.0, dtype=np.float64)
     x = nc.Tensor(rng.standard_normal((6, 8)))
     out = nc.attention_block(x, w, ctx())
     assert np.abs(out.data - x.data).max() == 0.0
@@ -485,7 +486,7 @@ def test_finite_values_whose_squares_overflow_pass(dtype, big):
 def test_overflowing_attention_scores_raise_though_softmax_would_hide_them():
     # token 0's self-score q0.k0 overflows to -Inf and no other score does:
     # the softmax would make that row [0, 1], so only the checked scores catch it
-    w = nc.init_block_weights(np.random.default_rng(8), 2, weight_std=0.3)
+    w = nc.init_block_weights(np.random.default_rng(8), 2, weight_std=0.3, dtype=np.float64)
     w.t_bias[:] = 0.0
     x = np.array([[10.0, -10.0], [-10.0, 10.0]])
     s = nc.layer_norm(x, w.ln1_gamma, w.ln1_beta, None).data[0, 0]

@@ -171,8 +171,9 @@ def _stream_text(spec: SceneSpec) -> str:
 
 # sha256 of the first 200 prompts of sample_prompt(default_rng(0)) and their
 # token ids, of their candidate scenes at corruption rates 0.3 and 1.0 and of
-# the default generator's noise latents for the same seeds, taken while a
-# target was still a list of entries; the streams must never move
+# the float64 generator's noise latents for the same seeds (the float32
+# latents are these rounded once), taken while a target was still a list of
+# entries; the streams must never move
 STREAM_SHA256 = "917b4ee1f462d5f394db615b0599325d9c6b8015e4889326090cb2ce749b3fe7"
 
 
@@ -187,7 +188,7 @@ def test_prompt_and_candidate_streams_are_unchanged():
             cand = scenes.candidate_scene(p, i, rate)
             objs = ";".join(f"{o.shape},{o.color},{o.cell}" for o in cand.scene.objects)
             digest.update(f"{objs}|{_stream_text(cand.spec)}|{cand.corrupted}".encode())
-        digest.update(toygen._derive_noise(toygen.GeneratorConfig(), i).tobytes())
+        digest.update(toygen._derive_noise(toygen.GeneratorConfig(precision="f64"), i).tobytes())
     assert digest.hexdigest() == STREAM_SHA256
 
 

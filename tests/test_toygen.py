@@ -139,6 +139,23 @@ def test_f32_precision_is_honoured_end_to_end(rng):
     assert img.pixels.data.tobytes() == img_full.pixels.data.tobytes()
 
 
+@given(seed=hst.integers(0, 2 ** 62))
+def test_f32_parameters_and_noise_are_the_f64_ones_rounded_once(seed):
+    for a64, a32 in zip(_param_arrays(_params_for("f64")), _param_arrays(_params_for("f32")),
+                        strict=True):
+        assert a32.dtype == np.float32 and a32.tobytes() == a64.astype(np.float32).tobytes()
+    z64, z32 = (toygen._derive_noise(GeneratorConfig(precision=p), seed) for p in ("f64", "f32"))
+    assert z32.dtype == np.float32 and z32.tobytes() == z64.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("precision, peak", [("f32", 74_888), ("f64", 149_776)])
+def test_metered_peak_of_a_full_run_halves_in_f32(precision, peak, rng):
+    # the same buffers in either precision, each half the bytes in float32
+    ctx = MeterContext()
+    generate_full(build_generator(GeneratorConfig(precision=precision)), sample_prompt(rng), 5, ctx)
+    assert ctx.bytes_peak == peak
+
+
 def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
     p = default_generator.params
     arrays = [p.token_code, p.channel_code, p.token_table, p.seg_prompt, p.w_proj,
@@ -361,6 +378,10 @@ def test_invalid_configs_rejected():
         VerifierConfig(mode="bogus")
     with pytest.raises(VerifierConfigError):
         dataclasses.replace(VerifierConfig(), tap_layer=-1)  # no generator depth to exceed
+    with pytest.raises(GeneratorConfigError):
+        GeneratorConfig(precision="f16")
+    with pytest.raises(VerifierConfigError):
+        VerifierConfig(precision="f16")
 
 
 # -------------------------------------------------------- informativeness

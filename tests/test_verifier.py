@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen, verifier
@@ -58,6 +59,13 @@ def scorer_flops(cfg: VerifierConfig, tokens: int) -> int:
             + flops_for(("softmax", 1, 2)))
 
 
+def encoder_flops(cfg: VerifierConfig) -> int:
+    """Closed-form FLOPs of ``encode_pixels``: patch projection and blocks."""
+    patches, e = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2, cfg.encoder_dim
+    return (flops_for(("linear", patches, 3 * scenes.PATCH ** 2, e, True))
+            + cfg.encoder_depth * flops_for(("attention_block", patches, e, 4 * e)))
+
+
 def metered_verification_flops(gen, cfg, stats, state, image=None) -> int:
     params, ctx = init_verifier(cfg), MeterContext()
     feats = verifier.extract_features(gen, state, cfg, stats, ctx, params=params, image=image)
@@ -107,12 +115,68 @@ def test_pixel_reencode_verification_flops_match_closed_form(small_generator, rn
     cfg = VerifierConfig(mode="pixel_reencode")
     image, st = toygen.generate_full(small_generator, scenes.sample_prompt(rng), 2, None)
     patches = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2
-    e = cfg.encoder_dim
-    encoder = (flops_for(("linear", patches, 3 * scenes.PATCH ** 2, e, True))
-               + cfg.encoder_depth * flops_for(("attention_block", patches, e, 4 * e)))
     # the image is passed in, so nothing is decoded again
     assert (metered_verification_flops(small_generator, cfg, None, st, image)
-            == encoder + scorer_flops(cfg, patches))
+            == encoder_flops(cfg) + scorer_flops(cfg, patches))
+
+
+# ---------------------------------------------------------------- precision
+
+@dataclasses.dataclass
+class DtypeMeter(MeterContext):
+    """A meter that also records the dtype and shape of each output."""
+    outputs: list = dataclasses.field(default_factory=list)
+
+    def register(self, tensor):
+        self.outputs.append((tensor.dtype, tensor.shape))
+        super().register(tensor)
+
+
+@functools.cache
+def two_layer_generator(precision: str) -> toygen.Generator:
+    return toygen.build_generator(toygen.GeneratorConfig(num_layers=2, precision=precision))
+
+
+# every mode meets every pairing of generator and verifier precision
+@pytest.mark.parametrize("mode", verifier.MODES)
+@pytest.mark.parametrize("gen_precision", sorted(toygen.PRECISIONS))
+@pytest.mark.parametrize("precision", sorted(toygen.PRECISIONS))
+@settings(max_examples=3, deadline=None)
+@given(prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62))
+def test_verifier_computes_in_its_precision_with_the_same_flops(
+        mode, gen_precision, precision, prompt_seed, seed):
+    gen = two_layer_generator(gen_precision)
+    cfg = VerifierConfig(mode=mode, precision=precision)
+    params = init_verifier(cfg)
+    p = scenes.sample_prompt(np.random.default_rng(prompt_seed))
+    stats = image = None
+    if mode == "hidden_state":
+        st = toygen.generate_tapped(gen, p, seed, None)
+        feats = toygen.tap_hidden_features(st)
+        stats = scenes.calibrate_feature_stats([feats, feats + 1.0])
+    else:
+        # the decode is the generator's, so the image is passed in, as in BoN
+        image, st = toygen.generate_full(gen, p, seed, None)
+    ctx = DtypeMeter()
+    feats = verifier.extract_features(gen, st, cfg, stats, ctx, params=params, image=image)
+    verifier.score(params, cfg, feats, scenes.encode_prompt_tokens(p), ctx)
+    *computed, softmax_out = ctx.outputs
+    assert {dtype for dtype, _ in computed} == {np.dtype(cfg.dtype)}
+    assert softmax_out == (np.float64, (2,))
+    tokens = gen.config.num_noise_tokens
+    features = {"hidden_state": flops_for(("normalize", tokens, cfg.in_dim)),
+                "ae_latent": 0, "pixel_reencode": encoder_flops(cfg)}[mode]
+    assert ctx.flops_accumulated == features + scorer_flops(cfg, tokens)
+
+
+@pytest.mark.parametrize("mode", verifier.MODES)
+def test_f32_parameters_are_the_f64_ones_rounded_once(mode):
+    f64 = init_verifier(VerifierConfig(mode=mode, precision="f64"))
+    f32 = init_verifier(VerifierConfig(mode=mode, precision="f32"))
+    assert f32.keys() == f64.keys()
+    for name, arr in f64.items():
+        assert arr.dtype == np.float64 and f32[name].dtype == np.float32
+        assert f32[name].tobytes() == arr.astype(np.float32).tobytes()
 
 
 # ---------------------------------------------------------------- selection
@@ -149,12 +213,12 @@ def test_hidden_state_mode_rejects_state_not_at_its_tap(small_generator, rng):
 
 # ---------------------------------------------------------------- checkpoints
 
-def write_checkpoint(tmp_path, dtype=np.float64):
-    cfg = VerifierConfig()
-    params = {k: v.astype(dtype) for k, v in init_verifier(cfg).items()}
+def write_checkpoint(tmp_path, precision="f32"):
+    cfg = VerifierConfig(precision=precision)
+    params = init_verifier(cfg)
     rng = np.random.default_rng(3)
-    stats = scenes.FeatureStats(mean=rng.standard_normal(64).astype(dtype),
-                                variance=rng.uniform(0.5, 2.0, 64).astype(dtype),
+    stats = scenes.FeatureStats(mean=rng.standard_normal(64).astype(cfg.dtype),
+                                variance=rng.uniform(0.5, 2.0, 64).astype(cfg.dtype),
                                 sample_count=10)
     prefix = tmp_path / "ckpt"
     save_checkpoint(prefix, params, cfg, stats, meta={"step": 3})
@@ -162,17 +226,33 @@ def write_checkpoint(tmp_path, dtype=np.float64):
 
 
 def test_checkpoint_round_trip_float32(tmp_path):
-    prefix, params, cfg, stats = write_checkpoint(tmp_path, np.float32)
+    prefix, params, cfg, stats = write_checkpoint(tmp_path, "f32")
     got, got_cfg, got_stats, meta = load_checkpoint(prefix)
     assert got_cfg == cfg and meta == {"step": 3}
     assert got.keys() == params.keys()
     for name, arr in params.items():
         assert got[name].dtype == np.float32
         assert got[name].tobytes() == arr.tobytes()
-    # statistics are stored as float64, which holds float32 values exactly
+    # statistics are stored in the checkpoint's precision too
     assert got_stats.sample_count == 10
-    assert np.array_equal(got_stats.mean, stats.mean)
-    assert np.array_equal(got_stats.variance, stats.variance)
+    for got_arr, arr in ((got_stats.mean, stats.mean), (got_stats.variance, stats.variance)):
+        assert got_arr.dtype == np.float32 and got_arr.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("precision, stored", [("f32", "<f4"), ("f64", "<f8")])
+def test_checkpoint_stores_every_entry_in_its_precision(precision, stored, tmp_path):
+    # float64 parameters and statistics, saved under either precision
+    params = init_verifier(VerifierConfig(precision="f64"))
+    stats = scenes.calibrate_feature_stats(np.random.default_rng(5).standard_normal((3, 16, 64)))
+    cfg = VerifierConfig(precision=precision)
+    json_path, _ = save_checkpoint(tmp_path / "ckpt", params, cfg, stats)
+    assert {e["dtype"] for e in json.loads(json_path.read_text())["params"]} == {stored}
+    got, got_cfg, got_stats, _ = load_checkpoint(tmp_path / "ckpt")
+    assert got_cfg == cfg
+    for name, arr in params.items():
+        assert got[name].tobytes() == arr.astype(cfg.dtype).tobytes()
+    assert got_stats.mean.tobytes() == stats.mean.astype(cfg.dtype).tobytes()
+    assert got_stats.variance.tobytes() == stats.variance.astype(cfg.dtype).tobytes()
 
 
 def _edit_header(edit):
@@ -202,6 +282,14 @@ def _drop_entry(name):
     return _edit_header(lambda h: h.update(params=[e for e in h["params"] if e["name"] != name]))
 
 
+def _repeat_entry(name, bytes_of):
+    """A second ``name`` entry, reading the leading bytes of ``bytes_of``."""
+    def edit(header):
+        entries = {e["name"]: e for e in header["params"]}
+        header["params"].append({**entries[name], "offset": entries[bytes_of]["offset"]})
+    return _edit_header(edit)
+
+
 CORRUPTIONS = {
     "bogus_mode": _edit_header(lambda h: h["config"].update(mode="bogus")),
     "unknown_config_key": _edit_header(lambda h: h["config"].update(depth=3)),
@@ -217,6 +305,11 @@ CORRUPTIONS = {
     "missing_entry": _drop_entry("head.b"),
     "renamed_entry": _entry("head.b", name="head.bias"),
     "misshaped_entry": _entry("connector.w1", shape=[128, 64]),  # same byte count
+    "duplicate_entry": _repeat_entry("head.b", bytes_of="head.w"),
+    # the float32 entries stay consistent with their own shapes and bytes
+    "dtype_disagrees_with_precision": _edit_header(
+        lambda h: h["config"].update(precision="f64")),
+    "unknown_precision": _edit_header(lambda h: h["config"].update(precision="f16")),
     "string_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks="2")),
     "float_in_dim": _edit_header(lambda h: h["config"].update(in_dim=64.0)),
     "bool_encoder_depth": _edit_header(lambda h: h["config"].update(encoder_depth=True)),
@@ -241,7 +334,7 @@ ENCODER_SHA256 = "f06d64aa9fb1f84af5b21123a1fad7545ec0d5acc9f181732c3ea2d9d3c062
 
 
 def test_pixel_encoder_weights_are_unchanged():
-    cfg = VerifierConfig(mode="pixel_reencode")
+    cfg = VerifierConfig(mode="pixel_reencode", precision="f64")
     params = init_verifier(cfg, seed=0)
     names = ["encoder.patch.w", "encoder.patch.b"] + [
         f"encoder.block{i}.{f.name}"

@@ -377,13 +377,20 @@ def encode_prompt_tokens(prompt: Prompt) -> np.ndarray:
 def calibrate_feature_stats(features) -> FeatureStats:
     """Channelwise mean/variance over an iterable of feature arrays of shape
     [tokens, channels]. Statistics pool over samples and tokens.
+
+    Sums run in float64; the statistics are rounded once to the features'
+    float dtype (float32 at least), so they normalize those features as
+    they are.
     """
     total = None
     total_sq = None
     rows = 0
     count = 0
+    dtype = np.dtype(np.float32)
     for feat in features:
-        arr = np.asarray(feat, dtype=np.float64)
+        arr = np.asarray(feat)
+        dtype = np.promote_types(dtype, arr.dtype)
+        arr = arr.astype(np.float64, copy=False)
         if arr.ndim == 1:
             arr = arr[None, :]
         if total is None:
@@ -398,4 +405,5 @@ def calibrate_feature_stats(features) -> FeatureStats:
         raise ValueError("calibrate_feature_stats needs at least 2 samples")
     mean = total / rows
     variance = np.maximum(total_sq / rows - mean ** 2, 0.0)
-    return FeatureStats(mean=mean, variance=variance, sample_count=count)
+    return FeatureStats(mean=mean.astype(dtype, copy=False),
+                        variance=variance.astype(dtype, copy=False), sample_count=count)

@@ -32,10 +32,10 @@ finds the alignment evidence as well after block 0 as after block 3 or 7;
 a candidate then runs the embed and one block before it is scored.
 ``VerifierConfig.tap_layer`` defaults to the same layer.
 
-The default precision is float32 (``precision="f32"``), as the verifier's;
-``"f64"`` serves in float64 with the same FLOPs. Parameters and noise are
-drawn in float64 and rounded once, so the float32 ones are exactly the
-float64 ones cast.
+The default precision is float32 (``precision="f32"``), and the verifier's
+parameters default to it; ``"f64"`` serves in float64 with the same FLOPs.
+Parameters and noise are drawn in float64 and rounded once, so the float32
+ones are exactly the float64 ones cast.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .numcore import (
 
 MATCH_CHANNELS = 4
 
-# serving precisions of the generator and the verifier configs
+# serving precisions of the generator and the verifier parameters
 PRECISIONS = {"f64": np.float64, "f32": np.float32}
 
 
@@ -79,12 +79,6 @@ def check_field_types(config, error: type[Exception]) -> None:
             raise error(f"{f.name} must be {f.type}, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise error(f"{f.name} must be finite, got {value!r}")
-
-
-def check_precision(config, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``config.precision`` names one of PRECISIONS."""
-    if config.precision not in PRECISIONS:
-        raise error(f"precision must be one of {sorted(PRECISIONS)}, got {config.precision!r}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,9 @@ class GeneratorConfig:
                 f"({self.raster_dim}) plus match channels")
         if not 0 <= self.match_noise_lo <= self.match_noise_hi:
             raise GeneratorConfigError("match noise range must be ordered and non-negative")
-        check_precision(self, GeneratorConfigError)
+        if self.precision not in PRECISIONS:
+            raise GeneratorConfigError(
+                f"precision must be one of {sorted(PRECISIONS)}, got {self.precision!r}")
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)

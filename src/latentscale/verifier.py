@@ -22,17 +22,18 @@ Parameters live in a flat ``{name: array}`` dict, which checkpoints store
 entry by entry. Every metered operation, feature normalization included,
 runs as a ``numcore`` kernel.
 
-Precision: ``VerifierConfig.precision`` selects float32 (``"f32"``, the
-default) or float64 (``"f64"``), from the same table as the generator's,
-and the verifier computes in that dtype whatever the generator's
-precision. ``init_verifier`` makes the same float64 draws for both and
-rounds them once, so float32 parameters are exactly the float64 ones cast.
-Features, pixels and normalization statistics are cast to the verifier's
-dtype where they enter it: at the normalization, the connector and the
-encoder. Only the 2 head logits are promoted to float64, for the softmax
-that gives the score. The metered FLOPs are the same in either precision.
-A checkpoint records the precision in its config and stores every entry,
-statistics included, in it (``<f4`` or ``<f8``).
+Precision: the verifier computes in its parameters' dtype, which
+``init_verifier`` takes from the stack's serving precision, the default
+generator's (float32) unless told otherwise. It makes the same float64
+draws in either precision and rounds them once, so float32 parameters are
+exactly the float64 ones cast. Features and pixels are cast to the
+parameters' dtype where they enter the connector and the encoder, a no-op
+when generator and verifier share a precision; normalization runs in the
+dtype of the tapped features, which ``calibrate_feature_stats`` gives its
+statistics at set-up. Only the 2 head logits are promoted to float64, for
+the softmax that gives the score. The metered FLOPs are the same in either
+precision. A checkpoint records the precision in its header and holds
+every entry, statistics included, in it (``<f4`` or ``<f8``).
 """
 
 from __future__ import annotations
@@ -70,15 +71,9 @@ class VerifierConfig:
     scorer_blocks: int = 2
     encoder_depth: int = 2             # pixel_reencode stand-in encoder
     encoder_dim: int = 64
-    precision: str = "f32"             # "f32" or "f64", as GeneratorConfig.precision
-
-    @property
-    def dtype(self):
-        return toygen.PRECISIONS[self.precision]
 
     def __post_init__(self):
         toygen.check_field_types(self, VerifierConfigError)
-        toygen.check_precision(self, VerifierConfigError)
         if self.mode not in MODES:
             raise VerifierConfigError(f"unknown mode {self.mode!r}")
         if self.tap_layer < 0:
@@ -101,20 +96,27 @@ def block_view(params: dict[str, np.ndarray], prefix: str) -> BlockWeights:
     return BlockWeights(*(params[f"{prefix}.{f}"] for f in _BLOCK_FIELDS))
 
 
-def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray]:
+def init_verifier(config: VerifierConfig, seed: int = 0,
+                  precision: str = toygen.GeneratorConfig.precision) -> dict[str, np.ndarray]:
     """Fresh random parameters for ``config``, drawn from ``seed``.
 
-    The draws are float64 in either precision and rounded once to the
-    config's dtype. The pixel encoder comes after 28*d discarded normals,
-    the draws of the deleted, never-read alignment readouts, so its weights
-    stay as they were.
+    ``precision`` is the stack's serving precision, a key of
+    ``toygen.PRECISIONS``, by default the generator's default. The draws
+    are float64 in either precision and rounded once to its dtype. The
+    pixel encoder comes after 28*d discarded normals, the draws of the
+    deleted, never-read alignment readouts, so its weights stay as they
+    were.
     """
+    if precision not in toygen.PRECISIONS:
+        raise VerifierConfigError(
+            f"precision must be one of {sorted(toygen.PRECISIONS)}, got {precision!r}")
+    dtype = toygen.PRECISIONS[precision]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
     d = config.scorer_dim
     p: dict[str, np.ndarray] = {}
 
     def put_block(prefix: str, width: int, std: float):
-        bw = init_block_weights(rng, width, weight_std=std, dtype=config.dtype)
+        bw = init_block_weights(rng, width, weight_std=std, dtype=dtype)
         p.update((f"{prefix}.{f}", getattr(bw, f)) for f in _BLOCK_FIELDS)
 
     p["connector.w1"] = rng.standard_normal((config.in_dim, config.connector_hidden)) * 0.05
@@ -135,7 +137,7 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
         p["encoder.patch.b"] = np.zeros(config.encoder_dim)
         for i in range(config.encoder_depth):
             put_block(f"encoder.block{i}", config.encoder_dim, 0.05)
-    return {name: arr.astype(config.dtype, copy=False) for name, arr in p.items()}
+    return {name: arr.astype(dtype, copy=False) for name, arr in p.items()}
 
 
 # ------------------------------------------------------------- features
@@ -151,9 +153,9 @@ def patchify(pixels: np.ndarray) -> np.ndarray:
 def encode_pixels(params: dict[str, np.ndarray], config: VerifierConfig,
                   pixels: np.ndarray, ctx: MeterContext | None) -> np.ndarray:
     """Frozen stand-in visual encoder: patch projection + attention blocks,
-    on the pixels cast to the verifier's dtype."""
-    x = linear(patchify(pixels.astype(config.dtype, copy=False)), params["encoder.patch.w"],
-               params["encoder.patch.b"], ctx)
+    on the pixels cast to the parameters' dtype."""
+    w = params["encoder.patch.w"]
+    x = linear(patchify(pixels.astype(w.dtype, copy=False)), w, params["encoder.patch.b"], ctx)
     for i in range(config.encoder_depth):
         x = attention_block(x, block_view(params, f"encoder.block{i}"), ctx)
     return x.data
@@ -168,9 +170,9 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
 
     ``hidden_state`` needs a state tapped at ``config.tap_layer``; the other
     modes need a completed state. Otherwise StateCompletionError is raised.
-    Normalization and the encoder run in the verifier's dtype. Without an
-    ``image``, pixel mode decodes one first; that decode is the generator's
-    and runs in its precision.
+    Normalization runs in the features' and statistics' dtype, the encoder
+    in the parameters'. Without an ``image``, pixel mode decodes one first;
+    that decode is the generator's and runs in its precision.
     """
     if config.mode == "hidden_state":
         if state.layers_done != config.tap_layer + 1:
@@ -179,9 +181,7 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
                 f"but the state has run {state.layers_done} layers")
         feats = toygen.tap_hidden_features(state)
         if stats is not None:
-            dt = config.dtype
-            feats = normalize(feats.astype(dt, copy=False), stats.mean.astype(dt, copy=False),
-                              stats.variance.astype(dt, copy=False), ctx).data
+            feats = normalize(feats, stats.mean, stats.variance, ctx).data
         return feats
     if not state.completed:
         raise toygen.StateCompletionError(
@@ -198,9 +198,9 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
 def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
                    features: np.ndarray, prompt_ids: np.ndarray,
                    ctx: MeterContext | None = None) -> np.ndarray:
-    """Connector + scorer forward pass in the verifier's dtype; returns the
+    """Connector + scorer forward pass in the parameters' dtype; returns the
     2 [yes, no] logits as float64."""
-    f = np.ascontiguousarray(features, dtype=config.dtype)
+    f = np.ascontiguousarray(features, dtype=params["connector.w1"].dtype)
     if f.shape[-1] != params["connector.w1"].shape[0]:
         raise VerifierConfigError(
             f"feature width {f.shape[-1]} does not match connector input "
@@ -248,23 +248,35 @@ CHECKPOINT_SCHEMA = 3
 
 
 class CheckpointError(ValueError):
-    """A checkpoint on disk is malformed or inconsistent with its header."""
+    """A checkpoint on disk is malformed or inconsistent with its header, or
+    the entries given to save one do not share one precision."""
 
 
 def save_checkpoint(prefix: str | Path, params: dict[str, np.ndarray],
                     config: VerifierConfig, stats: scenes.FeatureStats | None,
                     meta: dict | None = None) -> tuple[Path, Path]:
     """Write <prefix>.json header plus <prefix>.bin of named little-endian
-    tensors in the config's precision; normalization statistics ride along
-    as stats.* entries."""
+    tensors; normalization statistics ride along as stats.* entries.
+
+    Every entry must have the parameters' dtype, one of
+    ``toygen.PRECISIONS``; the header records that precision. Otherwise
+    CheckpointError is raised and nothing is written.
+    """
     prefix = Path(prefix)
-    dtype = _stored_dtype(config)
+    param_dtype = params["connector.w1"].dtype
+    precision = _PRECISION_OF.get(param_dtype)
+    if precision is None:
+        raise CheckpointError(f"parameters of dtype {param_dtype} are not a serving precision")
     arrays = dict(params)
     stats_ref = None
     if stats is not None:
         arrays["stats.mean"] = stats.mean
         arrays["stats.variance"] = stats.variance
         stats_ref = {"sample_count": int(stats.sample_count)}
+    dtype = _stored_dtype(precision)
+    other = sorted(n for n, arr in arrays.items() if np.asarray(arr).dtype != dtype)
+    if other:
+        raise CheckpointError(f"entries not in the parameters' {precision}: {other}")
     entries = []
     offset = 0
     blob = bytearray()
@@ -279,6 +291,7 @@ def save_checkpoint(prefix: str | Path, params: dict[str, np.ndarray],
         "schema": CHECKPOINT_SCHEMA,
         "mode": config.mode,
         "config": asdict(config),
+        "precision": precision,
         "stats_ref": stats_ref,
         "params": entries,
         "meta": meta or {},
@@ -290,9 +303,14 @@ def save_checkpoint(prefix: str | Path, params: dict[str, np.ndarray],
     return json_path, bin_path
 
 
-def _stored_dtype(config: VerifierConfig) -> np.dtype:
-    """The little-endian dtype of every entry of a ``config`` checkpoint."""
-    return np.dtype(config.dtype).newbyteorder("<")
+_PRECISION_OF = {np.dtype(t): name for name, t in toygen.PRECISIONS.items()}
+
+
+def _stored_dtype(precision: str) -> np.dtype:
+    """The little-endian dtype of every entry of a ``precision`` checkpoint."""
+    if precision not in toygen.PRECISIONS:
+        raise CheckpointError(f"unknown checkpoint precision {precision!r}")
+    return np.dtype(toygen.PRECISIONS[precision]).newbyteorder("<")
 
 
 def _read_entry(entry: dict, blob: bytes, dtype: np.dtype) -> np.ndarray:
@@ -335,7 +353,7 @@ def load_checkpoint(prefix: str | Path):
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise CheckpointError(f"entries listed more than once: {repeated}")
-        dtype = _stored_dtype(config)
+        dtype = _stored_dtype(header["precision"])
         arrays = {e["name"]: _read_entry(e, blob, dtype) for e in header["params"]}
         stats = None
         if header["stats_ref"] is not None:

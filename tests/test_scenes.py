@@ -294,6 +294,18 @@ def test_sana_shaped_features_accepted():
     assert normalize(feats[0], stats.mean, stats.variance, None).shape == (1024, 2240)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_statistics_are_rounded_once_to_the_features_dtype(dtype):
+    feats = (np.random.default_rng(6).standard_normal((3, 16, 8)) * 3.0 + 1.0).astype(dtype)
+    stats = calibrate_feature_stats(feats)
+    ref = calibrate_feature_stats(feats.astype(np.float64))
+    assert ref.mean.dtype == ref.variance.dtype == np.float64
+    assert stats.mean.dtype == stats.variance.dtype == dtype
+    # float64 sums, one rounding at the end
+    assert stats.mean.tobytes() == ref.mean.astype(dtype).tobytes()
+    assert stats.variance.tobytes() == ref.variance.astype(dtype).tobytes()
+
+
 def test_calibrate_requires_two_samples():
     with pytest.raises(ValueError):
         calibrate_feature_stats([np.zeros((2, 2))])

@@ -16,7 +16,7 @@ from latentscale.toygen import (
     build_generator, generate_full, generate_tapped, resume_and_decode,
     tap_hidden_features,
 )
-from latentscale.verifier import VerifierConfig, VerifierConfigError
+from latentscale.verifier import VerifierConfig, VerifierConfigError, init_verifier
 
 
 def test_zero_corruption_matches_target(rng, default_generator):
@@ -381,7 +381,7 @@ def test_invalid_configs_rejected():
     with pytest.raises(GeneratorConfigError):
         GeneratorConfig(precision="f16")
     with pytest.raises(VerifierConfigError):
-        VerifierConfig(precision="f16")
+        init_verifier(VerifierConfig(), precision="f16")
 
 
 # -------------------------------------------------------- informativeness

@@ -101,7 +101,8 @@ def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_metered_normalization_is_bitwise_reference(dtype):
-    # float32 tap features meet float64 statistics, as in a float32 generator
+    # the kernel keeps NumPy's promotion: float32 features meet float64
+    # statistics in float64
     rng = np.random.default_rng(9)
     feats = rng.standard_normal((16, 64)).astype(dtype)
     stats = scenes.calibrate_feature_stats(rng.standard_normal((5, 16, 64)))
@@ -137,17 +138,16 @@ def two_layer_generator(precision: str) -> toygen.Generator:
     return toygen.build_generator(toygen.GeneratorConfig(num_layers=2, precision=precision))
 
 
-# every mode meets every pairing of generator and verifier precision
+# every mode, in each serving precision of the generator and the verifier
 @pytest.mark.parametrize("mode", verifier.MODES)
-@pytest.mark.parametrize("gen_precision", sorted(toygen.PRECISIONS))
 @pytest.mark.parametrize("precision", sorted(toygen.PRECISIONS))
 @settings(max_examples=3, deadline=None)
 @given(prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62))
 def test_verifier_computes_in_its_precision_with_the_same_flops(
-        mode, gen_precision, precision, prompt_seed, seed):
-    gen = two_layer_generator(gen_precision)
-    cfg = VerifierConfig(mode=mode, precision=precision)
-    params = init_verifier(cfg)
+        mode, precision, prompt_seed, seed):
+    gen = two_layer_generator(precision)
+    cfg = VerifierConfig(mode=mode)
+    params = init_verifier(cfg, precision=precision)
     p = scenes.sample_prompt(np.random.default_rng(prompt_seed))
     stats = image = None
     if mode == "hidden_state":
@@ -161,7 +161,7 @@ def test_verifier_computes_in_its_precision_with_the_same_flops(
     feats = verifier.extract_features(gen, st, cfg, stats, ctx, params=params, image=image)
     verifier.score(params, cfg, feats, scenes.encode_prompt_tokens(p), ctx)
     *computed, softmax_out = ctx.outputs
-    assert {dtype for dtype, _ in computed} == {np.dtype(cfg.dtype)}
+    assert {dtype for dtype, _ in computed} == {np.dtype(toygen.PRECISIONS[precision])}
     assert softmax_out == (np.float64, (2,))
     tokens = gen.config.num_noise_tokens
     features = {"hidden_state": flops_for(("normalize", tokens, cfg.in_dim)),
@@ -171,8 +171,8 @@ def test_verifier_computes_in_its_precision_with_the_same_flops(
 
 @pytest.mark.parametrize("mode", verifier.MODES)
 def test_f32_parameters_are_the_f64_ones_rounded_once(mode):
-    f64 = init_verifier(VerifierConfig(mode=mode, precision="f64"))
-    f32 = init_verifier(VerifierConfig(mode=mode, precision="f32"))
+    f64 = init_verifier(VerifierConfig(mode=mode), precision="f64")
+    f32 = init_verifier(VerifierConfig(mode=mode), precision="f32")
     assert f32.keys() == f64.keys()
     for name, arr in f64.items():
         assert arr.dtype == np.float64 and f32[name].dtype == np.float32
@@ -213,12 +213,12 @@ def test_hidden_state_mode_rejects_state_not_at_its_tap(small_generator, rng):
 
 # ---------------------------------------------------------------- checkpoints
 
-def write_checkpoint(tmp_path, precision="f32"):
-    cfg = VerifierConfig(precision=precision)
-    params = init_verifier(cfg)
+def write_checkpoint(tmp_path):
+    cfg = VerifierConfig()
+    params = init_verifier(cfg, precision="f32")
     rng = np.random.default_rng(3)
-    stats = scenes.FeatureStats(mean=rng.standard_normal(64).astype(cfg.dtype),
-                                variance=rng.uniform(0.5, 2.0, 64).astype(cfg.dtype),
+    stats = scenes.FeatureStats(mean=rng.standard_normal(64).astype(np.float32),
+                                variance=rng.uniform(0.5, 2.0, 64).astype(np.float32),
                                 sample_count=10)
     prefix = tmp_path / "ckpt"
     save_checkpoint(prefix, params, cfg, stats, meta={"step": 3})
@@ -226,7 +226,7 @@ def write_checkpoint(tmp_path, precision="f32"):
 
 
 def test_checkpoint_round_trip_float32(tmp_path):
-    prefix, params, cfg, stats = write_checkpoint(tmp_path, "f32")
+    prefix, params, cfg, stats = write_checkpoint(tmp_path)
     got, got_cfg, got_stats, meta = load_checkpoint(prefix)
     assert got_cfg == cfg and meta == {"step": 3}
     assert got.keys() == params.keys()
@@ -241,18 +241,36 @@ def test_checkpoint_round_trip_float32(tmp_path):
 
 @pytest.mark.parametrize("precision, stored", [("f32", "<f4"), ("f64", "<f8")])
 def test_checkpoint_stores_every_entry_in_its_precision(precision, stored, tmp_path):
-    # float64 parameters and statistics, saved under either precision
-    params = init_verifier(VerifierConfig(precision="f64"))
-    stats = scenes.calibrate_feature_stats(np.random.default_rng(5).standard_normal((3, 16, 64)))
-    cfg = VerifierConfig(precision=precision)
-    json_path, _ = save_checkpoint(tmp_path / "ckpt", params, cfg, stats)
-    assert {e["dtype"] for e in json.loads(json_path.read_text())["params"]} == {stored}
+    # float64 parameters and statistics, cast explicitly to the precision saved
+    dtype = toygen.PRECISIONS[precision]
+    params = {name: arr.astype(dtype)
+              for name, arr in init_verifier(VerifierConfig(), precision="f64").items()}
+    feats = np.random.default_rng(5).standard_normal((3, 16, 64)).astype(dtype)
+    stats = scenes.calibrate_feature_stats(feats)
+    json_path, _ = save_checkpoint(tmp_path / "ckpt", params, VerifierConfig(), stats)
+    header = json.loads(json_path.read_text())
+    assert header["precision"] == precision
+    assert {e["dtype"] for e in header["params"]} == {stored}
     got, got_cfg, got_stats, _ = load_checkpoint(tmp_path / "ckpt")
-    assert got_cfg == cfg
+    assert got_cfg == VerifierConfig()
     for name, arr in params.items():
-        assert got[name].tobytes() == arr.astype(cfg.dtype).tobytes()
-    assert got_stats.mean.tobytes() == stats.mean.astype(cfg.dtype).tobytes()
-    assert got_stats.variance.tobytes() == stats.variance.astype(cfg.dtype).tobytes()
+        assert got[name].tobytes() == arr.tobytes()
+    assert got_stats.mean.tobytes() == stats.mean.tobytes()
+    assert got_stats.variance.tobytes() == stats.variance.tobytes()
+
+
+@pytest.mark.parametrize("entry", ["head.w", "stats.mean"])
+def test_checkpoint_refuses_an_entry_of_another_precision(entry, tmp_path):
+    # nothing is rounded on the way to disk: one float64 entry among float32
+    params = init_verifier(VerifierConfig(), precision="f32")
+    stats = scenes.calibrate_feature_stats(np.zeros((2, 16, 64), dtype=np.float32))
+    if entry == "head.w":
+        params[entry] = params[entry].astype(np.float64)
+    else:
+        stats = dataclasses.replace(stats, mean=stats.mean.astype(np.float64))
+    with pytest.raises(CheckpointError, match=entry):
+        save_checkpoint(tmp_path / "ckpt", params, VerifierConfig(), stats)
+    assert not any(tmp_path.iterdir())
 
 
 def _edit_header(edit):
@@ -307,9 +325,8 @@ CORRUPTIONS = {
     "misshaped_entry": _entry("connector.w1", shape=[128, 64]),  # same byte count
     "duplicate_entry": _repeat_entry("head.b", bytes_of="head.w"),
     # the float32 entries stay consistent with their own shapes and bytes
-    "dtype_disagrees_with_precision": _edit_header(
-        lambda h: h["config"].update(precision="f64")),
-    "unknown_precision": _edit_header(lambda h: h["config"].update(precision="f16")),
+    "dtype_disagrees_with_precision": _edit_header(lambda h: h.update(precision="f64")),
+    "unknown_precision": _edit_header(lambda h: h.update(precision="f16")),
     "string_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks="2")),
     "float_in_dim": _edit_header(lambda h: h["config"].update(in_dim=64.0)),
     "bool_encoder_depth": _edit_header(lambda h: h["config"].update(encoder_depth=True)),
@@ -334,8 +351,8 @@ ENCODER_SHA256 = "f06d64aa9fb1f84af5b21123a1fad7545ec0d5acc9f181732c3ea2d9d3c062
 
 
 def test_pixel_encoder_weights_are_unchanged():
-    cfg = VerifierConfig(mode="pixel_reencode", precision="f64")
-    params = init_verifier(cfg, seed=0)
+    cfg = VerifierConfig(mode="pixel_reencode")
+    params = init_verifier(cfg, seed=0, precision="f64")
     names = ["encoder.patch.w", "encoder.patch.b"] + [
         f"encoder.block{i}.{f.name}"
         for i in range(cfg.encoder_depth) for f in dataclasses.fields(BlockWeights)]

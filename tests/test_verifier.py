@@ -179,6 +179,21 @@ def test_f32_parameters_are_the_f64_ones_rounded_once(mode):
         assert f32[name].tobytes() == arr.astype(np.float32).tobytes()
 
 
+def test_features_and_pixels_enter_in_the_parameters_dtype():
+    # float64 pixels and features meet float32 parameters: nothing promotes
+    cfg = VerifierConfig(mode="pixel_reencode")
+    params = init_verifier(cfg, precision="f32")
+    rng = np.random.default_rng(7)
+    ctx = DtypeMeter()
+    feats = verifier.encode_pixels(
+        params, cfg, rng.uniform(size=(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3)), ctx)
+    prompt_ids = scenes.encode_prompt_tokens(scenes.sample_prompt(rng))
+    logits = verifier.scorer_forward(params, cfg, rng.standard_normal(feats.shape),
+                                     prompt_ids, ctx)
+    assert {dtype for dtype, _ in ctx.outputs} == {np.dtype(np.float32)}
+    assert logits.dtype == np.float64
+
+
 # ---------------------------------------------------------------- selection
 
 def test_select_best_ties_go_to_lowest_index():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import tracemalloc
 
@@ -284,6 +285,32 @@ def test_factored_code_is_the_dense_orthogonal_code(shape, precision, prompt_see
         # no blocks between embed and projection: decoding inverts the code
         img = toygen.decode_latent(gen, toygen._project(gen, x, None), None)
         assert np.abs(img.pixels.data - scenes.render(realized.scene)).max() <= 1e-12
+
+
+# sha256 of the float64 generator's drawn parameters (block weights, w_proj,
+# token_table, seg_prompt) and of the code coordinates (raster, match and noise
+# banks) of one candidate of each of the first 200 prompts of
+# sample_prompt(default_rng(0)); the QR factors and w_proj_inv are left out,
+# since their bits depend on the LAPACK build
+DRAWS_AND_CODE_SHA256 = "0c718480a2babef25500208ec3f8d57c4eece127902be0d57825ecce7b54dce1"
+
+
+def test_generator_draws_and_code_coordinates_are_unchanged():
+    cfg = GeneratorConfig(precision="f64")
+    p = build_generator(cfg).params
+    digest = hashlib.sha256()
+    for block in p.blocks:
+        for f in dataclasses.fields(block):
+            digest.update(getattr(block, f.name).tobytes())
+    for arr in (p.w_proj, p.token_table, p.seg_prompt):
+        digest.update(arr.tobytes())
+    rng = np.random.default_rng(0)
+    for seed in range(200):
+        prompt = sample_prompt(rng)
+        realized = scenes.candidate_scene(prompt, seed, cfg.corruption_rate)
+        z_noise = Tensor(toygen._derive_noise(cfg, seed))
+        digest.update(toygen._code_coordinates(cfg, prompt, seed, realized, z_noise).tobytes())
+    assert digest.hexdigest() == DRAWS_AND_CODE_SHA256
 
 
 @pytest.mark.parametrize("width", [64, 80])

@@ -16,7 +16,7 @@ corruption, the oracle, placement and tokens all read these two tables. A
 ``Prompt`` derives its text from its category and target once, when built,
 and raises unless the target sets exactly the category's slots, each to a
 known value. Templates and draw orders are frozen: the prompt text keys
-``prompt_hash64`` and ``corruption_gate``, and every candidate's content is
+``Prompt.hash64`` and ``corruption_gate``, and every candidate's content is
 drawn from generators seeded with it, so a changed word or draw changes
 every candidate.
 
@@ -172,9 +172,9 @@ def _spec_text(category: str, spec: SceneSpec) -> str:
     return template.format(**words)
 
 
-def sample_prompt(rng: np.random.Generator, category: str | None = None) -> Prompt:
-    """Draw a well-formed prompt; uniform category mix when unspecified."""
-    cat = category or CATEGORIES[rng.integers(len(CATEGORIES))]
+def sample_prompt(rng: np.random.Generator) -> Prompt:
+    """Draw a well-formed prompt from a uniform category mix."""
+    cat = CATEGORIES[rng.integers(len(CATEGORIES))]
     shapes = rng.choice(SHAPES, size=2, replace=False)
     colors = rng.choice(COLORS, size=2, replace=False)
     wanted = CATEGORY_TABLE[cat][1]
@@ -183,11 +183,6 @@ def sample_prompt(rng: np.random.Generator, category: str | None = None) -> Prom
              "count": int(rng.choice(PROMPT_COUNTS)) if "count" in wanted else None,
              "relation": RELATIONS[rng.integers(len(RELATIONS))] if "relation" in wanted else None}
     return Prompt(cat, SceneSpec(**{k: v if k in wanted else None for k, v in drawn.items()}))
-
-
-def prompt_hash64(prompt: Prompt) -> int:
-    """Stable 64-bit digest of the canonical prompt text, derived when built."""
-    return prompt.hash64
 
 
 # --------------------------------------------------------------- oracle
@@ -292,7 +287,7 @@ def candidate_scene(prompt: Prompt, seed: int, corruption_rate: float) -> Realiz
     (seed, prompt), independent of the noise latent, so candidate content is
     reproducible without running the generator.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, prompt_hash64(prompt), 2]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, prompt.hash64, 2]))
     corrupted = corruption_gate(seed, prompt, corruption_rate)
     spec = corrupt_spec(prompt, rng) if corrupted else prompt.target
     return RealizedCandidate(realize_scene(spec, rng), spec, corrupted)

@@ -21,6 +21,11 @@ coordinates split into three orthogonal banks:
   * noise bank    - the surviving component of the seed-derived latent, so
                     different seeds give different trajectories.
 
+The banks' scales (``CODE_GAIN``, ``MATCH_GAIN`` and ``MATCH_NOISE``,
+``NOISE_GAIN``) and the blocks' ``WEIGHT_STD`` are module constants, since
+no caller varies them; ``GeneratorConfig`` holds the shape, the tap, the
+corruption rate and the precision.
+
 Execution is tap and resume: ``generate_tapped`` stops after the tap layer
 and returns the hidden state for scoring; ``resume_and_decode`` completes the
 remaining layers, projects, and decodes. ``generate_full`` is just the two in
@@ -40,7 +45,6 @@ ones are exactly the float64 ones cast.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -53,6 +57,11 @@ from .numcore import (
 )
 
 MATCH_CHANNELS = 4
+WEIGHT_STD = 0.01           # scale of the attention blocks' random weights
+CODE_GAIN = 1.0             # scale of the centered raster in the code
+MATCH_GAIN = 0.5            # match bank: ±MATCH_GAIN for an (un)corrupted scene,
+MATCH_NOISE = (0.2, 0.75)   # plus noise whose σ is drawn uniformly from this range
+NOISE_GAIN = 0.5            # scale of the seed-derived latent
 
 # serving precisions of the generator and the verifier parameters
 PRECISIONS = {"f64": np.float64, "f32": np.float32}
@@ -89,12 +98,6 @@ class GeneratorConfig:
     num_noise_tokens: int = 16
     tap_layer: int = 0
     corruption_rate: float = 0.3
-    weight_std: float = 0.01
-    code_gain: float = 1.0
-    match_gain: float = 0.5
-    match_noise_lo: float = 0.2
-    match_noise_hi: float = 0.75
-    noise_gain: float = 0.5
     precision: str = "f32"
 
     @property
@@ -121,34 +124,13 @@ class GeneratorConfig:
             raise GeneratorConfigError("tap_layer must lie in [0, num_layers-1]")
         if not 0.0 <= self.corruption_rate <= 1.0:
             raise GeneratorConfigError("corruption_rate must lie in [0, 1]")
-        if self.code_gain <= 0:
-            raise GeneratorConfigError("code_gain must be > 0")
         if self.code_dim < self.raster_dim + MATCH_CHANNELS:
             raise GeneratorConfigError(
                 f"token capacity {self.code_dim} cannot hold raster "
                 f"({self.raster_dim}) plus match channels")
-        if not 0 <= self.match_noise_lo <= self.match_noise_hi:
-            raise GeneratorConfigError("match noise range must be ordered and non-negative")
         if self.precision not in PRECISIONS:
             raise GeneratorConfigError(
                 f"precision must be one of {sorted(PRECISIONS)}, got {self.precision!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorConfig":
-        """Parse and build; malformed text raises GeneratorConfigError."""
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GeneratorConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise GeneratorConfigError("config JSON must be an object")
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise GeneratorConfigError(f"unknown config keys: {unknown}")
-        return cls(**obj)
 
 
 @dataclass
@@ -174,11 +156,9 @@ class GeneratorState:
     """One candidate: either tapped (layers_done == tap+1) or fully run."""
     prompt: scenes.Prompt
     seed: int
-    z_noise: Tensor                 # the seed-derived latent z_T
     hidden: Tensor                  # token stream after `layers_done` layers
     layers_done: int
     rendered_scene: scenes.Scene    # post-corruption ground truth
-    scene_spec: scenes.SceneSpec
     corrupted: bool
     z0: Tensor | None = None        # terminal latent, set on completion
 
@@ -200,7 +180,7 @@ def build_generator(config: GeneratorConfig, param_seed: int = 0) -> Generator:
     a, _ = np.linalg.qr(rng.standard_normal((config.num_noise_tokens,) * 2))
     b, _ = np.linalg.qr(rng.standard_normal((d, d)))
     w_proj = np.eye(d) + 0.02 * rng.standard_normal((d, d))
-    blocks = [init_block_weights(rng, d, weight_std=config.weight_std, dtype=dt)
+    blocks = [init_block_weights(rng, d, weight_std=WEIGHT_STD, dtype=dt)
               for _ in range(config.num_layers)]
     params = GeneratorParams(
         token_code=a.astype(dt, copy=False),
@@ -219,43 +199,42 @@ def build_generator(config: GeneratorConfig, param_seed: int = 0) -> Generator:
 
 
 def _derive_noise(config: GeneratorConfig, seed: int) -> np.ndarray:
-    # noise_gain folded in here so the embed path stays pure data movement
+    # NOISE_GAIN folded in here so the embed path stays pure data movement;
+    # the result is a fresh array
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     z = rng.standard_normal((config.num_noise_tokens, config.model_width))
-    return (config.noise_gain * z).astype(config.dtype)
+    return (NOISE_GAIN * z).astype(config.dtype, copy=False)
 
 
 def _code_coordinates(cfg: GeneratorConfig, prompt: scenes.Prompt, seed: int,
-                      realized: scenes.RealizedCandidate, z_noise: Tensor) -> np.ndarray:
+                      realized: scenes.RealizedCandidate) -> np.ndarray:
     """The coordinates X [T, d] that the code maps to content tokens; read
     row-major, they are the raster bank, the match bank, then the noise bank."""
     raster = scenes.render(realized.scene).reshape(-1).astype(cfg.dtype)
 
     # noisy alignment evidence; per-candidate noise level varies so that
     # confidence carries ranking information, like real verifier scores
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, scenes.prompt_hash64(prompt), 4]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, prompt.hash64, 4]))
     bit = -1.0 if realized.corrupted else 1.0
-    sigma = rng.uniform(cfg.match_noise_lo, cfg.match_noise_hi)
-    match = (bit * cfg.match_gain
+    sigma = rng.uniform(*MATCH_NOISE)
+    match = (bit * MATCH_GAIN
              + sigma * rng.standard_normal(MATCH_CHANNELS)).astype(cfg.dtype)
 
     # scene banks are overwritten, the noise bank takes its coefficients
     # straight from the latent (an orthogonal basis makes any fixed linear
     # restriction of z distributionally equivalent)
-    mixed = z_noise.data.copy()
+    mixed = _derive_noise(cfg, seed)
     flat = mixed.reshape(-1)
-    flat[:cfg.raster_dim] = (raster - 0.5) * cfg.code_gain
+    flat[:cfg.raster_dim] = (raster - 0.5) * CODE_GAIN
     flat[cfg.raster_dim:cfg.raster_dim + MATCH_CHANNELS] = match
     return mixed
 
 
 def _embed_layer0(gen: Generator, prompt: scenes.Prompt, seed: int,
-                  realized: scenes.RealizedCandidate, z_noise: Tensor,
-                  ctx: MeterContext | None) -> Tensor:
+                  realized: scenes.RealizedCandidate, ctx: MeterContext | None) -> Tensor:
     """Token stream at layer 0: coded content tokens A @ X @ Bᵀ, then prompt tokens."""
     cfg, p = gen.config, gen.params
-    mixed = _code_coordinates(cfg, prompt, seed, realized, z_noise)
+    mixed = _code_coordinates(cfg, prompt, seed, realized)
     content = matmul(matmul(p.token_code, mixed, ctx), p.channel_code.T, ctx)
     ids = scenes.encode_prompt_tokens(prompt)
     prompt_tokens = add(p.token_table[ids], p.seg_prompt, ctx)
@@ -281,7 +260,7 @@ def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> Rende
     r = -(-cfg.raster_dim // cfg.model_width)
     x = matmul(matmul(p.token_code[:, :r].T, t, ctx), p.channel_code, ctx)
     coef = x.data.reshape(-1)[:cfg.raster_dim]
-    shifted = add(scale(coef, 1.0 / cfg.code_gain, ctx),
+    shifted = add(scale(coef, 1.0 / CODE_GAIN, ctx),
                   np.full(coef.shape, 0.5, dtype=cfg.dtype), ctx)
     pixels = clamp01(shifted.data.reshape(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3), ctx)
     return RenderedImage(pixels=pixels)
@@ -292,13 +271,11 @@ def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
     """Run layers 0..tap_layer only; returns the state holding the tap hidden."""
     cfg = gen.config
     realized = scenes.candidate_scene(prompt, seed, cfg.corruption_rate)
-    z_noise = Tensor(_derive_noise(cfg, seed))
-    x = _embed_layer0(gen, prompt, seed, realized, z_noise, ctx)
+    x = _embed_layer0(gen, prompt, seed, realized, ctx)
     x = _run_blocks(gen, x, 0, cfg.tap_layer + 1, ctx)
     return GeneratorState(
-        prompt=prompt, seed=seed, z_noise=z_noise, hidden=x,
-        layers_done=cfg.tap_layer + 1, rendered_scene=realized.scene,
-        scene_spec=realized.spec, corrupted=realized.corrupted)
+        prompt=prompt, seed=seed, hidden=x, layers_done=cfg.tap_layer + 1,
+        rendered_scene=realized.scene, corrupted=realized.corrupted)
 
 
 def resume_and_decode(gen: Generator, state: GeneratorState,
@@ -324,5 +301,4 @@ def generate_full(gen: Generator, prompt: scenes.Prompt, seed: int,
 
 def tap_hidden_features(state: GeneratorState) -> np.ndarray:
     """Content-token hidden state at the tap, the verifier's raw features."""
-    n = state.z_noise.shape[0]
-    return state.hidden.data[:n]
+    return state.hidden.data[:-scenes.PROMPT_TOKEN_LEN]

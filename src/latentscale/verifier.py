@@ -18,6 +18,12 @@ attribute tokens] into a 2-logit yes/no head; the continuous score is the
 probability of the sampled class, negated for "no", giving values in
 [-1, -0.5] or [0.5, 1].
 
+The widths are module constants: features enter the connector, and the
+pixel encoder works, at ``FEATURE_DIM`` channels (the default generator's
+model width); the connector's hidden layer has ``CONNECTOR_HIDDEN`` and the
+scorer ``SCORER_DIM``. ``VerifierConfig`` holds only the mode, the tap and
+the scorer's and encoder's depths.
+
 Parameters live in a flat ``{name: array}`` dict, which checkpoints store
 entry by entry. Every metered operation, feature normalization included,
 runs as a ``numcore`` kernel.
@@ -32,8 +38,9 @@ when generator and verifier share a precision; normalization runs in the
 dtype of the tapped features, which ``calibrate_feature_stats`` gives its
 statistics at set-up. Only the 2 head logits are promoted to float64, for
 the softmax that gives the score. The metered FLOPs are the same in either
-precision. A checkpoint records the precision in its header and holds
-every entry, statistics included, in it (``<f4`` or ``<f8``).
+precision. A checkpoint (schema 4) records the config and the precision in
+its header and holds every entry, statistics included, in that precision
+(``<f4`` or ``<f8``).
 """
 
 from __future__ import annotations
@@ -53,6 +60,10 @@ from .numcore import (
 
 MODES = ("hidden_state", "ae_latent", "pixel_reencode")
 
+FEATURE_DIM = 64        # feature channels entering the connector; the encoder's width
+CONNECTOR_HIDDEN = 128
+SCORER_DIM = 64
+
 _BLOCK_FIELDS = tuple(f.name for f in fields(BlockWeights))
 
 
@@ -65,25 +76,17 @@ class VerifierConfig:
     """Verifier settings, checked when built: VerifierConfigError if invalid."""
     mode: str = "hidden_state"
     tap_layer: int = 0                 # hidden_state mode only; the generator's default tap
-    in_dim: int = 64                   # feature channel width entering the connector
-    connector_hidden: int = 128
-    scorer_dim: int = 64
     scorer_blocks: int = 2
     encoder_depth: int = 2             # pixel_reencode stand-in encoder
-    encoder_dim: int = 64
 
     def __post_init__(self):
         toygen.check_field_types(self, VerifierConfigError)
         if self.mode not in MODES:
             raise VerifierConfigError(f"unknown mode {self.mode!r}")
-        if self.tap_layer < 0:
-            raise VerifierConfigError("tap_layer must be >= 0")
-        if min(self.in_dim, self.connector_hidden, self.scorer_dim, self.encoder_dim) < 1:
-            raise VerifierConfigError("feature, connector, scorer and encoder widths must be >= 1")
+        if min(self.tap_layer, self.scorer_blocks, self.encoder_depth) < 0:
+            raise VerifierConfigError("tap_layer, scorer_blocks and encoder_depth must be >= 0")
         if self.mode == "pixel_reencode" and self.encoder_depth < 1:
             raise VerifierConfigError("pixel_reencode needs encoder_depth >= 1")
-        if self.mode == "pixel_reencode" and self.in_dim != self.encoder_dim:
-            raise VerifierConfigError("pixel mode feeds encoder output to the connector")
 
 
 @dataclass
@@ -112,16 +115,16 @@ def init_verifier(config: VerifierConfig, seed: int = 0,
             f"precision must be one of {sorted(toygen.PRECISIONS)}, got {precision!r}")
     dtype = toygen.PRECISIONS[precision]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
-    d = config.scorer_dim
+    d = SCORER_DIM
     p: dict[str, np.ndarray] = {}
 
     def put_block(prefix: str, width: int, std: float):
         bw = init_block_weights(rng, width, weight_std=std, dtype=dtype)
         p.update((f"{prefix}.{f}", getattr(bw, f)) for f in _BLOCK_FIELDS)
 
-    p["connector.w1"] = rng.standard_normal((config.in_dim, config.connector_hidden)) * 0.05
-    p["connector.b1"] = np.zeros(config.connector_hidden)
-    p["connector.w2"] = rng.standard_normal((config.connector_hidden, d)) * 0.05
+    p["connector.w1"] = rng.standard_normal((FEATURE_DIM, CONNECTOR_HIDDEN)) * 0.05
+    p["connector.b1"] = np.zeros(CONNECTOR_HIDDEN)
+    p["connector.w2"] = rng.standard_normal((CONNECTOR_HIDDEN, d)) * 0.05
     p["connector.b2"] = np.zeros(d)
     p["prompt_embed.table"] = rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5
     p["segment.features"] = rng.standard_normal(d) * 0.1
@@ -133,10 +136,10 @@ def init_verifier(config: VerifierConfig, seed: int = 0,
     if config.mode == "pixel_reencode":
         rng.standard_normal(28 * d)
         patch_dim = 3 * scenes.PATCH * scenes.PATCH
-        p["encoder.patch.w"] = rng.standard_normal((patch_dim, config.encoder_dim)) * 0.1
-        p["encoder.patch.b"] = np.zeros(config.encoder_dim)
+        p["encoder.patch.w"] = rng.standard_normal((patch_dim, FEATURE_DIM)) * 0.1
+        p["encoder.patch.b"] = np.zeros(FEATURE_DIM)
         for i in range(config.encoder_depth):
-            put_block(f"encoder.block{i}", config.encoder_dim, 0.05)
+            put_block(f"encoder.block{i}", FEATURE_DIM, 0.05)
     return {name: arr.astype(dtype, copy=False) for name, arr in p.items()}
 
 
@@ -244,7 +247,7 @@ def select_best(scores: list[Score]) -> int:
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
 
 
 class CheckpointError(ValueError):

@@ -108,7 +108,7 @@ def test_every_slot_assignment_builds_iff_well_formed_with_distinct_text():
                     Prompt(category, SceneSpec(**slots))
             else:
                 texts.append(Prompt(category, SceneSpec(**slots)).text)
-    # prompt_hash64 and corruption_gate key on the text alone
+    # Prompt.hash64 and corruption_gate key on the text alone
     assert len(texts) == len(set(texts)) == 3984
 
 
@@ -252,7 +252,7 @@ def test_token_ids_and_hash_are_derived_once_and_read_only(rng):
         with pytest.raises(ValueError):
             p.token_ids[0] = 1
         text_digest = hashlib.blake2b(p.text.encode(), digest_size=8).digest()
-        assert scenes.prompt_hash64(p) == p.hash64 == int.from_bytes(text_digest, "little")
+        assert p.hash64 == int.from_bytes(text_digest, "little")
         # the derived fields take no part in equality or hashing
         twin = Prompt(p.category, p.target)
         assert twin == p and hash(twin) == hash(p) and twin.token_ids is not p.token_ids

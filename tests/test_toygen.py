@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen
-from latentscale.numcore import MeterContext, Tensor, flops_for
+from latentscale.numcore import MeterContext, flops_for
 from latentscale.scenes import oracle_check, parse_scene, sample_prompt, scenes_equal
 from latentscale.toygen import (
     Generator, GeneratorConfig, GeneratorConfigError, StateCompletionError,
@@ -38,7 +39,8 @@ def test_full_corruption_flips_exactly_one_attribute(rng, default_generator):
         st = generate_tapped(gen, p, seed, None)
         assert st.corrupted
         assert not oracle_check(p, st.rendered_scene)
-        before, after = (dataclasses.astuple(s) for s in (p.target, st.scene_spec))
+        spec = scenes.candidate_scene(p, seed, gen.config.corruption_rate).spec
+        before, after = (dataclasses.astuple(s) for s in (p.target, spec))
         assert sum(x != y for x, y in zip(before, after)) == 1
 
 
@@ -68,8 +70,7 @@ def _uninterrupted(gen: Generator, prompt, seed: int, ctx):
     that a tapped run resumed later must equal. Returns (image, hidden, z0)."""
     cfg = gen.config
     realized = scenes.candidate_scene(prompt, seed, cfg.corruption_rate)
-    z_noise = Tensor(toygen._derive_noise(cfg, seed))
-    x = toygen._embed_layer0(gen, prompt, seed, realized, z_noise, ctx)
+    x = toygen._embed_layer0(gen, prompt, seed, realized, ctx)
     x = toygen._run_blocks(gen, x, 0, cfg.num_layers, ctx)
     z0 = toygen._project(gen, x, ctx)
     return toygen.decode_latent(gen, z0, ctx), x, z0
@@ -164,7 +165,7 @@ def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
     arrays += [getattr(b, f.name) for b in p.blocks for f in dataclasses.fields(b)]
     assert not any(a.flags.writeable for a in arrays)
     img, st = generate_full(default_generator, sample_prompt(rng), 1, MeterContext())
-    for a in (img.pixels.data, st.z0.data, st.hidden.data, st.z_noise.data):
+    for a in (img.pixels.data, st.z0.data, st.hidden.data):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         p.channel_code[0, 0] = 1.0
@@ -276,9 +277,8 @@ def test_factored_code_is_the_dense_orthogonal_code(shape, precision, prompt_see
 
     p = sample_prompt(np.random.default_rng(prompt_seed))
     realized = scenes.candidate_scene(p, seed, cfg.corruption_rate)
-    z_noise = Tensor(toygen._derive_noise(cfg, seed))
-    coords = toygen._code_coordinates(cfg, p, seed, realized, z_noise)
-    x = toygen._embed_layer0(gen, p, seed, realized, z_noise, None)
+    coords = toygen._code_coordinates(cfg, p, seed, realized)
+    x = toygen._embed_layer0(gen, p, seed, realized, None)
     dense = (np.kron(a, b) @ coords.reshape(-1)).reshape(tokens, width)
     assert np.abs(x.data[:tokens] - dense).max() <= tol
     if precision == "f64":
@@ -308,8 +308,7 @@ def test_generator_draws_and_code_coordinates_are_unchanged():
     for seed in range(200):
         prompt = sample_prompt(rng)
         realized = scenes.candidate_scene(prompt, seed, cfg.corruption_rate)
-        z_noise = Tensor(toygen._derive_noise(cfg, seed))
-        digest.update(toygen._code_coordinates(cfg, prompt, seed, realized, z_noise).tobytes())
+        digest.update(toygen._code_coordinates(cfg, prompt, seed, realized).tobytes())
     assert digest.hexdigest() == DRAWS_AND_CODE_SHA256
 
 
@@ -345,7 +344,8 @@ def test_different_seeds_different_latents(default_generator, rng):
     p = sample_prompt(rng)
     st1 = generate_tapped(default_generator, p, 1, None)
     st2 = generate_tapped(default_generator, p, 2, None)
-    assert not np.array_equal(st1.z_noise.data, st2.z_noise.data)
+    z1, z2 = (toygen._derive_noise(default_generator.config, s) for s in (1, 2))
+    assert not np.array_equal(z1, z2)
     assert not np.array_equal(st1.hidden.data, st2.hidden.data)
 
 
@@ -360,27 +360,17 @@ def test_terminal_latent_has_one_token_per_cell(default_generator, rng):
 
 # -------------------------------------------------------- config
 
-def test_config_json_roundtrip():
-    cfg = GeneratorConfig(num_layers=6, tap_layer=2, corruption_rate=0.25)
-    assert GeneratorConfig.from_json(cfg.to_json()) == cfg
-
-
-@pytest.mark.parametrize("text", [
-    '{"num_layers": 4, "depth": 2}',   # unknown key
-    '[8, 64]',                         # not an object
-    '{"num_layers": 4',                # not JSON
-    '{"tap_layer": 9}',                # fails validate()
-    '{"num_layers": "8"}',             # int field given a string
-    '{"tap_layer": 2.5}',              # int field given a float
-    '{"weight_std": "0.01"}',          # float field given a string
-    '{"tap_layer": true}',             # a bool is not an int
-    '{"weight_std": NaN}',             # floats must be finite
-    '{"match_gain": Infinity}',
-    '{"code_gain": 0}',                # the decoder divides by it
+@pytest.mark.parametrize("name, value", [
+    ("num_layers", "8"),               # int field given a string
+    ("tap_layer", 2.5),                # int field given a float
+    ("corruption_rate", "0.3"),        # float field given a string
+    ("tap_layer", True),               # a bool is not an int
+    ("corruption_rate", math.nan),     # floats must be finite
+    ("corruption_rate", math.inf),
 ])
-def test_config_json_malformed_raises_typed_error(text):
-    with pytest.raises(GeneratorConfigError):
-        GeneratorConfig.from_json(text)
+def test_config_field_of_the_wrong_type_raises_typed_error(name, value):
+    with pytest.raises(GeneratorConfigError, match=f"{name} must be (int|float|finite)"):
+        GeneratorConfig(**{name: value})
 
 
 def test_generator_and_verifier_default_to_the_same_tap():
@@ -389,7 +379,7 @@ def test_generator_and_verifier_default_to_the_same_tap():
 
 
 def test_config_float_fields_accept_ints():
-    assert GeneratorConfig.from_json('{"corruption_rate": 0}').corruption_rate == 0
+    assert GeneratorConfig(corruption_rate=0).corruption_rate == 0
 
 
 def test_invalid_configs_rejected():
@@ -405,6 +395,10 @@ def test_invalid_configs_rejected():
         VerifierConfig(mode="bogus")
     with pytest.raises(VerifierConfigError):
         dataclasses.replace(VerifierConfig(), tap_layer=-1)  # no generator depth to exceed
+    with pytest.raises(VerifierConfigError):
+        VerifierConfig(scorer_blocks=-1)
+    with pytest.raises(VerifierConfigError):
+        VerifierConfig(encoder_depth=-1)  # any mode, though only pixel_reencode reads it
     with pytest.raises(GeneratorConfigError):
         GeneratorConfig(precision="f16")
     with pytest.raises(VerifierConfigError):

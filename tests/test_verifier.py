@@ -47,10 +47,11 @@ def test_candidate_scores_in_range_and_float64(small_generator, rng):
 
 def scorer_flops(cfg: VerifierConfig, tokens: int) -> int:
     """Closed-form FLOPs of ``score`` on ``tokens`` feature rows."""
-    d, seq = cfg.scorer_dim, tokens + scenes.PROMPT_TOKEN_LEN
-    return (flops_for(("linear", tokens, cfg.in_dim, cfg.connector_hidden, True))
-            + flops_for(("gelu", tokens * cfg.connector_hidden))
-            + flops_for(("linear", tokens, cfg.connector_hidden, d, True))
+    d, seq = verifier.SCORER_DIM, tokens + scenes.PROMPT_TOKEN_LEN
+    hidden = verifier.CONNECTOR_HIDDEN
+    return (flops_for(("linear", tokens, verifier.FEATURE_DIM, hidden, True))
+            + flops_for(("gelu", tokens * hidden))
+            + flops_for(("linear", tokens, hidden, d, True))
             + flops_for(("add", tokens * d))                           # feature segment
             + flops_for(("add", scenes.PROMPT_TOKEN_LEN * d))          # prompt segment
             + cfg.scorer_blocks * flops_for(("attention_block", seq, d, 4 * d))
@@ -61,7 +62,7 @@ def scorer_flops(cfg: VerifierConfig, tokens: int) -> int:
 
 def encoder_flops(cfg: VerifierConfig) -> int:
     """Closed-form FLOPs of ``encode_pixels``: patch projection and blocks."""
-    patches, e = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2, cfg.encoder_dim
+    patches, e = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2, verifier.FEATURE_DIM
     return (flops_for(("linear", patches, 3 * scenes.PATCH ** 2, e, True))
             + cfg.encoder_depth * flops_for(("attention_block", patches, e, 4 * e)))
 
@@ -164,7 +165,7 @@ def test_verifier_computes_in_its_precision_with_the_same_flops(
     assert {dtype for dtype, _ in computed} == {np.dtype(toygen.PRECISIONS[precision])}
     assert softmax_out == (np.float64, (2,))
     tokens = gen.config.num_noise_tokens
-    features = {"hidden_state": flops_for(("normalize", tokens, cfg.in_dim)),
+    features = {"hidden_state": flops_for(("normalize", tokens, verifier.FEATURE_DIM)),
                 "ae_latent": 0, "pixel_reencode": encoder_flops(cfg)}[mode]
     assert ctx.flops_accumulated == features + scorer_flops(cfg, tokens)
 
@@ -343,9 +344,9 @@ CORRUPTIONS = {
     "dtype_disagrees_with_precision": _edit_header(lambda h: h.update(precision="f64")),
     "unknown_precision": _edit_header(lambda h: h.update(precision="f16")),
     "string_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks="2")),
-    "float_in_dim": _edit_header(lambda h: h["config"].update(in_dim=64.0)),
+    "float_tap_layer": _edit_header(lambda h: h["config"].update(tap_layer=0.0)),
     "bool_encoder_depth": _edit_header(lambda h: h["config"].update(encoder_depth=True)),
-    "negative_width": _edit_header(lambda h: h["config"].update(connector_hidden=-3)),
+    "negative_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks=-1)),
 }
 
 

@@ -200,11 +200,6 @@ def add(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
     return _finish(a + b, ctx, a.size)
 
 
-def scale(a: Operand, s: float, ctx: MeterContext | None) -> Tensor:
-    a = _data(a)
-    return _finish(a * s, ctx, a.size)
-
-
 def clamp01(a: Operand, ctx: MeterContext | None) -> Tensor:
     a = _data(a)
     return _finish(np.clip(a, 0.0, 1.0), ctx, a.size)

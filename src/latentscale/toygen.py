@@ -21,10 +21,11 @@ coordinates split into three orthogonal banks:
   * noise bank    - the surviving component of the seed-derived latent, so
                     different seeds give different trajectories.
 
-The banks' scales (``CODE_GAIN``, ``MATCH_GAIN`` and ``MATCH_NOISE``,
-``NOISE_GAIN``) and the blocks' ``WEIGHT_STD`` are module constants, since
-no caller varies them; ``GeneratorConfig`` holds the shape, the tap, the
-corruption rate and the precision.
+The raster bank holds the centered raster unscaled. The other banks'
+scales (``MATCH_GAIN`` and ``MATCH_NOISE``, ``NOISE_GAIN``) and the blocks'
+``WEIGHT_STD`` are module constants, since no caller varies them;
+``GeneratorConfig`` holds the shape, the tap, the corruption rate and the
+precision.
 
 Execution is tap and resume: ``generate_tapped`` stops after the tap layer
 and returns the hidden state for scoring; ``resume_and_decode`` completes the
@@ -34,8 +35,9 @@ turn, so full and resumed runs share one path, values and metered FLOPs.
 The default tap is layer 0, the first block. The match bank is written at
 embed and the blocks' small weights barely touch it, so a linear readout
 finds the alignment evidence as well after block 0 as after block 3 or 7;
-a candidate then runs the embed and one block before it is scored.
-``VerifierConfig.tap_layer`` defaults to the same layer.
+a candidate then runs the embed and one block before it is scored. The
+tap is the generator's alone: the hidden-state verifier reads the state
+wherever ``tap_layer`` puts it.
 
 The default precision is float32 (``precision="f32"``), and the verifier's
 parameters default to it; ``"f64"`` serves in float64 with the same FLOPs.
@@ -53,12 +55,11 @@ import numpy as np
 from . import scenes
 from .numcore import (
     BlockWeights, MeterContext, Tensor, add, attention_block, clamp01,
-    concat_rows, init_block_weights, matmul, scale,
+    concat_rows, init_block_weights, matmul,
 )
 
 MATCH_CHANNELS = 4
 WEIGHT_STD = 0.01           # scale of the attention blocks' random weights
-CODE_GAIN = 1.0             # scale of the centered raster in the code
 MATCH_GAIN = 0.5            # match bank: ±MATCH_GAIN for an (un)corrupted scene,
 MATCH_NOISE = (0.2, 0.75)   # plus noise whose σ is drawn uniformly from this range
 NOISE_GAIN = 0.5            # scale of the seed-derived latent
@@ -225,7 +226,7 @@ def _code_coordinates(cfg: GeneratorConfig, prompt: scenes.Prompt, seed: int,
     # restriction of z distributionally equivalent)
     mixed = _derive_noise(cfg, seed)
     flat = mixed.reshape(-1)
-    flat[:cfg.raster_dim] = (raster - 0.5) * CODE_GAIN
+    flat[:cfg.raster_dim] = raster - 0.5
     flat[cfg.raster_dim:cfg.raster_dim + MATCH_CHANNELS] = match
     return mixed
 
@@ -260,8 +261,7 @@ def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> Rende
     r = -(-cfg.raster_dim // cfg.model_width)
     x = matmul(matmul(p.token_code[:, :r].T, t, ctx), p.channel_code, ctx)
     coef = x.data.reshape(-1)[:cfg.raster_dim]
-    shifted = add(scale(coef, 1.0 / CODE_GAIN, ctx),
-                  np.full(coef.shape, 0.5, dtype=cfg.dtype), ctx)
+    shifted = add(coef, np.full(coef.shape, 0.5, dtype=cfg.dtype), ctx)
     pixels = clamp01(shifted.data.reshape(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3), ctx)
     return RenderedImage(pixels=pixels)
 

@@ -5,13 +5,13 @@ where their visual features come from:
 
   * ``hidden_state``   - the generator's tap-layer activations, normalized
                          by pre-computed channel statistics; candidates only
-                         need to run up to the tap, by default block 0, the
-                         generator's default tap.
+                         need to run up to the generator's tap (by default
+                         block 0). The tap is the generator's setting alone.
   * ``ae_latent``      - the terminal latent z0, flattened over spatial
                          positions; needs a completed generation.
-  * ``pixel_reencode`` - decoded pixels pushed through a frozen stand-in
-                         visual encoder (patchify + attention blocks); the
-                         decode and re-encode passes are fully metered.
+  * ``pixel_reencode`` - the completed run's decoded image pushed through a
+                         frozen stand-in visual encoder (patchify + attention
+                         blocks), fully metered.
 
 The scorer is a compact transformer reading [projected features ++ prompt
 attribute tokens] into a 2-logit yes/no head; the continuous score is the
@@ -21,10 +21,10 @@ probability of the sampled class, negated for "no", giving values in
 The widths are module constants: features enter the connector, and the
 pixel encoder works, at ``FEATURE_DIM`` channels (the default generator's
 model width); the connector's hidden layer has ``CONNECTOR_HIDDEN`` and the
-scorer ``SCORER_DIM``. ``VerifierConfig`` holds only the mode, the tap and
-the scorer's and encoder's depths.
+scorer ``SCORER_DIM``. ``VerifierConfig`` holds only the mode and the scorer's
+and encoder's depths.
 
-Parameters live in a flat ``{name: array}`` dict, which checkpoints store
+Parameters live in a flat ``{name: array}`` dict, which a checkpoint stores
 entry by entry. Every metered operation, feature normalization included,
 runs as a ``numcore`` kernel.
 
@@ -38,15 +38,15 @@ when generator and verifier share a precision; normalization runs in the
 dtype of the tapped features, which ``calibrate_feature_stats`` gives its
 statistics at set-up. Only the 2 head logits are promoted to float64, for
 the softmax that gives the score. The metered FLOPs are the same in either
-precision. A checkpoint (schema 4) records the config and the precision in
-its header and holds every entry, statistics included, in that precision
-(``<f4`` or ``<f8``).
+precision. A checkpoint (schema 5) is one CRC-checked ``.npz`` whose JSON
+``header`` entry records the config and the precision; every other entry,
+statistics included, is held in that precision (``<f4`` or ``<f8``).
 """
 
 from __future__ import annotations
 
 import json
-import math
+import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -75,7 +75,6 @@ class VerifierConfigError(ValueError):
 class VerifierConfig:
     """Verifier settings, checked when built: VerifierConfigError if invalid."""
     mode: str = "hidden_state"
-    tap_layer: int = 0                 # hidden_state mode only; the generator's default tap
     scorer_blocks: int = 2
     encoder_depth: int = 2             # pixel_reencode stand-in encoder
 
@@ -83,8 +82,8 @@ class VerifierConfig:
         toygen.check_field_types(self, VerifierConfigError)
         if self.mode not in MODES:
             raise VerifierConfigError(f"unknown mode {self.mode!r}")
-        if min(self.tap_layer, self.scorer_blocks, self.encoder_depth) < 0:
-            raise VerifierConfigError("tap_layer, scorer_blocks and encoder_depth must be >= 0")
+        if min(self.scorer_blocks, self.encoder_depth) < 0:
+            raise VerifierConfigError("scorer_blocks and encoder_depth must be >= 0")
         if self.mode == "pixel_reencode" and self.encoder_depth < 1:
             raise VerifierConfigError("pixel_reencode needs encoder_depth >= 1")
 
@@ -171,16 +170,17 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
                      image: toygen.RenderedImage | None = None) -> np.ndarray:
     """Mode-appropriate candidate features, with the pathway's cost metered.
 
-    ``hidden_state`` needs a state tapped at ``config.tap_layer``; the other
-    modes need a completed state. Otherwise StateCompletionError is raised.
-    Normalization runs in the features' and statistics' dtype, the encoder
-    in the parameters'. Without an ``image``, pixel mode decodes one first;
-    that decode is the generator's and runs in its precision.
+    ``hidden_state`` needs a state tapped at the generator's tap layer; the
+    other modes need a completed state, and ``pixel_reencode`` also the
+    ``image`` that state decoded to. Otherwise StateCompletionError is
+    raised. Normalization runs in the features' and statistics' dtype, the
+    encoder in the parameters'.
     """
     if config.mode == "hidden_state":
-        if state.layers_done != config.tap_layer + 1:
+        tap = gen.config.tap_layer
+        if state.layers_done != tap + 1:
             raise toygen.StateCompletionError(
-                f"hidden_state verification taps layer {config.tap_layer}, "
+                f"hidden_state verification taps layer {tap}, "
                 f"but the state has run {state.layers_done} layers")
         feats = toygen.tap_hidden_features(state)
         if stats is not None:
@@ -192,7 +192,7 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
     if config.mode == "ae_latent":
         return state.z0.data
     if image is None:
-        image = toygen.decode_latent(gen, state.z0, ctx)
+        raise toygen.StateCompletionError("pixel_reencode verification needs the decoded image")
     return encode_pixels(params, config, image.pixels.data, ctx)
 
 
@@ -247,122 +247,85 @@ def select_best(scores: list[Score]) -> int:
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_SCHEMA = 4
+CHECKPOINT_SCHEMA = 5
+
+_PRECISION_OF = {np.dtype(t): name for name, t in toygen.PRECISIONS.items()}
 
 
 class CheckpointError(ValueError):
-    """A checkpoint on disk is malformed or inconsistent with its header, or
-    the entries given to save one do not share one precision."""
+    """A checkpoint on disk is unreadable, malformed or inconsistent with its
+    header, or the entries given to save one do not share one precision."""
 
 
-def save_checkpoint(prefix: str | Path, params: dict[str, np.ndarray],
+def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
                     config: VerifierConfig, stats: scenes.FeatureStats | None,
-                    meta: dict | None = None) -> tuple[Path, Path]:
-    """Write <prefix>.json header plus <prefix>.bin of named little-endian
-    tensors; normalization statistics ride along as stats.* entries.
+                    meta: dict | None = None) -> Path:
+    """Write one ``.npz`` at ``path``: every parameter, the normalization
+    statistics as stats.* entries, and a JSON string entry ``header``.
 
     Every entry must have the parameters' dtype, one of
     ``toygen.PRECISIONS``; the header records that precision. Otherwise
     CheckpointError is raised and nothing is written.
     """
-    prefix = Path(prefix)
-    param_dtype = params["connector.w1"].dtype
-    precision = _PRECISION_OF.get(param_dtype)
+    path = Path(path)
+    dtype = params["connector.w1"].dtype
+    precision = _PRECISION_OF.get(dtype)
     if precision is None:
-        raise CheckpointError(f"parameters of dtype {param_dtype} are not a serving precision")
+        raise CheckpointError(f"parameters of dtype {dtype} are not a serving precision")
     arrays = dict(params)
-    stats_ref = None
+    sample_count = None
     if stats is not None:
-        arrays["stats.mean"] = stats.mean
-        arrays["stats.variance"] = stats.variance
-        stats_ref = {"sample_count": int(stats.sample_count)}
-    dtype = _stored_dtype(precision)
+        arrays["stats.mean"], arrays["stats.variance"] = stats.mean, stats.variance
+        sample_count = int(stats.sample_count)
     other = sorted(n for n, arr in arrays.items() if np.asarray(arr).dtype != dtype)
     if other:
         raise CheckpointError(f"entries not in the parameters' {precision}: {other}")
-    entries = []
-    offset = 0
-    blob = bytearray()
-    for name in sorted(arrays):
-        arr = np.asarray(arrays[name], dtype=dtype)
-        raw = arr.tobytes()
-        entries.append({"name": name, "dtype": dtype.str, "shape": list(arr.shape),
-                        "offset": offset, "nbytes": len(raw)})
-        blob.extend(raw)
-        offset += len(raw)
-    header = {
-        "schema": CHECKPOINT_SCHEMA,
-        "mode": config.mode,
-        "config": asdict(config),
-        "precision": precision,
-        "stats_ref": stats_ref,
-        "params": entries,
-        "meta": meta or {},
-    }
-    json_path = prefix.with_suffix(".json")
-    bin_path = prefix.with_suffix(".bin")
-    json_path.write_text(json.dumps(header, indent=1, sort_keys=True))
-    bin_path.write_bytes(bytes(blob))
-    return json_path, bin_path
+    header = {"schema": CHECKPOINT_SCHEMA, "config": asdict(config), "precision": precision,
+              "sample_count": sample_count, "meta": meta or {}}
+    stored = dtype.newbyteorder("<")
+    with path.open("wb") as f:
+        np.savez(f, header=np.array(json.dumps(header, sort_keys=True)),
+                 **{name: np.asarray(arr, dtype=stored) for name, arr in arrays.items()})
+    return path
 
 
-_PRECISION_OF = {np.dtype(t): name for name, t in toygen.PRECISIONS.items()}
-
-
-def _stored_dtype(precision: str) -> np.dtype:
-    """The little-endian dtype of every entry of a ``precision`` checkpoint."""
-    if precision not in toygen.PRECISIONS:
-        raise CheckpointError(f"unknown checkpoint precision {precision!r}")
-    return np.dtype(toygen.PRECISIONS[precision]).newbyteorder("<")
-
-
-def _read_entry(entry: dict, blob: bytes, dtype: np.dtype) -> np.ndarray:
-    name, shape = entry["name"], entry["shape"]
-    offset, nbytes = entry["offset"], entry["nbytes"]
-    if entry["dtype"] != dtype.str:
-        raise CheckpointError(
-            f"{name}: dtype {entry['dtype']!r} disagrees with the precision's {dtype.str!r}")
-    if not all(isinstance(v, int) and v >= 0 for v in (offset, nbytes, *shape)):
-        raise CheckpointError(f"{name}: offset, nbytes and shape must be non-negative integers")
-    if offset + nbytes > len(blob):
-        raise CheckpointError(
-            f"{name}: bytes [{offset}, {offset + nbytes}) lie beyond the {len(blob)}-byte .bin")
-    if nbytes != math.prod(shape) * dtype.itemsize:
-        raise CheckpointError(f"{name}: {nbytes} bytes do not hold {dtype} of shape {shape}")
-    return np.frombuffer(blob, dtype=dtype, count=math.prod(shape),
-                         offset=offset).reshape(shape).copy()
-
-
-def load_checkpoint(prefix: str | Path):
+def load_checkpoint(path: str | Path):
     """Inverse of save_checkpoint; returns (params, config, stats, meta).
 
-    A header or .bin that is malformed, or inconsistent with the other,
-    raises CheckpointError, as do a name listed twice, a dtype other than
-    the stored precision's, and entries whose names or shapes differ from
-    those ``init_verifier`` makes for the stored config.
+    numpy checks each entry's header and byte count, and zipfile its CRC-32;
+    what they refuse raises CheckpointError, as do a malformed header, a
+    name stored twice, a dtype other than the stored precision's
+    little-endian one, and entries whose names or shapes differ from those
+    ``init_verifier`` makes for the stored config.
     """
-    prefix = Path(prefix)
     try:
-        header = json.loads(prefix.with_suffix(".json").read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from exc
+        # np.load would leave the file open when the archive is unreadable
+        with open(path, "rb") as f, np.lib.npyio.NpzFile(f, allow_pickle=False) as npz:
+            names = npz.files
+            arrays = {name: npz[name] for name in names}
+    except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
+        raise CheckpointError(f"unreadable checkpoint: {exc!r}") from exc
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise CheckpointError(f"entries stored more than once: {repeated}")
+    try:
+        header = json.loads(str(arrays.pop("header")))
+    except (KeyError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"checkpoint header missing or not JSON: {exc!r}") from exc
     schema = header.get("schema") if isinstance(header, dict) else None
     if schema != CHECKPOINT_SCHEMA:
         raise CheckpointError(f"unsupported checkpoint schema {schema!r}")
-    blob = prefix.with_suffix(".bin").read_bytes()
     try:
         config = VerifierConfig(**header["config"])
-        names = [e["name"] for e in header["params"]]
-        repeated = sorted({n for n in names if names.count(n) > 1})
-        if repeated:
-            raise CheckpointError(f"entries listed more than once: {repeated}")
-        dtype = _stored_dtype(header["precision"])
-        arrays = {e["name"]: _read_entry(e, blob, dtype) for e in header["params"]}
+        dtype = np.dtype(toygen.PRECISIONS[header["precision"]]).newbyteorder("<")
+        other = sorted(n for n, arr in arrays.items() if arr.dtype != dtype)
+        if other:
+            raise CheckpointError(f"entries not stored as {dtype.str}: {other}")
         stats = None
-        if header["stats_ref"] is not None:
+        if header["sample_count"] is not None:
             stats = scenes.FeatureStats(
                 mean=arrays.pop("stats.mean"), variance=arrays.pop("stats.variance"),
-                sample_count=header["stats_ref"]["sample_count"])
+                sample_count=header["sample_count"])
         meta = header["meta"]
     except (KeyError, TypeError, VerifierConfigError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc

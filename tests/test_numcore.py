@@ -308,7 +308,6 @@ def _kernel_cases(seed=13, dtype=np.float64):
         "matmul": (nc.matmul, (x, w), ()),
         "add": (nc.add, (x, y), ()),
         "add_row": (nc.add, (x, r(6)), ()),
-        "scale": (nc.scale, (x,), (0.3,)),
         "clamp01": (nc.clamp01, (x,), ()),
         "layer_norm": (nc.layer_norm, (x,), (w[:, 0], w[:, 1])),
         "gelu": (nc.gelu, (x,), ()),
@@ -352,7 +351,6 @@ _REFERENCE = {
     "matmul": np.matmul,
     "add": np.add,
     "add_row": np.add,
-    "scale": np.multiply,
     "clamp01": lambda a: np.clip(a, 0.0, 1.0),
     "layer_norm": _ref_layer_norm,
     "gelu": _ref_gelu,
@@ -478,8 +476,8 @@ def test_any_non_finite_output_element_raises(dtype, value, where):
 def test_finite_values_whose_squares_overflow_pass(dtype, big):
     x = np.full((3, 4), big, dtype=dtype)
     assert not math.isfinite(np.vdot(x, x))  # the element-wise fallback runs
-    for out in (nc.add(x, np.zeros(4, dtype), ctx()), nc.scale(x, -1.0, ctx()),
-                nc.concat_rows(x, x, ctx()), nc.mean_pool(x, ctx())):
+    for out in (nc.add(x, np.zeros(4, dtype), ctx()), nc.concat_rows(x, x, ctx()),
+                nc.mean_pool(x, ctx())):
         assert np.isfinite(out.data).all() and np.abs(out.data).min() > big / 2
 
 

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import hashlib
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ def test_score_from_logits_in_range_with_sign_of_decision(logits):
 
 
 def test_candidate_scores_in_range_and_float64(small_generator, rng):
-    cfg = VerifierConfig(tap_layer=small_generator.config.tap_layer)
+    cfg = VerifierConfig()
     params = init_verifier(cfg)
     for seed in range(6):
         p = scenes.sample_prompt(rng)
@@ -75,7 +77,7 @@ def metered_verification_flops(gen, cfg, stats, state, image=None) -> int:
 
 
 def test_hidden_state_verification_flops_match_closed_form(small_generator, rng):
-    cfg = VerifierConfig(tap_layer=small_generator.config.tap_layer)
+    cfg = VerifierConfig()
     st = toygen.generate_tapped(small_generator, scenes.sample_prompt(rng), 2, None)
     feats = toygen.tap_hidden_features(st)
     stats = scenes.calibrate_feature_stats([feats, feats + 1.0])
@@ -97,7 +99,7 @@ def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
     tokens, width = feats.shape
     assert verify == 2 * tokens * width + width + scorer_flops(cfg, tokens) == 5_568_472
     assert (32 * (c_tap.flops_accumulated + verify) + c_res.flops_accumulated
-            == 281_553_034)
+            == 281_552_266)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -208,23 +210,29 @@ def test_select_best_ties_go_to_lowest_index():
 @pytest.mark.parametrize("mode", ["ae_latent", "pixel_reencode"])
 def test_full_run_modes_reject_tapped_state(mode, small_generator, rng):
     cfg = VerifierConfig(mode=mode)
-    st = toygen.generate_tapped(small_generator, scenes.sample_prompt(rng), 3, None)
+    params, p = init_verifier(cfg), scenes.sample_prompt(rng)
+    st = toygen.generate_tapped(small_generator, p, 3, None)
     with pytest.raises(toygen.StateCompletionError):
-        verifier.extract_features(small_generator, st, cfg, None, None,
-                                  params=init_verifier(cfg))
+        verifier.extract_features(small_generator, st, cfg, None, None, params=params)
+    if mode == "pixel_reencode":
+        # the decode is the generator's: a completed state without its image is refused
+        _, completed = toygen.generate_full(small_generator, p, 3, None)
+        with pytest.raises(toygen.StateCompletionError):
+            verifier.extract_features(small_generator, completed, cfg, None, None, params=params)
 
 
 def test_hidden_state_mode_rejects_state_not_at_its_tap(small_generator, rng):
-    tap = small_generator.config.tap_layer
-    p = scenes.sample_prompt(rng)
+    cfg, p = VerifierConfig(), scenes.sample_prompt(rng)
+    deeper = toygen.Generator(
+        dataclasses.replace(small_generator.config, tap_layer=small_generator.config.tap_layer + 1),
+        small_generator.params)
+    tapped_deeper = toygen.generate_tapped(deeper, p, 3, None)
     _, completed = toygen.generate_full(small_generator, p, 3, None)
-    with pytest.raises(toygen.StateCompletionError):
-        verifier.extract_features(small_generator, completed,
-                                  VerifierConfig(tap_layer=tap), None, None)
-    tapped = toygen.generate_tapped(small_generator, p, 3, None)
-    with pytest.raises(toygen.StateCompletionError):
-        verifier.extract_features(small_generator, tapped,
-                                  VerifierConfig(tap_layer=tap + 1), None, None)
+    for state in (completed, tapped_deeper):
+        with pytest.raises(toygen.StateCompletionError):
+            verifier.extract_features(small_generator, state, cfg, None, None)
+    # the tap is the generator's: the deeper generator's own state is accepted
+    verifier.extract_features(deeper, tapped_deeper, cfg, None, None)
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -236,14 +244,14 @@ def write_checkpoint(tmp_path):
     stats = scenes.FeatureStats(mean=rng.standard_normal(64).astype(np.float32),
                                 variance=rng.uniform(0.5, 2.0, 64).astype(np.float32),
                                 sample_count=10)
-    prefix = tmp_path / "ckpt"
-    save_checkpoint(prefix, params, cfg, stats, meta={"step": 3})
-    return prefix, params, cfg, stats
+    path = save_checkpoint(tmp_path / "ckpt.npz", params, cfg, stats, meta={"step": 3})
+    return path, params, cfg, stats
 
 
 def test_checkpoint_round_trip_float32(tmp_path):
-    prefix, params, cfg, stats = write_checkpoint(tmp_path)
-    got, got_cfg, got_stats, meta = load_checkpoint(prefix)
+    path, params, cfg, stats = write_checkpoint(tmp_path)
+    assert list(tmp_path.iterdir()) == [path]
+    got, got_cfg, got_stats, meta = load_checkpoint(path)
     assert got_cfg == cfg and meta == {"step": 3}
     assert got.keys() == params.keys()
     for name, arr in params.items():
@@ -263,11 +271,11 @@ def test_checkpoint_stores_every_entry_in_its_precision(precision, stored, tmp_p
               for name, arr in init_verifier(VerifierConfig(), precision="f64").items()}
     feats = np.random.default_rng(5).standard_normal((3, 16, 64)).astype(dtype)
     stats = scenes.calibrate_feature_stats(feats)
-    json_path, _ = save_checkpoint(tmp_path / "ckpt", params, VerifierConfig(), stats)
-    header = json.loads(json_path.read_text())
-    assert header["precision"] == precision
-    assert {e["dtype"] for e in header["params"]} == {stored}
-    got, got_cfg, got_stats, _ = load_checkpoint(tmp_path / "ckpt")
+    path = save_checkpoint(tmp_path / "ckpt.npz", params, VerifierConfig(), stats)
+    with np.load(path) as npz:
+        assert json.loads(str(npz["header"]))["precision"] == precision
+        assert {npz[name].dtype.str for name in npz.files if name != "header"} == {stored}
+    got, got_cfg, got_stats, _ = load_checkpoint(path)
     assert got_cfg == VerifierConfig()
     for name, arr in params.items():
         assert got[name].tobytes() == arr.tobytes()
@@ -285,66 +293,103 @@ def test_checkpoint_refuses_an_entry_of_another_precision(entry, tmp_path):
     else:
         stats = dataclasses.replace(stats, mean=stats.mean.astype(np.float64))
     with pytest.raises(CheckpointError, match=entry):
-        save_checkpoint(tmp_path / "ckpt", params, VerifierConfig(), stats)
+        save_checkpoint(tmp_path / "ckpt.npz", params, VerifierConfig(), stats)
     assert not any(tmp_path.iterdir())
 
 
-def _edit_header(edit):
-    def apply(prefix):
-        path = prefix.with_suffix(".json")
-        header = json.loads(path.read_text())
-        edit(header)
-        path.write_text(json.dumps(header))
+def _edit_entries(edit):
+    """Rewrite the checkpoint with ``edit`` applied to its {name: array} entries."""
+    def apply(path):
+        with np.load(path) as npz:
+            entries = {name: npz[name] for name in npz.files}
+        edit(entries)
+        with path.open("wb") as f:
+            np.savez(f, **entries)  # pickles object entries
     return apply
 
 
-def _truncate_bin(prefix):
-    path = prefix.with_suffix(".bin")
-    path.write_bytes(path.read_bytes()[:-4])
+def _edit_header(edit):
+    def edit_entries(entries):
+        header = json.loads(str(entries["header"]))
+        edit(header)
+        entries["header"] = np.array(json.dumps(header))
+    return _edit_entries(edit_entries)
 
 
-def _first_entry(**changes):
-    return _edit_header(lambda h: h["params"][0].update(changes))
+def _cast(name, dtype):
+    return _edit_entries(lambda e: e.update({name: e[name].astype(dtype)}))
 
 
-def _entry(name, /, **changes):
-    return _edit_header(lambda h: next(e for e in h["params"] if e["name"] == name)
-                        .update(changes))
+def _npy_header(name, text):
+    """Entry ``name``'s .npy header replaced by ``text``, its data bytes kept;
+    the archive is rewritten, so every CRC-32 matches."""
+    def apply(path):
+        with zipfile.ZipFile(path) as zf:
+            members = {n: zf.read(n) for n in zf.namelist()}
+        f = io.BytesIO(members[f"{name}.npy"])
+        np.lib.format.read_magic(f)
+        np.lib.format.read_array_header_1_0(f)
+        header = text.encode() + b"\n"
+        members[f"{name}.npy"] = (b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
+                                  + header + f.read())
+        with zipfile.ZipFile(path, "w") as zf:
+            for n, raw in members.items():
+                zf.writestr(n, raw)
+    return apply
 
 
-def _drop_entry(name):
-    return _edit_header(lambda h: h.update(params=[e for e in h["params"] if e["name"] != name]))
+def _flip_bit(name):
+    """One bit flipped inside entry ``name``'s data, the archive left as it is."""
+    def apply(path):
+        with np.load(path) as npz:
+            data = npz[name].tobytes()
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(data) + len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+    return apply
 
 
-def _repeat_entry(name, bytes_of):
-    """A second ``name`` entry, reading the leading bytes of ``bytes_of``."""
-    def edit(header):
-        entries = {e["name"]: e for e in header["params"]}
-        header["params"].append({**entries[name], "offset": entries[bytes_of]["offset"]})
-    return _edit_header(edit)
+def _store_twice(name):
+    def apply(path):
+        with zipfile.ZipFile(path, "a") as zf:
+            raw = zf.read(f"{name}.npy")
+            with pytest.warns(UserWarning, match="Duplicate name"):
+                zf.writestr(f"{name}.npy", raw)
+    return apply
+
+
+def _truncate(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
 
 
 CORRUPTIONS = {
     "bogus_mode": _edit_header(lambda h: h["config"].update(mode="bogus")),
     "unknown_config_key": _edit_header(lambda h: h["config"].update(depth=3)),
     "schema": _edit_header(lambda h: h.update(schema=99)),
-    "missing_entry_key": _edit_header(lambda h: h["params"][0].pop("offset")),
-    "offset_beyond_bin": _first_entry(offset=10 ** 9),
-    "negative_offset": _first_entry(offset=-8),
-    "nbytes_disagrees_with_shape": _first_entry(nbytes=8),
-    "integer_dtype": _first_entry(dtype="<i8"),
-    "big_endian_dtype": _first_entry(dtype=">f8"),
-    "truncated_bin": _truncate_bin,
-    "header_not_json": lambda prefix: prefix.with_suffix(".json").write_text("{"),
-    "missing_entry": _drop_entry("head.b"),
-    "renamed_entry": _entry("head.b", name="head.bias"),
-    "misshaped_entry": _entry("connector.w1", shape=[128, 64]),  # same byte count
-    "duplicate_entry": _repeat_entry("head.b", bytes_of="head.w"),
+    "schema_4_with_tap_layer": _edit_header(
+        lambda h: h.update(schema=4, config={**h["config"], "tap_layer": 0})),
+    "header_not_json": _edit_entries(lambda e: e.update(header=np.array("{"))),
+    "missing_header": _edit_entries(lambda e: e.pop("header")),
+    "missing_entry_key": _npy_header("head.w", "{'descr': '<f4', 'fortran_order': False}"),
+    "nbytes_disagrees_with_shape": _npy_header(
+        "head.w", "{'descr': '<f4', 'fortran_order': False, 'shape': (64, 3)}"),
+    "integer_dtype": _cast("head.w", "<i8"),
+    "big_endian_dtype": _cast("head.w", ">f4"),
+    "object_entry": _cast("head.b", object),
+    "bit_flip": _flip_bit("connector.w1"),
+    "truncated_file": _truncate,
+    "missing_entry": _edit_entries(lambda e: e.pop("head.b")),
+    "missing_stats_entry": _edit_entries(lambda e: e.pop("stats.variance")),
+    "renamed_entry": _edit_entries(lambda e: e.update({"head.bias": e.pop("head.b")})),
+    "misshaped_entry": _edit_entries(  # same byte count
+        lambda e: e.update({"connector.w1": e["connector.w1"].reshape(128, 64)})),
+    "duplicate_entry": _store_twice("head.b"),
     # the float32 entries stay consistent with their own shapes and bytes
     "dtype_disagrees_with_precision": _edit_header(lambda h: h.update(precision="f64")),
     "unknown_precision": _edit_header(lambda h: h.update(precision="f16")),
     "string_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks="2")),
-    "float_tap_layer": _edit_header(lambda h: h["config"].update(tap_layer=0.0)),
+    "float_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks=2.0)),
     "bool_encoder_depth": _edit_header(lambda h: h["config"].update(encoder_depth=True)),
     "negative_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks=-1)),
 }
@@ -352,11 +397,11 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_malformed_checkpoint_raises_checkpoint_error(name, tmp_path):
-    prefix = write_checkpoint(tmp_path)[0]
-    load_checkpoint(prefix)
-    CORRUPTIONS[name](prefix)
+    path = write_checkpoint(tmp_path)[0]
+    load_checkpoint(path)
+    CORRUPTIONS[name](path)
     with pytest.raises(CheckpointError):
-        load_checkpoint(prefix)
+        load_checkpoint(path)
 
 
 # ---------------------------------------------------------------- parameters

@@ -277,19 +277,16 @@ def concat_rows(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
     return _finish(np.concatenate([a, b], axis=0), ctx, 0)
 
 
-def linear(x: Operand, w: np.ndarray, b: np.ndarray | None,
-           ctx: MeterContext | None) -> Tensor:
-    """x[t,din] @ w[din,dout] (+ b), one output; charged as matmul + broadcast add."""
+def linear(x: Operand, w: np.ndarray, b: np.ndarray, ctx: MeterContext | None) -> Tensor:
+    """x[t,din] @ w[din,dout] + b, one output; charged as matmul + broadcast add."""
     x = _data(x)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatchError(f"linear needs [t, din] @ [din, dout], got {x.shape} @ {w.shape}")
     (t, din), dout = x.shape, w.shape[1]
+    if b.shape != (dout,):
+        raise ShapeMismatchError(f"linear bias {b.shape} does not match output width {dout}")
     out = x @ w
-    if b is not None:
-        if b.shape != (dout,):
-            raise ShapeMismatchError(f"linear bias {b.shape} does not match output width {dout}")
-        out = np.add(out, b, out=_into(out, b))
-    return _finish(out, ctx, flops_for(("linear", t, din, dout, b is not None)))
+    return _finish(np.add(out, b, out=_into(out, b)), ctx, flops_for(("linear", t, din, dout)))
 
 
 def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None) -> Tensor:
@@ -331,7 +328,7 @@ def flops_for(descriptor: tuple) -> int:
 
     Descriptors: ("matmul", m, k, n), ("add", n), ("scale", n), ("clamp", n),
     ("layer_norm", rows, d), ("gelu", n), ("softmax", rows, n),
-    ("mean_pool", t, d), ("normalize", t, d), ("linear", t, din, dout, bias),
+    ("mean_pool", t, d), ("normalize", t, d), ("linear", t, din, dout),
     ("attention_block", t, d, mlp_width).
     """
     name, *args = descriptor
@@ -347,8 +344,8 @@ def flops_for(descriptor: tuple) -> int:
         t, d = args
         return 2 * t * d + d
     if name == "linear":
-        t, din, dout, bias = args
-        return 2 * t * din * dout + (t * dout if bias else 0)
+        t, din, dout = args
+        return 2 * t * din * dout + t * dout
     if name == "attention_block":
         t, d, mlp = args
         total = flops_for(("add", t * d))                    # conditioning bias
@@ -361,19 +358,19 @@ def flops_for(descriptor: tuple) -> int:
         total += flops_for(("matmul", t, d, d))              # output proj
         total += flops_for(("add", t * d))                   # residual 1
         total += flops_for(("layer_norm", t, d))             # ln2
-        total += flops_for(("linear", t, d, mlp, True))
+        total += flops_for(("linear", t, d, mlp))
         total += flops_for(("gelu", t * mlp))
-        total += flops_for(("linear", t, mlp, d, True))
+        total += flops_for(("linear", t, mlp, d))
         total += flops_for(("add", t * d))                   # residual 2
         return total
     raise UnknownKernelError(name)
 
 
-def init_block_weights(rng: np.random.Generator, d: int, mlp_width: int | None = None,
-                       weight_std: float = 0.02, *, dtype) -> BlockWeights:
+def init_block_weights(rng: np.random.Generator, d: int, *, weight_std: float,
+                       dtype) -> BlockWeights:
     """Random block parameters at the given scale, drawn in float64 and
-    rounded once to ``dtype``; LN affine at identity."""
-    m = 4 * d if mlp_width is None else mlp_width
+    rounded once to ``dtype``; MLP width 4*d, LN affine at identity."""
+    m = 4 * d
     def w(*shape):
         return (rng.standard_normal(shape) * weight_std).astype(dtype)
     return BlockWeights(

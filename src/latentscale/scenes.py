@@ -16,9 +16,9 @@ corruption, the oracle, placement and tokens all read these two tables. A
 ``Prompt`` derives its text from its category and target once, when built,
 and raises unless the target sets exactly the category's slots, each to a
 known value. Templates and draw orders are frozen: the prompt text keys
-``Prompt.hash64`` and ``corruption_gate``, and every candidate's content is
-drawn from generators seeded with it, so a changed word or draw changes
-every candidate.
+``Prompt.hash64``, and ``candidate_rng`` keys each candidate's one random
+stream on (seed, ``hash64``), so a changed word or draw changes every
+candidate.
 
 The palette and glyph table are chosen so that rasterization is exactly
 invertible: distinct colors differ by at least 0.5 in some channel and
@@ -265,11 +265,9 @@ def realize_scene(spec: SceneSpec, rng: np.random.Generator) -> Scene:
     return Scene(tuple(objects))
 
 
-def corruption_gate(seed: int, prompt: Prompt, corruption_rate: float) -> bool:
-    """Pseudo-random gate keyed on (seed, prompt); fires with the given rate."""
-    key = f"{seed}|{prompt.text}|corrupt".encode()
-    u = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
-    return u / 2.0 ** 64 < corruption_rate
+def candidate_rng(prompt: Prompt, seed: int) -> np.random.Generator:
+    """The one random stream of the candidate with this seed for this prompt."""
+    return np.random.default_rng([seed, prompt.hash64])
 
 
 @dataclass(frozen=True)
@@ -280,15 +278,16 @@ class RealizedCandidate:
     corrupted: bool
 
 
-def candidate_scene(prompt: Prompt, seed: int, corruption_rate: float) -> RealizedCandidate:
-    """The scene a candidate with this seed depicts.
+def candidate_scene(prompt: Prompt, rng: np.random.Generator,
+                    corruption_rate: float) -> RealizedCandidate:
+    """The scene a candidate depicts, drawn first from its stream ``rng``.
 
-    The corruption gate and all placement randomness are keyed on
-    (seed, prompt), independent of the noise latent, so candidate content is
+    The corruption gate fires with ``corruption_rate``; a fired gate
+    corrupts the target, then the scene is placed. These are the first
+    draws of ``candidate_rng(prompt, seed)``, so candidate content is
     reproducible without running the generator.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, prompt.hash64, 2]))
-    corrupted = corruption_gate(seed, prompt, corruption_rate)
+    corrupted = rng.random() < corruption_rate
     spec = corrupt_spec(prompt, rng) if corrupted else prompt.target
     return RealizedCandidate(realize_scene(spec, rng), spec, corrupted)
 

@@ -18,8 +18,13 @@ coordinates split into three orthogonal banks:
   * match bank    - a few redundant channels holding a noisy indicator of
                     whether the rendered scene agrees with the prompt
                     (the learnable signal for hidden-state verification);
-  * noise bank    - the surviving component of the seed-derived latent, so
-                    different seeds give different trajectories.
+  * noise bank    - the surviving component of a latent drawn from the
+                    candidate's stream, so different seeds give different
+                    trajectories.
+
+A candidate's randomness is one stream, ``scenes.candidate_rng(prompt,
+seed)``: the scene draws first (``scenes.candidate_scene``), then the match
+evidence and the latent (``_code_coordinates``).
 
 The raster bank holds the centered raster unscaled. The other banks'
 scales (``MATCH_GAIN`` and ``MATCH_NOISE``, ``NOISE_GAIN``) and the blocks'
@@ -62,7 +67,7 @@ MATCH_CHANNELS = 4
 WEIGHT_STD = 0.01           # scale of the attention blocks' random weights
 MATCH_GAIN = 0.5            # match bank: ±MATCH_GAIN for an (un)corrupted scene,
 MATCH_NOISE = (0.2, 0.75)   # plus noise whose σ is drawn uniformly from this range
-NOISE_GAIN = 0.5            # scale of the seed-derived latent
+NOISE_GAIN = 0.5            # scale of the noise latent
 
 # serving precisions of the generator and the verifier parameters
 PRECISIONS = {"f64": np.float64, "f32": np.float32}
@@ -156,7 +161,6 @@ class Generator:
 class GeneratorState:
     """One candidate: either tapped (layers_done == tap+1) or fully run."""
     prompt: scenes.Prompt
-    seed: int
     hidden: Tensor                  # token stream after `layers_done` layers
     layers_done: int
     rendered_scene: scenes.Scene    # post-corruption ground truth
@@ -173,11 +177,11 @@ class RenderedImage:
     pixels: Tensor  # [IMAGE_SIZE, IMAGE_SIZE, 3], clamped to [0, 1]
 
 
-def build_generator(config: GeneratorConfig, param_seed: int = 0) -> Generator:
+def build_generator(config: GeneratorConfig) -> Generator:
     """Construct fixed generator parameters for a config."""
     dt = config.dtype
     d = config.model_width
-    rng = np.random.default_rng(np.random.SeedSequence([param_seed, 101]))
+    rng = np.random.default_rng([0, 101])
     a, _ = np.linalg.qr(rng.standard_normal((config.num_noise_tokens,) * 2))
     b, _ = np.linalg.qr(rng.standard_normal((d, d)))
     w_proj = np.eye(d) + 0.02 * rng.standard_normal((d, d))
@@ -199,23 +203,15 @@ def build_generator(config: GeneratorConfig, param_seed: int = 0) -> Generator:
     return Generator(config, params)
 
 
-def _derive_noise(config: GeneratorConfig, seed: int) -> np.ndarray:
-    # NOISE_GAIN folded in here so the embed path stays pure data movement;
-    # the result is a fresh array
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    z = rng.standard_normal((config.num_noise_tokens, config.model_width))
-    return (NOISE_GAIN * z).astype(config.dtype, copy=False)
-
-
-def _code_coordinates(cfg: GeneratorConfig, prompt: scenes.Prompt, seed: int,
-                      realized: scenes.RealizedCandidate) -> np.ndarray:
+def _code_coordinates(cfg: GeneratorConfig, realized: scenes.RealizedCandidate,
+                      rng: np.random.Generator) -> np.ndarray:
     """The coordinates X [T, d] that the code maps to content tokens; read
-    row-major, they are the raster bank, the match bank, then the noise bank."""
+    row-major, they are the raster bank, the match bank, then the noise bank.
+    ``rng`` is the candidate's stream after its scene draws."""
     raster = scenes.render(realized.scene).reshape(-1).astype(cfg.dtype)
 
     # noisy alignment evidence; per-candidate noise level varies so that
     # confidence carries ranking information, like real verifier scores
-    rng = np.random.default_rng(np.random.SeedSequence([seed, prompt.hash64, 4]))
     bit = -1.0 if realized.corrupted else 1.0
     sigma = rng.uniform(*MATCH_NOISE)
     match = (bit * MATCH_GAIN
@@ -224,18 +220,19 @@ def _code_coordinates(cfg: GeneratorConfig, prompt: scenes.Prompt, seed: int,
     # scene banks are overwritten, the noise bank takes its coefficients
     # straight from the latent (an orthogonal basis makes any fixed linear
     # restriction of z distributionally equivalent)
-    mixed = _derive_noise(cfg, seed)
+    z = rng.standard_normal((cfg.num_noise_tokens, cfg.model_width))
+    mixed = (NOISE_GAIN * z).astype(cfg.dtype, copy=False)
     flat = mixed.reshape(-1)
     flat[:cfg.raster_dim] = raster - 0.5
     flat[cfg.raster_dim:cfg.raster_dim + MATCH_CHANNELS] = match
     return mixed
 
 
-def _embed_layer0(gen: Generator, prompt: scenes.Prompt, seed: int,
-                  realized: scenes.RealizedCandidate, ctx: MeterContext | None) -> Tensor:
+def _embed_layer0(gen: Generator, prompt: scenes.Prompt, realized: scenes.RealizedCandidate,
+                  rng: np.random.Generator, ctx: MeterContext | None) -> Tensor:
     """Token stream at layer 0: coded content tokens A @ X @ Bᵀ, then prompt tokens."""
     cfg, p = gen.config, gen.params
-    mixed = _code_coordinates(cfg, prompt, seed, realized)
+    mixed = _code_coordinates(cfg, realized, rng)
     content = matmul(matmul(p.token_code, mixed, ctx), p.channel_code.T, ctx)
     ids = scenes.encode_prompt_tokens(prompt)
     prompt_tokens = add(p.token_table[ids], p.seg_prompt, ctx)
@@ -270,11 +267,12 @@ def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
                     ctx: MeterContext | None) -> GeneratorState:
     """Run layers 0..tap_layer only; returns the state holding the tap hidden."""
     cfg = gen.config
-    realized = scenes.candidate_scene(prompt, seed, cfg.corruption_rate)
-    x = _embed_layer0(gen, prompt, seed, realized, ctx)
+    rng = scenes.candidate_rng(prompt, seed)
+    realized = scenes.candidate_scene(prompt, rng, cfg.corruption_rate)
+    x = _embed_layer0(gen, prompt, realized, rng, ctx)
     x = _run_blocks(gen, x, 0, cfg.tap_layer + 1, ctx)
     return GeneratorState(
-        prompt=prompt, seed=seed, hidden=x, layers_done=cfg.tap_layer + 1,
+        prompt=prompt, hidden=x, layers_done=cfg.tap_layer + 1,
         rendered_scene=realized.scene, corrupted=realized.corrupted)
 
 

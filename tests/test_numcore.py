@@ -14,8 +14,8 @@ def ctx():
     return nc.MeterContext()
 
 
-def rand_block(rng, d, mlp=None, std=0.5):
-    return nc.init_block_weights(rng, d, mlp_width=mlp, weight_std=std, dtype=np.float64)
+def rand_block(rng, d, std=0.5):
+    return nc.init_block_weights(rng, d, weight_std=std, dtype=np.float64)
 
 
 # ---------------------------------------------------------------- matmul
@@ -67,8 +67,8 @@ def test_matmul_dim_mismatch():
     lambda: nc.concat_rows(np.ones(64), np.ones((7, 64)), None),
     lambda: nc.concat_rows(np.ones((7, 64)), np.ones((1, 7, 64)), None),
     lambda: nc.concat_rows(np.ones((7, 64)), np.ones((7, 63)), None),
-    lambda: nc.linear(np.ones((5, 6)), np.ones((5, 3)), None, None),
-    lambda: nc.linear(np.ones(6), np.ones((6, 3)), None, None),
+    lambda: nc.linear(np.ones((5, 6)), np.ones((5, 3)), np.ones(3), None),
+    lambda: nc.linear(np.ones(6), np.ones((6, 3)), np.ones(3), None),
     lambda: nc.linear(np.ones((5, 6)), np.ones((6, 3)), np.ones(4), None),
     lambda: nc.linear(np.ones((5, 6)), np.ones((6, 3)), np.ones((5, 3)), None),
     lambda: nc.normalize(np.ones((4, 6)), np.zeros(5), np.ones(5), None),
@@ -211,11 +211,10 @@ def test_metering_exactness_100_random_shapes():
             assert c.flops_accumulated == nc.flops_for(("softmax", r, n))
         elif kind == "linear":
             t, din, dout = (int(v) for v in rng.integers(1, 20, size=3))
-            bias = bool(rng.integers(2))
             c = ctx()
             nc.linear(rng.standard_normal((t, din)), rng.standard_normal((din, dout)),
-                      rng.standard_normal(dout) if bias else None, c)
-            assert c.flops_accumulated == nc.flops_for(("linear", t, din, dout, bias))
+                      rng.standard_normal(dout), c)
+            assert c.flops_accumulated == nc.flops_for(("linear", t, din, dout))
         else:
             t, d = int(rng.integers(1, 12)), int(rng.integers(4, 20))
             w = rand_block(rng, d, std=0.1)
@@ -316,7 +315,6 @@ def _kernel_cases(seed=13, dtype=np.float64):
         "normalize": (nc.normalize, (x,), (r(6), rng.uniform(0.5, 2.0, 6).astype(dtype))),
         "concat_rows": (nc.concat_rows, (x, y), ()),
         "linear": (nc.linear, (x,), (w, b)),
-        "linear_nobias": (nc.linear, (x,), (w, None)),
         "attention_block": (nc.attention_block, (x,), (blk,)),
     }
 
@@ -359,7 +357,6 @@ _REFERENCE = {
     "normalize": lambda a, mean, var: (a - mean) / np.sqrt(var + 1e-6),
     "concat_rows": lambda a, b: np.concatenate([a, b]),
     "linear": lambda a, w, b: a @ w + b,
-    "linear_nobias": lambda a, w, _: a @ w,
     "attention_block": _ref_block,
 }
 

@@ -108,7 +108,7 @@ def test_every_slot_assignment_builds_iff_well_formed_with_distinct_text():
                     Prompt(category, SceneSpec(**slots))
             else:
                 texts.append(Prompt(category, SceneSpec(**slots)).text)
-    # Prompt.hash64 and corruption_gate key on the text alone
+    # Prompt.hash64, and so each candidate's stream, is keyed on the text alone
     assert len(texts) == len(set(texts)) == 3984
 
 
@@ -169,27 +169,33 @@ def _stream_text(spec: SceneSpec) -> str:
     return ";".join(f"{s},{c},{n}" for s, c, n in objs) + f";{spec.relation}"
 
 
-# sha256 of the first 200 prompts of sample_prompt(default_rng(0)) and their
-# token ids, of their candidate scenes at corruption rates 0.3 and 1.0 and of
-# the float64 generator's noise latents for the same seeds (the float32
-# latents are these rounded once), taken while a target was still a list of
-# entries; the streams must never move
-STREAM_SHA256 = "917b4ee1f462d5f394db615b0599325d9c6b8015e4889326090cb2ce749b3fe7"
+# sha256 of the first 200 prompts of sample_prompt(default_rng(0)): their
+# category, target, text and token ids, taken while a target was still a list
+# of entries; the prompts must never move
+PROMPT_STREAM_SHA256 = "4cca20e51c3f8fe56b86dc23cdec803ed35f1b7c8cd7b7202a001f4c4d7a16f0"
+# sha256 of candidate i of prompt i of the same 200, at corruption rates 0.3
+# and 1.0: its scene, then the float64 code coordinates (match evidence and
+# noise latent) drawn from the rest of its stream; taken when a candidate's
+# randomness became one stream
+CANDIDATE_STREAM_SHA256 = "c580980d2dc1d2ec42793589404cbfc771cc730b4b1a6287094a956bca1186f2"
 
 
 def test_prompt_and_candidate_streams_are_unchanged():
     rng = np.random.default_rng(0)
-    digest = hashlib.sha256()
+    prompts, candidates = hashlib.sha256(), hashlib.sha256()
+    cfg = toygen.GeneratorConfig(precision="f64")
     for i in range(200):
         p = sample_prompt(rng)
-        digest.update(f"{p.category}|{_stream_text(p.target)}|{p.text}".encode())
-        digest.update(scenes.encode_prompt_tokens(p).tobytes())
+        prompts.update(f"{p.category}|{_stream_text(p.target)}|{p.text}".encode())
+        prompts.update(scenes.encode_prompt_tokens(p).tobytes())
         for rate in (0.3, 1.0):
-            cand = scenes.candidate_scene(p, i, rate)
+            stream = scenes.candidate_rng(p, i)
+            cand = scenes.candidate_scene(p, stream, rate)
             objs = ";".join(f"{o.shape},{o.color},{o.cell}" for o in cand.scene.objects)
-            digest.update(f"{objs}|{_stream_text(cand.spec)}|{cand.corrupted}".encode())
-        digest.update(toygen._derive_noise(toygen.GeneratorConfig(precision="f64"), i).tobytes())
-    assert digest.hexdigest() == STREAM_SHA256
+            candidates.update(f"{objs}|{_stream_text(cand.spec)}|{cand.corrupted}".encode())
+            candidates.update(toygen._code_coordinates(cfg, cand, stream).tobytes())
+    assert prompts.hexdigest() == PROMPT_STREAM_SHA256
+    assert candidates.hexdigest() == CANDIDATE_STREAM_SHA256
 
 
 def test_realize_scene_distinct_cells(rng):
@@ -206,7 +212,7 @@ def test_label_base_rate_tracks_corruption_rate():
     hits = total = 0
     for i in range(100):
         for p in prompts:
-            cand = scenes.candidate_scene(p, 7000 + i, 0.3)
+            cand = scenes.candidate_scene(p, scenes.candidate_rng(p, 7000 + i), 0.3)
             label = oracle_check(p, cand.scene)
             assert label == (not cand.corrupted)
             hits += cand.corrupted

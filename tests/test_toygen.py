@@ -39,7 +39,8 @@ def test_full_corruption_flips_exactly_one_attribute(rng, default_generator):
         st = generate_tapped(gen, p, seed, None)
         assert st.corrupted
         assert not oracle_check(p, st.rendered_scene)
-        spec = scenes.candidate_scene(p, seed, gen.config.corruption_rate).spec
+        spec = scenes.candidate_scene(p, scenes.candidate_rng(p, seed),
+                                      gen.config.corruption_rate).spec
         before, after = (dataclasses.astuple(s) for s in (p.target, spec))
         assert sum(x != y for x, y in zip(before, after)) == 1
 
@@ -47,9 +48,20 @@ def test_full_corruption_flips_exactly_one_attribute(rng, default_generator):
 def test_corruption_frequency_monte_carlo():
     rng = np.random.default_rng(0)
     prompts = [sample_prompt(rng) for _ in range(20)]
-    fired = sum(scenes.candidate_scene(prompts[s % 20], s, 0.3).corrupted
-                for s in range(10_000))
+    fired = sum(scenes.candidate_scene(p, scenes.candidate_rng(p, s), 0.3).corrupted
+                for s, p in zip(range(10_000), itertools.cycle(prompts)))
     assert abs(fired / 10_000 - 0.3) <= 0.02
+
+
+@settings(max_examples=50, deadline=None)
+@given(prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62),
+       rate=hst.floats(0.0, 1.0))
+def test_candidate_content_is_reproducible_without_the_generator(prompt_seed, seed, rate):
+    gen = _generator(GeneratorConfig(num_layers=1, corruption_rate=rate))
+    p = sample_prompt(np.random.default_rng(prompt_seed))
+    st = generate_tapped(gen, p, seed, None)
+    cand = scenes.candidate_scene(p, scenes.candidate_rng(p, seed), rate)
+    assert (st.corrupted, st.rendered_scene) == (cand.corrupted, cand.scene)
 
 
 # -------------------------------------------------------- truncate / resume
@@ -65,12 +77,18 @@ def _generator(cfg: GeneratorConfig) -> Generator:
     return Generator(cfg, dataclasses.replace(params, blocks=params.blocks[:cfg.num_layers]))
 
 
+def _drawn_scene(cfg: GeneratorConfig, prompt, seed: int):
+    """The candidate's scene and its stream after the scene draws."""
+    rng = scenes.candidate_rng(prompt, seed)
+    return scenes.candidate_scene(prompt, rng, cfg.corruption_rate), rng
+
+
 def _uninterrupted(gen: Generator, prompt, seed: int, ctx):
     """All layers in one loop, then projection and decoding: the reference
     that a tapped run resumed later must equal. Returns (image, hidden, z0)."""
     cfg = gen.config
-    realized = scenes.candidate_scene(prompt, seed, cfg.corruption_rate)
-    x = toygen._embed_layer0(gen, prompt, seed, realized, ctx)
+    realized, rng = _drawn_scene(cfg, prompt, seed)
+    x = toygen._embed_layer0(gen, prompt, realized, rng, ctx)
     x = toygen._run_blocks(gen, x, 0, cfg.num_layers, ctx)
     z0 = toygen._project(gen, x, ctx)
     return toygen.decode_latent(gen, z0, ctx), x, z0
@@ -141,12 +159,17 @@ def test_f32_precision_is_honoured_end_to_end(rng):
     assert img.pixels.data.tobytes() == img_full.pixels.data.tobytes()
 
 
+def _coordinates(cfg: GeneratorConfig, prompt, seed: int) -> np.ndarray:
+    return toygen._code_coordinates(cfg, *_drawn_scene(cfg, prompt, seed))
+
+
 @given(seed=hst.integers(0, 2 ** 62))
 def test_f32_parameters_and_noise_are_the_f64_ones_rounded_once(seed):
     for a64, a32 in zip(_param_arrays(_params_for("f64")), _param_arrays(_params_for("f32")),
                         strict=True):
         assert a32.dtype == np.float32 and a32.tobytes() == a64.astype(np.float32).tobytes()
-    z64, z32 = (toygen._derive_noise(GeneratorConfig(precision=p), seed) for p in ("f64", "f32"))
+    p = sample_prompt(np.random.default_rng(seed))
+    z64, z32 = (_coordinates(GeneratorConfig(precision=q), p, seed) for q in ("f64", "f32"))
     assert z32.dtype == np.float32 and z32.tobytes() == z64.astype(np.float32).tobytes()
 
 
@@ -276,9 +299,9 @@ def test_factored_code_is_the_dense_orthogonal_code(shape, precision, prompt_see
         assert np.abs(f @ f.T - np.eye(len(f))).max() <= tol
 
     p = sample_prompt(np.random.default_rng(prompt_seed))
-    realized = scenes.candidate_scene(p, seed, cfg.corruption_rate)
-    coords = toygen._code_coordinates(cfg, p, seed, realized)
-    x = toygen._embed_layer0(gen, p, seed, realized, None)
+    realized, rng = _drawn_scene(cfg, p, seed)
+    coords = _coordinates(cfg, p, seed)
+    x = toygen._embed_layer0(gen, p, realized, rng, None)
     dense = (np.kron(a, b) @ coords.reshape(-1)).reshape(tokens, width)
     assert np.abs(x.data[:tokens] - dense).max() <= tol
     if precision == "f64":
@@ -288,28 +311,21 @@ def test_factored_code_is_the_dense_orthogonal_code(shape, precision, prompt_see
 
 
 # sha256 of the float64 generator's drawn parameters (block weights, w_proj,
-# token_table, seg_prompt) and of the code coordinates (raster, match and noise
-# banks) of one candidate of each of the first 200 prompts of
-# sample_prompt(default_rng(0)); the QR factors and w_proj_inv are left out,
-# since their bits depend on the LAPACK build
-DRAWS_AND_CODE_SHA256 = "0c718480a2babef25500208ec3f8d57c4eece127902be0d57825ecce7b54dce1"
+# token_table, seg_prompt); the QR factors and w_proj_inv are left out, since
+# their bits depend on the LAPACK build. The candidates' code coordinates are
+# pinned with their scenes in test_scenes
+GENERATOR_DRAWS_SHA256 = "c7f7b8bd5181784b09bb70bcdce429d99524f330265293ad6c3af4fbed4348e1"
 
 
-def test_generator_draws_and_code_coordinates_are_unchanged():
-    cfg = GeneratorConfig(precision="f64")
-    p = build_generator(cfg).params
+def test_generator_draws_are_unchanged():
+    p = build_generator(GeneratorConfig(precision="f64")).params
     digest = hashlib.sha256()
     for block in p.blocks:
         for f in dataclasses.fields(block):
             digest.update(getattr(block, f.name).tobytes())
     for arr in (p.w_proj, p.token_table, p.seg_prompt):
         digest.update(arr.tobytes())
-    rng = np.random.default_rng(0)
-    for seed in range(200):
-        prompt = sample_prompt(rng)
-        realized = scenes.candidate_scene(prompt, seed, cfg.corruption_rate)
-        digest.update(toygen._code_coordinates(cfg, prompt, seed, realized).tobytes())
-    assert digest.hexdigest() == DRAWS_AND_CODE_SHA256
+    assert digest.hexdigest() == GENERATOR_DRAWS_SHA256
 
 
 @pytest.mark.parametrize("width", [64, 80])
@@ -344,7 +360,10 @@ def test_different_seeds_different_latents(default_generator, rng):
     p = sample_prompt(rng)
     st1 = generate_tapped(default_generator, p, 1, None)
     st2 = generate_tapped(default_generator, p, 2, None)
-    z1, z2 = (toygen._derive_noise(default_generator.config, s) for s in (1, 2))
+    cfg = default_generator.config
+    # the noise bank: the coordinates after the raster and match banks
+    z1, z2 = (_coordinates(cfg, p, s).reshape(-1)[cfg.raster_dim + toygen.MATCH_CHANNELS:]
+              for s in (1, 2))
     assert not np.array_equal(z1, z2)
     assert not np.array_equal(st1.hidden.data, st2.hidden.data)
 

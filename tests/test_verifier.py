@@ -51,21 +51,21 @@ def scorer_flops(cfg: VerifierConfig, tokens: int) -> int:
     """Closed-form FLOPs of ``score`` on ``tokens`` feature rows."""
     d, seq = verifier.SCORER_DIM, tokens + scenes.PROMPT_TOKEN_LEN
     hidden = verifier.CONNECTOR_HIDDEN
-    return (flops_for(("linear", tokens, verifier.FEATURE_DIM, hidden, True))
+    return (flops_for(("linear", tokens, verifier.FEATURE_DIM, hidden))
             + flops_for(("gelu", tokens * hidden))
-            + flops_for(("linear", tokens, hidden, d, True))
+            + flops_for(("linear", tokens, hidden, d))
             + flops_for(("add", tokens * d))                           # feature segment
             + flops_for(("add", scenes.PROMPT_TOKEN_LEN * d))          # prompt segment
             + cfg.scorer_blocks * flops_for(("attention_block", seq, d, 4 * d))
             + flops_for(("mean_pool", seq, d))
-            + flops_for(("linear", 1, d, 2, True))
+            + flops_for(("linear", 1, d, 2))
             + flops_for(("softmax", 1, 2)))
 
 
 def encoder_flops(cfg: VerifierConfig) -> int:
     """Closed-form FLOPs of ``encode_pixels``: patch projection and blocks."""
     patches, e = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2, verifier.FEATURE_DIM
-    return (flops_for(("linear", patches, 3 * scenes.PATCH ** 2, e, True))
+    return (flops_for(("linear", patches, 3 * scenes.PATCH ** 2, e))
             + cfg.encoder_depth * flops_for(("attention_block", patches, e, 4 * e)))
 
 

@@ -27,13 +27,22 @@ into the buffer of the product before them, so a fused step is one output and
 one charge; the table and the total charged are the same as unfused. The
 block's query, key and value are one product with the stacked ``wqkv``;
 NumPy runs each slab as its own BLAS call, so the bits are those of three.
+
+The block computes only what its caller reads. Every row is a key and a
+value, so the bias, ln1 and q/k/v product run on all t rows; with
+``rows=r`` only the first r query, and the rest of the block runs on r
+rows. With ``pool=True`` the caller reads the row mean, which is computed
+as ``mean(g) @ w2 + b2 + mean(h2)`` (g the GELU output, h2 the attention
+residual): mean_pool(r, mlp) + linear(1, mlp, d) + mean_pool(r, d) + d in
+place of linear(r, mlp, d) + r*d and a mean_pool(r, d) after the block.
 ``flops_for`` evaluates the same table analytically without executing
 anything; the two routes are cross-checked in the test suite.
 
 Data movement (copies, concatenation, gathers) and RNG draws are not FLOPs.
 Non-finite kernel output (NaN/Inf) is a hard error: each output gets one exact
 finite check. A dropped intermediate needs none, because adding any operand to
-+/-Inf or NaN, or scaling it by a factor in (0, 1], never gives a finite value.
++/-Inf or NaN, scaling it by a factor in (0, 1], or multiplying it into a
+product with finite factors never gives a finite value.
 """
 
 from __future__ import annotations
@@ -289,15 +298,26 @@ def linear(x: Operand, w: np.ndarray, b: np.ndarray, ctx: MeterContext | None) -
     return _finish(np.add(out, b, out=_into(out, b)), ctx, flops_for(("linear", t, din, dout)))
 
 
-def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None) -> Tensor:
+def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None, *,
+                    rows: int | None = None, pool: bool = False) -> Tensor:
     """Pre-norm transformer block: LN -> self-attention -> residual,
-    LN -> GELU MLP -> residual, with a constant conditioning bias at entry."""
+    LN -> GELU MLP -> residual, with a constant conditioning bias at entry.
+
+    All t input rows give keys and values. ``rows=r`` lets only the first r
+    query, so the output is the first r rows of the full block's. With
+    ``pool=True`` the output is the [d] mean of the output rows, read out as
+    ``mean(g) @ w2 + b2 + mean(h2)`` (g the GELU output, h2 the attention
+    residual) without the per-row MLP down-projection.
+    """
     x = _data(x)
     if x.ndim != 2:
         raise ShapeMismatchError(f"attention_block needs [t, d] input, got {x.shape}")
     t, d = x.shape
     if d != w.width:
         raise ShapeMismatchError(f"block width {w.width} does not match input width {d}")
+    r = t if rows is None else rows
+    if not 1 <= r <= t:
+        raise ShapeMismatchError(f"attention_block rows {rows} outside [1, {t}]")
 
     h = add(x, w.t_bias, ctx)
     a = layer_norm(h, w.ln1_gamma, w.ln1_beta, ctx)
@@ -307,20 +327,30 @@ def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None) -> Te
     # Python float scale keeps float32 blocks float32 under NumPy 2. The
     # scores stay a checked output: an overflow to -Inf here would vanish in
     # the softmax
-    scores = q @ np.ascontiguousarray(k.T)
+    scores = q[:r] @ np.ascontiguousarray(k.T)
     scores *= 1.0 / math.sqrt(d)
-    scores = _finish(scores, ctx, 2 * t * d * t + t * t)
+    scores = _finish(scores, ctx, 2 * r * d * t + r * t)
     probs = softmax(scores, ctx)
     att = matmul(probs, v, ctx)
     h2 = att.data @ w.wo
-    h2 = _finish(np.add(h2, h.data, out=_into(h2, h.data)), ctx, 2 * t * d * d + t * d)
+    h2 = _finish(np.add(h2, h.data[:r], out=_into(h2, h.data)), ctx, 2 * r * d * d + r * d)
 
     m = layer_norm(h2, w.ln2_gamma, w.ln2_beta, ctx)
     g = gelu(linear(m, w.w1, w.b1, ctx), ctx)
-    out = g.data @ w.w2
+    mlp = w.w2.shape[0]
+    if pool:
+        # add.reduce / r is bitwise the row mean, without np.mean's overhead
+        out = (np.add.reduce(g.data, axis=0) / r) @ w.w2
+        flops = (flops_for(("mean_pool", r, mlp)) + flops_for(("linear", 1, mlp, d))
+                 + flops_for(("mean_pool", r, d)) + d)
+        residual = np.add.reduce(h2.data, axis=0) / r
+    else:
+        out = g.data @ w.w2
+        flops = 2 * r * mlp * d + 2 * r * d
+        residual = h2.data
     out = np.add(out, w.b2, out=_into(out, w.b2))
-    out = np.add(out, h2.data, out=_into(out, h2.data))
-    return _finish(out, ctx, 2 * t * w.w2.shape[0] * d + 2 * t * d)
+    out = np.add(out, residual, out=_into(out, residual))
+    return _finish(out, ctx, flops)
 
 
 def flops_for(descriptor: tuple) -> int:
@@ -329,7 +359,10 @@ def flops_for(descriptor: tuple) -> int:
     Descriptors: ("matmul", m, k, n), ("add", n), ("scale", n), ("clamp", n),
     ("layer_norm", rows, d), ("gelu", n), ("softmax", rows, n),
     ("mean_pool", t, d), ("normalize", t, d), ("linear", t, din, dout),
-    ("attention_block", t, d, mlp_width).
+    ("attention_block", t, d, mlp_width[, rows]) for ``attention_block`` on
+    t rows whose first ``rows`` (default t) query, and
+    ("attention_block_pool", t, d, mlp_width[, rows]) for the same with
+    ``pool=True``.
     """
     name, *args = descriptor
     if name in FLOPS_PER_ELEMENT:
@@ -346,23 +379,27 @@ def flops_for(descriptor: tuple) -> int:
     if name == "linear":
         t, din, dout = args
         return 2 * t * din * dout + t * dout
-    if name == "attention_block":
-        t, d, mlp = args
+    if name in ("attention_block", "attention_block_pool"):
+        t, d, mlp, r = args if len(args) == 4 else (*args, args[0])
         total = flops_for(("add", t * d))                    # conditioning bias
         total += flops_for(("layer_norm", t, d))             # ln1
-        total += flops_for(("matmul", t, d, 3 * d))          # q, k, v
-        total += flops_for(("matmul", t, d, t))              # scores
-        total += flops_for(("scale", t * t))
-        total += flops_for(("softmax", t, t))
-        total += flops_for(("matmul", t, t, d))              # aggregate values
-        total += flops_for(("matmul", t, d, d))              # output proj
-        total += flops_for(("add", t * d))                   # residual 1
-        total += flops_for(("layer_norm", t, d))             # ln2
-        total += flops_for(("linear", t, d, mlp))
-        total += flops_for(("gelu", t * mlp))
-        total += flops_for(("linear", t, mlp, d))
-        total += flops_for(("add", t * d))                   # residual 2
-        return total
+        total += flops_for(("matmul", t, d, 3 * d))          # q, k, v of every row
+        total += flops_for(("matmul", r, d, t))              # scores of the query rows
+        total += flops_for(("scale", r * t))
+        total += flops_for(("softmax", r, t))
+        total += flops_for(("matmul", r, t, d))              # aggregate values
+        total += flops_for(("matmul", r, d, d))              # output proj
+        total += flops_for(("add", r * d))                   # residual 1
+        total += flops_for(("layer_norm", r, d))             # ln2
+        total += flops_for(("linear", r, d, mlp))
+        total += flops_for(("gelu", r * mlp))
+        if name == "attention_block":
+            total += flops_for(("linear", r, mlp, d))
+            return total + flops_for(("add", r * d))         # residual 2
+        total += flops_for(("mean_pool", r, mlp))            # mean(g)
+        total += flops_for(("linear", 1, mlp, d))
+        total += flops_for(("mean_pool", r, d))              # mean(h2)
+        return total + flops_for(("add", d))                 # pooled residual 2
     raise UnknownKernelError(name)
 
 

@@ -11,8 +11,10 @@ each the QR of a normal draw. With the code coordinates ``X`` laid out as
 [T, d] (row-major), the content tokens are ``A @ X @ Bᵀ``, which is exactly
 ``(A ⊗ B) @ vec(X)`` without the [T·d, T·d] matrix. Its inverse is
 ``Aᵀ @ C @ B``; the decoder needs only the first ``ceil(raster_dim / d)``
-rows of ``X``, so it multiplies by those columns of ``A`` alone. The code
-coordinates split into three orthogonal banks:
+rows of ``X``, so it multiplies by those columns of ``A`` alone, and it
+undoes the final projection ``W`` and the channel factor in one product
+with ``W⁻¹ @ B``, which ``build_generator`` solves for in float64 and
+rounds once. The code coordinates split into three orthogonal banks:
 
   * raster bank   - the centered pixel raster of the candidate's scene;
   * match bank    - a few redundant channels holding a noisy indicator of
@@ -36,6 +38,9 @@ Execution is tap and resume: ``generate_tapped`` stops after the tap layer
 and returns the hidden state for scoring; ``resume_and_decode`` completes the
 remaining layers, projects, and decodes. ``generate_full`` is just the two in
 turn, so full and resumed runs share one path, values and metered FLOPs.
+The projection reads only the content rows, so the last block lets only
+those query and returns them alone: a state that has run every layer, a
+state tapped at the last layer included, holds the content rows only.
 
 The default tap is layer 0, the first block. The match bank is written at
 embed and the blocks' small weights barely touch it, so a linear readout
@@ -147,8 +152,8 @@ class GeneratorParams:
     token_table: np.ndarray   # [VOCAB_SIZE, d] prompt attribute embeddings
     seg_prompt: np.ndarray    # [d] segment vector added to prompt tokens
     blocks: list[BlockWeights]
-    w_proj: np.ndarray        # [d, d] final projection producing z0
-    w_proj_inv: np.ndarray    # decoder half 1: undo the projection; half 2 is Aᵀ and B
+    w_proj: np.ndarray        # [d, d] final projection W producing z0
+    w_decode: np.ndarray      # [d, d] W⁻¹ @ B: the decoder's channel half; Aᵀ is the other
 
 
 @dataclass
@@ -159,10 +164,16 @@ class Generator:
 
 @dataclass
 class GeneratorState:
-    """One candidate: either tapped (layers_done == tap+1) or fully run."""
+    """One candidate: either tapped (layers_done == tap+1) or fully run.
+
+    ``hidden`` is the token stream after ``layers_done`` layers: content
+    rows, then prompt rows, except after the last layer, which returns the
+    first ``content_tokens`` rows only.
+    """
     prompt: scenes.Prompt
-    hidden: Tensor                  # token stream after `layers_done` layers
+    hidden: Tensor
     layers_done: int
+    content_tokens: int             # the config's num_noise_tokens
     rendered_scene: scenes.Scene    # post-corruption ground truth
     corrupted: bool
     z0: Tensor | None = None        # terminal latent, set on completion
@@ -194,7 +205,7 @@ def build_generator(config: GeneratorConfig) -> Generator:
         seg_prompt=(rng.standard_normal(d) * 0.1).astype(dt),
         blocks=blocks,
         w_proj=w_proj.astype(dt),
-        w_proj_inv=np.linalg.inv(w_proj).astype(dt),
+        w_decode=np.linalg.solve(w_proj, b).astype(dt),
     )
     # kernels take the weights as plain arrays, so freeze them here
     for arr in [*vars(params).values(), *(a for b in blocks for a in vars(b).values())]:
@@ -241,22 +252,29 @@ def _embed_layer0(gen: Generator, prompt: scenes.Prompt, realized: scenes.Realiz
 
 def _run_blocks(gen: Generator, x: Tensor, start: int, stop: int,
                 ctx: MeterContext | None) -> Tensor:
+    """Blocks start..stop-1; the generator's last block returns the content
+    rows only, since the projection reads nothing else."""
+    cfg = gen.config
     for layer in range(start, stop):
-        x = attention_block(x, gen.params.blocks[layer], ctx)
+        rows = cfg.num_noise_tokens if layer == cfg.num_layers - 1 else None
+        x = attention_block(x, gen.params.blocks[layer], ctx, rows=rows)
     return x
 
 
 def _project(gen: Generator, x: Tensor, ctx: MeterContext | None) -> Tensor:
-    return matmul(x.data[:gen.config.num_noise_tokens], gen.params.w_proj, ctx)
+    """The final projection of the last block's content rows: z0 = x @ W."""
+    return matmul(x, gen.params.w_proj, ctx)
 
 
 def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> RenderedImage:
-    """Undo the projection and the code on the raster rows, then un-centre and clamp."""
+    """Undo the projection and the code on the raster rows, then un-centre and clamp.
+
+    The raster coordinates fill the first r rows of X = Aᵀ @ z0 @ W⁻¹ @ B,
+    computed as two products, ``A[:, :r]ᵀ @ z0`` and then ``@ (W⁻¹ @ B)``.
+    """
     cfg, p = gen.config, gen.params
-    t = matmul(z0, p.w_proj_inv, ctx)
-    # the raster coordinates fill the first r rows of X = Aᵀ @ t @ B
     r = -(-cfg.raster_dim // cfg.model_width)
-    x = matmul(matmul(p.token_code[:, :r].T, t, ctx), p.channel_code, ctx)
+    x = matmul(matmul(p.token_code[:, :r].T, z0, ctx), p.w_decode, ctx)
     coef = x.data.reshape(-1)[:cfg.raster_dim]
     shifted = add(coef, np.full(coef.shape, 0.5, dtype=cfg.dtype), ctx)
     pixels = clamp01(shifted.data.reshape(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3), ctx)
@@ -273,6 +291,7 @@ def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
     x = _run_blocks(gen, x, 0, cfg.tap_layer + 1, ctx)
     return GeneratorState(
         prompt=prompt, hidden=x, layers_done=cfg.tap_layer + 1,
+        content_tokens=cfg.num_noise_tokens,
         rendered_scene=realized.scene, corrupted=realized.corrupted)
 
 
@@ -298,5 +317,6 @@ def generate_full(gen: Generator, prompt: scenes.Prompt, seed: int,
 
 
 def tap_hidden_features(state: GeneratorState) -> np.ndarray:
-    """Content-token hidden state at the tap, the verifier's raw features."""
-    return state.hidden.data[:-scenes.PROMPT_TOKEN_LEN]
+    """Content-token hidden state at the tap, the verifier's raw features:
+    [num_noise_tokens, d], wherever the tap is."""
+    return state.hidden.data[:state.content_tokens]

@@ -14,8 +14,10 @@ where their visual features come from:
                          blocks), fully metered.
 
 The scorer is a compact transformer reading [projected features ++ prompt
-attribute tokens] into a 2-logit yes/no head; the continuous score is the
-probability of the sampled class, negated for "no", giving values in
+attribute tokens] into a 2-logit yes/no head on the mean of its output rows;
+its last block reads that mean out pooled (``attention_block(pool=True)``),
+so the MLP down-projection runs once, not once per row. The continuous score
+is the probability of the sampled class, negated for "no", giving values in
 [-1, -0.5] or [0.5, 1].
 
 The widths are module constants: features enter the connector, and the
@@ -202,7 +204,11 @@ def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
                    features: np.ndarray, prompt_ids: np.ndarray,
                    ctx: MeterContext | None = None) -> np.ndarray:
     """Connector + scorer forward pass in the parameters' dtype; returns the
-    2 [yes, no] logits as float64."""
+    2 [yes, no] logits as float64.
+
+    The head reads the mean of the scorer's output rows: the last block's
+    pooled readout, or a mean_pool of the tokens when there are no blocks.
+    """
     f = np.ascontiguousarray(features, dtype=params["connector.w1"].dtype)
     if f.shape[-1] != params["connector.w1"].shape[0]:
         raise VerifierConfigError(
@@ -214,9 +220,10 @@ def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
     proj_seg = add(projected, params["segment.features"], ctx)
     prompt_tok = add(params["prompt_embed.table"][prompt_ids], params["segment.prompt"], ctx)
     x = concat_rows(proj_seg, prompt_tok, ctx)
-    for i in range(config.scorer_blocks):
-        x = attention_block(x, block_view(params, f"scorer.block{i}"), ctx)
-    pooled = mean_pool(x, ctx)
+    blocks = [block_view(params, f"scorer.block{i}") for i in range(config.scorer_blocks)]
+    for w in blocks[:-1]:
+        x = attention_block(x, w, ctx)
+    pooled = attention_block(x, blocks[-1], ctx, pool=True) if blocks else mean_pool(x, ctx)
     logits = linear(pooled.data[None, :], params["head.w"], params["head.b"], ctx)
     return logits.data[0].astype(np.float64)
 

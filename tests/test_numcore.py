@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import sys
@@ -73,8 +74,13 @@ def test_matmul_dim_mismatch():
     lambda: nc.linear(np.ones((5, 6)), np.ones((6, 3)), np.ones((5, 3)), None),
     lambda: nc.normalize(np.ones((4, 6)), np.zeros(5), np.ones(5), None),
     lambda: nc.normalize(np.ones((4, 6)), np.zeros(6), np.ones((1, 6)), None),
+    lambda: nc.attention_block(np.ones((5, 8)), rand_block(np.random.default_rng(0), 8), None,
+                               rows=0),
+    lambda: nc.attention_block(np.ones((5, 8)), rand_block(np.random.default_rng(0), 8), None,
+                               rows=6),
 ], ids=["concat_1d", "concat_3d", "concat_width", "linear_inner", "linear_1d",
-        "linear_bias_width", "linear_bias_2d", "normalize_width", "normalize_2d_stats"])
+        "linear_bias_width", "linear_bias_2d", "normalize_width", "normalize_2d_stats",
+        "block_no_rows", "block_rows_past_input"])
 def test_shape_errors_are_typed(call):
     with pytest.raises(nc.ShapeMismatchError):
         call()
@@ -164,6 +170,35 @@ def test_flops_for_attention_block_frozen_constant():
 def test_flops_for_softmax_linear_in_n():
     for n in (1, 7, 64, 1000):
         assert nc.flops_for(("softmax", 1, n)) == nc.FLOPS_PER_ELEMENT["softmax"] * n
+
+
+DTYPES = hst.sampled_from([np.float64, np.float32])
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=hst.integers(1, 39), d=hst.integers(1, 64), data=hst.data(),
+       seed=hst.integers(0, 2 ** 32 - 1), dtype=DTYPES)
+def test_block_readouts_are_the_full_blocks_rows_and_mean(t, d, data, seed, dtype):
+    # rows=r is the full block's first r rows and pool=True the mean of its
+    # output rows, up to rounding; each charges what flops_for says
+    rows = data.draw(hst.integers(1, t), label="rows")
+    rng = np.random.default_rng(seed)
+    w = nc.init_block_weights(rng, d, weight_std=0.3, dtype=dtype)
+    x = rng.standard_normal((t, d)).astype(dtype)
+    full = nc.attention_block(x, w, None).data
+    tol = (1e-12 if dtype == np.float64 else 1e-5) * max(1.0, np.abs(full).max())
+    for kw, want, descriptor in (
+            ({"rows": rows}, full[:rows], ("attention_block", t, d, 4 * d, rows)),
+            ({"pool": True}, full.mean(axis=0), ("attention_block_pool", t, d, 4 * d)),
+            ({"rows": rows, "pool": True}, full[:rows].mean(axis=0),
+             ("attention_block_pool", t, d, 4 * d, rows))):
+        c = ctx()
+        got = nc.attention_block(x, w, c, **kw).data
+        assert (got.shape, got.dtype) == (want.shape, full.dtype)
+        assert np.abs(got - want).max() <= tol
+        assert c.flops_accumulated == nc.flops_for(descriptor)
+    assert nc.flops_for(("attention_block", t, d, 4 * d, t)) == nc.flops_for(
+        ("attention_block", t, d, 4 * d))
 
 
 @pytest.mark.parametrize("shape", [(6,), (1, 6), (16, 64), (2, 3, 5)])
@@ -316,6 +351,8 @@ def _kernel_cases(seed=13, dtype=np.float64):
         "concat_rows": (nc.concat_rows, (x, y), ()),
         "linear": (nc.linear, (x,), (w, b)),
         "attention_block": (nc.attention_block, (x,), (blk,)),
+        "attention_block_rows": (functools.partial(nc.attention_block, rows=3), (x,), (blk,)),
+        "attention_block_pool": (functools.partial(nc.attention_block, pool=True), (x,), (blk,)),
     }
 
 
@@ -333,16 +370,21 @@ def _ref_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _ref_block(x, w):
+def _ref_block(x, w, rows=None, pool=False):
     """The block as unfused numpy steps in the kernels' order (bitwise reference),
-    with q, k and v projected separately."""
+    with q, k and v projected separately; the first ``rows`` query, and
+    ``pool`` reads out their mean."""
+    r = len(x) if rows is None else rows
     h = x + w.t_bias
     a = _ref_layer_norm(h, w.ln1_gamma, w.ln1_beta)
-    q, k, v = a @ w.wqkv[0], a @ w.wqkv[1], a @ w.wqkv[2]
+    q, k, v = (a @ w.wqkv[0])[:r], a @ w.wqkv[1], a @ w.wqkv[2]
     probs = _ref_softmax((q @ np.ascontiguousarray(k.T)) * (1.0 / math.sqrt(x.shape[1])))
-    h2 = h + (probs @ v) @ w.wo
+    h2 = h[:r] + (probs @ v) @ w.wo
     m = _ref_layer_norm(h2, w.ln2_gamma, w.ln2_beta)
-    return h2 + (_ref_gelu(m @ w.w1 + w.b1) @ w.w2 + w.b2)
+    g = _ref_gelu(m @ w.w1 + w.b1)
+    if pool:
+        return h2.mean(axis=0) + (g.mean(axis=0) @ w.w2 + w.b2)
+    return h2 + (g @ w.w2 + w.b2)
 
 
 _REFERENCE = {
@@ -358,10 +400,11 @@ _REFERENCE = {
     "concat_rows": lambda a, b: np.concatenate([a, b]),
     "linear": lambda a, w, b: a @ w + b,
     "attention_block": _ref_block,
+    "attention_block_rows": functools.partial(_ref_block, rows=3),
+    "attention_block_pool": functools.partial(_ref_block, pool=True),
 }
 
 CASE_NAMES = sorted(_kernel_cases())
-DTYPES = hst.sampled_from([np.float64, np.float32])
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -390,15 +433,20 @@ def test_fused_kernels_match_unfused_reference_bitwise(name, seed, dtype):
 
 
 @settings(max_examples=100, deadline=None)
-@given(t=hst.integers(1, 39), d=hst.integers(1, 64), seed=hst.integers(0, 2 ** 32 - 1),
-       dtype=DTYPES)
-def test_block_matches_unfused_reference_bitwise_at_any_shape(t, d, seed, dtype):
-    # the one q/k/v product gives the bits of three separate products
+@given(t=hst.integers(1, 39), d=hst.integers(1, 64), data=hst.data(),
+       seed=hst.integers(0, 2 ** 32 - 1), dtype=DTYPES)
+def test_block_matches_unfused_reference_bitwise_at_any_shape(t, d, data, seed, dtype):
+    # the one q/k/v product gives the bits of three separate products, in
+    # every readout
+    rows = data.draw(hst.none() | hst.integers(1, t), label="rows")
+    pool = data.draw(hst.booleans(), label="pool")
     rng = np.random.default_rng(seed)
     w = nc.init_block_weights(rng, d, weight_std=0.3, dtype=dtype)
     x = rng.standard_normal((t, d)).astype(dtype)
-    got = nc.attention_block(x, w, None).data
-    assert got.tobytes() == _ref_block(x, w).tobytes()
+    got = nc.attention_block(x, w, None, rows=rows, pool=pool).data
+    want = _ref_block(x, w, rows, pool)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_fused_kernels_keep_numpy_promotion_of_mixed_precision():

@@ -122,7 +122,7 @@ def test_metered_and_unmetered_runs_bitwise_equal(default_generator, rng):
 
 def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
     # each buffer the meter counts is held here, so none can be freed and reused;
-    # the count is 4 at embed, 11 in each of 8 blocks, 1 projection, 5 at decode
+    # the count is 4 at embed, 11 in each of 8 blocks, 1 projection, 4 at decode
     seen = []
     register = MeterContext.register
 
@@ -132,7 +132,7 @@ def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
 
     monkeypatch.setattr(MeterContext, "register", record)
     generate_full(default_generator, sample_prompt(rng), 6, MeterContext())
-    assert len(seen) == 98
+    assert len(seen) == 97
     assert [(a.shape, b.shape) for a, b in itertools.combinations(seen, 2)
             if np.shares_memory(a, b)] == []
 
@@ -184,7 +184,7 @@ def test_metered_peak_of_a_full_run_halves_in_f32(precision, peak, rng):
 def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
     p = default_generator.params
     arrays = [p.token_code, p.channel_code, p.token_table, p.seg_prompt, p.w_proj,
-              p.w_proj_inv]
+              p.w_decode]
     arrays += [getattr(b, f.name) for b in p.blocks for f in dataclasses.fields(b)]
     assert not any(a.flags.writeable for a in arrays)
     img, st = generate_full(default_generator, sample_prompt(rng), 1, MeterContext())
@@ -211,10 +211,27 @@ def test_tap_at_last_layer_resume_only_decodes(rng):
     resume_and_decode(gen, st, c_res)
     # resume ran zero blocks: projection + decode only
     d, n = cfg.model_width, cfg.num_noise_tokens
-    expected = (flops_for(("matmul", n, d, d)) * 2
+    expected = (flops_for(("matmul", n, d, d))
                 + _unembed_flops(cfg)
                 + 2 * cfg.raster_dim)  # shift + clamp
     assert c_res.flops_accumulated == expected
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_tap_at_last_layer_features_are_the_last_blocks_content_rows(precision, rng):
+    # the last block returns the content rows only; the features must be all
+    # of them, as the same block run on every row gives them
+    cfg = GeneratorConfig(num_layers=2, tap_layer=1, precision=precision)
+    gen = _generator(cfg)
+    p = sample_prompt(rng)
+    feats = tap_hidden_features(generate_tapped(gen, p, 11, None))
+    realized, stream = _drawn_scene(cfg, p, 11)
+    x = toygen._run_blocks(gen, toygen._embed_layer0(gen, p, realized, stream, None), 0, 1, None)
+    unpruned = toygen.attention_block(x, gen.params.blocks[1], None).data
+    n, d = cfg.num_noise_tokens, cfg.model_width
+    assert feats.shape == (n, d) and unpruned.shape == (cfg.num_tokens, d)
+    tol = 1e-12 if precision == "f64" else 1e-5
+    assert np.abs(feats - unpruned[:n]).max() <= tol * np.abs(unpruned).max()
 
 
 @settings(max_examples=20, deadline=None)
@@ -233,7 +250,8 @@ def test_flops_additivity_random_configs(layers, tap_frac, corruption, prompt_se
 
 
 def _unembed_flops(cfg: GeneratorConfig) -> int:
-    """Decoder's un-embed: A[:, :r]ᵀ @ t, then @ B, for the r raster rows."""
+    """The decode's two products for the r raster rows: A[:, :r]ᵀ @ z0, then
+    @ (W⁻¹ @ B)."""
     n, d = cfg.num_noise_tokens, cfg.model_width
     r = -(-cfg.raster_dim // d)
     return flops_for(("matmul", r, n, d)) + flops_for(("matmul", r, d, d))
@@ -254,16 +272,16 @@ def test_generation_flops_match_closed_form(default_generator, rng):
         + (cfg.tap_layer + 1) * block
     )
     resumed = (
-        (cfg.num_layers - cfg.tap_layer - 1) * block
+        (cfg.num_layers - cfg.tap_layer - 2) * block
+        + flops_for(("attention_block", t, d, 4 * d, n))            # last block: content rows
         + flops_for(("matmul", n, d, d))                            # final projection
-        + flops_for(("matmul", n, d, d))                            # decoder: undo projection
-        + _unembed_flops(cfg)                                       # decoder: un-embed
+        + _unembed_flops(cfg)                                       # decode
         + 2 * cfg.raster_dim                                        # shift + clamp
     )
     # the default tap is block 0
     assert c_tap.flops_accumulated == tapped == 2_669_862
-    assert c_res.flops_accumulated == resumed == 17_925_578
-    assert c_full.flops_accumulated == tapped + resumed == 20_595_440
+    assert c_res.flops_accumulated == resumed == 17_208_004
+    assert c_full.flops_accumulated == tapped + resumed == 19_877_866
 
 
 # -------------------------------------------------------- scene code
@@ -306,12 +324,12 @@ def test_factored_code_is_the_dense_orthogonal_code(shape, precision, prompt_see
     assert np.abs(x.data[:tokens] - dense).max() <= tol
     if precision == "f64":
         # no blocks between embed and projection: decoding inverts the code
-        img = toygen.decode_latent(gen, toygen._project(gen, x, None), None)
+        img = toygen.decode_latent(gen, toygen._project(gen, x.data[:tokens], None), None)
         assert np.abs(img.pixels.data - scenes.render(realized.scene)).max() <= 1e-12
 
 
 # sha256 of the float64 generator's drawn parameters (block weights, w_proj,
-# token_table, seg_prompt); the QR factors and w_proj_inv are left out, since
+# token_table, seg_prompt); the QR factors and w_decode are left out, since
 # their bits depend on the LAPACK build. The candidates' code coordinates are
 # pinned with their scenes in test_scenes
 GENERATOR_DRAWS_SHA256 = "c7f7b8bd5181784b09bb70bcdce429d99524f330265293ad6c3af4fbed4348e1"

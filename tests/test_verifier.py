@@ -48,16 +48,21 @@ def test_candidate_scores_in_range_and_float64(small_generator, rng):
 # ---------------------------------------------------------------- FLOPs
 
 def scorer_flops(cfg: VerifierConfig, tokens: int) -> int:
-    """Closed-form FLOPs of ``score`` on ``tokens`` feature rows."""
+    """Closed-form FLOPs of ``score`` on ``tokens`` feature rows: the last
+    scorer block reads out the row mean, and without blocks a mean_pool does."""
     d, seq = verifier.SCORER_DIM, tokens + scenes.PROMPT_TOKEN_LEN
     hidden = verifier.CONNECTOR_HIDDEN
+    if cfg.scorer_blocks:
+        blocks = ((cfg.scorer_blocks - 1) * flops_for(("attention_block", seq, d, 4 * d))
+                  + flops_for(("attention_block_pool", seq, d, 4 * d)))
+    else:
+        blocks = flops_for(("mean_pool", seq, d))
     return (flops_for(("linear", tokens, verifier.FEATURE_DIM, hidden))
             + flops_for(("gelu", tokens * hidden))
             + flops_for(("linear", tokens, hidden, d))
             + flops_for(("add", tokens * d))                           # feature segment
             + flops_for(("add", scenes.PROMPT_TOKEN_LEN * d))          # prompt segment
-            + cfg.scorer_blocks * flops_for(("attention_block", seq, d, 4 * d))
-            + flops_for(("mean_pool", seq, d))
+            + blocks
             + flops_for(("linear", 1, d, 2))
             + flops_for(("softmax", 1, 2)))
 
@@ -97,9 +102,25 @@ def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
     verify = metered_verification_flops(default_generator, cfg, stats, st)
     toygen.resume_and_decode(default_generator, st, c_res)
     tokens, width = feats.shape
-    assert verify == 2 * tokens * width + width + scorer_flops(cfg, tokens) == 5_568_472
+    assert verify == 2 * tokens * width + width + scorer_flops(cfg, tokens) == 4_850_904
     assert (32 * (c_tap.flops_accumulated + verify) + c_res.flops_accumulated
-            == 281_552_266)
+            == 257_872_516)
+
+
+@pytest.mark.parametrize("precision", sorted(toygen.PRECISIONS))
+def test_scorer_without_blocks_mean_pools_the_tokens(precision, small_generator, rng):
+    # no scorer block reads out a pooled mean, so mean_pool does, on the
+    # connector's feature rows and the prompt rows
+    cfg = VerifierConfig(scorer_blocks=0)
+    params = init_verifier(cfg, precision=precision)
+    for seed in range(4):
+        p = scenes.sample_prompt(rng)
+        st = toygen.generate_tapped(small_generator, p, seed, None)
+        feats = verifier.extract_features(small_generator, st, cfg, None, None)
+        ctx = MeterContext()
+        s = verifier.score(params, cfg, feats, scenes.encode_prompt_tokens(p), ctx)
+        assert in_score_range(s.value)
+        assert ctx.flops_accumulated == scorer_flops(cfg, len(feats))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

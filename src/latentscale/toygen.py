@@ -31,8 +31,7 @@ evidence and the latent (``_code_coordinates``).
 The raster bank holds the centered raster unscaled. The other banks'
 scales (``MATCH_GAIN`` and ``MATCH_NOISE``, ``NOISE_GAIN``) and the blocks'
 ``WEIGHT_STD`` are module constants, since no caller varies them;
-``GeneratorConfig`` holds the shape, the tap, the corruption rate and the
-precision.
+``GeneratorConfig`` holds the shape, the tap and the corruption rate.
 
 Execution is tap and resume: ``generate_tapped`` stops after the tap layer
 and returns the hidden state for scoring; ``resume_and_decode`` completes the
@@ -49,10 +48,9 @@ a candidate then runs the embed and one block before it is scored. The
 tap is the generator's alone: the hidden-state verifier reads the state
 wherever ``tap_layer`` puts it.
 
-The default precision is float32 (``precision="f32"``), and the verifier's
-parameters default to it; ``"f64"`` serves in float64 with the same FLOPs.
-Parameters and noise are drawn in float64 and rounded once, so the float32
-ones are exactly the float64 ones cast.
+The stack serves in one dtype, float32 (``DTYPE``): the generator's
+parameters and noise, and the verifier's parameters, are drawn in float64
+and rounded once to it.
 """
 
 from __future__ import annotations
@@ -73,9 +71,7 @@ WEIGHT_STD = 0.01           # scale of the attention blocks' random weights
 MATCH_GAIN = 0.5            # match bank: ±MATCH_GAIN for an (un)corrupted scene,
 MATCH_NOISE = (0.2, 0.75)   # plus noise whose σ is drawn uniformly from this range
 NOISE_GAIN = 0.5            # scale of the noise latent
-
-# serving precisions of the generator and the verifier parameters
-PRECISIONS = {"f64": np.float64, "f32": np.float32}
+DTYPE = np.float32          # serving dtype of the generator and the verifier parameters
 
 
 class GeneratorConfigError(ValueError):
@@ -109,11 +105,6 @@ class GeneratorConfig:
     num_noise_tokens: int = 16
     tap_layer: int = 0
     corruption_rate: float = 0.3
-    precision: str = "f32"
-
-    @property
-    def dtype(self):
-        return PRECISIONS[self.precision]
 
     @property
     def code_dim(self) -> int:
@@ -139,9 +130,6 @@ class GeneratorConfig:
             raise GeneratorConfigError(
                 f"token capacity {self.code_dim} cannot hold raster "
                 f"({self.raster_dim}) plus match channels")
-        if self.precision not in PRECISIONS:
-            raise GeneratorConfigError(
-                f"precision must be one of {sorted(PRECISIONS)}, got {self.precision!r}")
 
 
 @dataclass
@@ -170,7 +158,6 @@ class GeneratorState:
     rows, then prompt rows, except after the last layer, which returns the
     first ``content_tokens`` rows only.
     """
-    prompt: scenes.Prompt
     hidden: Tensor
     layers_done: int
     content_tokens: int             # the config's num_noise_tokens
@@ -190,22 +177,21 @@ class RenderedImage:
 
 def build_generator(config: GeneratorConfig) -> Generator:
     """Construct fixed generator parameters for a config."""
-    dt = config.dtype
     d = config.model_width
     rng = np.random.default_rng([0, 101])
     a, _ = np.linalg.qr(rng.standard_normal((config.num_noise_tokens,) * 2))
     b, _ = np.linalg.qr(rng.standard_normal((d, d)))
     w_proj = np.eye(d) + 0.02 * rng.standard_normal((d, d))
-    blocks = [init_block_weights(rng, d, weight_std=WEIGHT_STD, dtype=dt)
+    blocks = [init_block_weights(rng, d, weight_std=WEIGHT_STD, dtype=DTYPE)
               for _ in range(config.num_layers)]
     params = GeneratorParams(
-        token_code=a.astype(dt, copy=False),
-        channel_code=b.astype(dt, copy=False),
-        token_table=(rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5).astype(dt),
-        seg_prompt=(rng.standard_normal(d) * 0.1).astype(dt),
+        token_code=a.astype(DTYPE),
+        channel_code=b.astype(DTYPE),
+        token_table=(rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5).astype(DTYPE),
+        seg_prompt=(rng.standard_normal(d) * 0.1).astype(DTYPE),
         blocks=blocks,
-        w_proj=w_proj.astype(dt),
-        w_decode=np.linalg.solve(w_proj, b).astype(dt),
+        w_proj=w_proj.astype(DTYPE),
+        w_decode=np.linalg.solve(w_proj, b).astype(DTYPE),
     )
     # kernels take the weights as plain arrays, so freeze them here
     for arr in [*vars(params).values(), *(a for b in blocks for a in vars(b).values())]:
@@ -219,20 +205,20 @@ def _code_coordinates(cfg: GeneratorConfig, realized: scenes.RealizedCandidate,
     """The coordinates X [T, d] that the code maps to content tokens; read
     row-major, they are the raster bank, the match bank, then the noise bank.
     ``rng`` is the candidate's stream after its scene draws."""
-    raster = scenes.render(realized.scene).reshape(-1).astype(cfg.dtype)
+    raster = scenes.render(realized.scene).reshape(-1).astype(DTYPE)
 
     # noisy alignment evidence; per-candidate noise level varies so that
     # confidence carries ranking information, like real verifier scores
     bit = -1.0 if realized.corrupted else 1.0
     sigma = rng.uniform(*MATCH_NOISE)
     match = (bit * MATCH_GAIN
-             + sigma * rng.standard_normal(MATCH_CHANNELS)).astype(cfg.dtype)
+             + sigma * rng.standard_normal(MATCH_CHANNELS)).astype(DTYPE)
 
     # scene banks are overwritten, the noise bank takes its coefficients
     # straight from the latent (an orthogonal basis makes any fixed linear
     # restriction of z distributionally equivalent)
     z = rng.standard_normal((cfg.num_noise_tokens, cfg.model_width))
-    mixed = (NOISE_GAIN * z).astype(cfg.dtype, copy=False)
+    mixed = (NOISE_GAIN * z).astype(DTYPE)
     flat = mixed.reshape(-1)
     flat[:cfg.raster_dim] = raster - 0.5
     flat[cfg.raster_dim:cfg.raster_dim + MATCH_CHANNELS] = match
@@ -276,7 +262,7 @@ def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> Rende
     r = -(-cfg.raster_dim // cfg.model_width)
     x = matmul(matmul(p.token_code[:, :r].T, z0, ctx), p.w_decode, ctx)
     coef = x.data.reshape(-1)[:cfg.raster_dim]
-    shifted = add(coef, np.full(coef.shape, 0.5, dtype=cfg.dtype), ctx)
+    shifted = add(coef, np.full(coef.shape, 0.5, dtype=DTYPE), ctx)
     pixels = clamp01(shifted.data.reshape(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3), ctx)
     return RenderedImage(pixels=pixels)
 
@@ -290,7 +276,7 @@ def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
     x = _embed_layer0(gen, prompt, realized, rng, ctx)
     x = _run_blocks(gen, x, 0, cfg.tap_layer + 1, ctx)
     return GeneratorState(
-        prompt=prompt, hidden=x, layers_done=cfg.tap_layer + 1,
+        hidden=x, layers_done=cfg.tap_layer + 1,
         content_tokens=cfg.num_noise_tokens,
         rendered_scene=realized.scene, corrupted=realized.corrupted)
 

@@ -30,19 +30,18 @@ Parameters live in a flat ``{name: array}`` dict, which a checkpoint stores
 entry by entry. Every metered operation, feature normalization included,
 runs as a ``numcore`` kernel.
 
-Precision: the verifier computes in its parameters' dtype, which
-``init_verifier`` takes from the stack's serving precision, the default
-generator's (float32) unless told otherwise. It makes the same float64
-draws in either precision and rounds them once, so float32 parameters are
-exactly the float64 ones cast. Features and pixels are cast to the
+Precision: ``init_verifier`` draws in float64 and rounds once to the
+stack's serving dtype, ``toygen.DTYPE`` (float32). The forward pass
+computes in its parameters' dtype, so a float64 cast of them computes in
+float64 with the same metered FLOPs. Features and pixels are cast to the
 parameters' dtype where they enter the connector and the encoder, a no-op
-when generator and verifier share a precision; normalization runs in the
-dtype of the tapped features, which ``calibrate_feature_stats`` gives its
-statistics at set-up. Only the 2 head logits are promoted to float64, for
-the softmax that gives the score. The metered FLOPs are the same in either
-precision. A checkpoint (schema 5) is one CRC-checked ``.npz`` whose JSON
-``header`` entry records the config and the precision; every other entry,
-statistics included, is held in that precision (``<f4`` or ``<f8``).
+on the float32 stack; normalization runs in the dtype of the tapped
+features, which ``calibrate_feature_stats`` gives its statistics at
+set-up. Only the 2 head logits are promoted to float64, for the softmax
+that gives the score. A checkpoint (schema 6) is one CRC-checked ``.npz``
+whose JSON ``header`` entry records the config, the statistics' sample
+count and the caller's meta; every other entry, statistics included, is
+little-endian float32 (``<f4``).
 """
 
 from __future__ import annotations
@@ -100,27 +99,19 @@ def block_view(params: dict[str, np.ndarray], prefix: str) -> BlockWeights:
     return BlockWeights(*(params[f"{prefix}.{f}"] for f in _BLOCK_FIELDS))
 
 
-def init_verifier(config: VerifierConfig, seed: int = 0,
-                  precision: str = toygen.GeneratorConfig.precision) -> dict[str, np.ndarray]:
+def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Fresh random parameters for ``config``, drawn from ``seed``.
 
-    ``precision`` is the stack's serving precision, a key of
-    ``toygen.PRECISIONS``, by default the generator's default. The draws
-    are float64 in either precision and rounded once to its dtype. The
-    pixel encoder comes after 28*d discarded normals, the draws of the
-    deleted, never-read alignment readouts, so its weights stay as they
-    were.
+    The draws are float64, rounded once to ``toygen.DTYPE``. The pixel
+    encoder comes after 28*d discarded normals, the draws of the deleted,
+    never-read alignment readouts, so its weights stay as they were.
     """
-    if precision not in toygen.PRECISIONS:
-        raise VerifierConfigError(
-            f"precision must be one of {sorted(toygen.PRECISIONS)}, got {precision!r}")
-    dtype = toygen.PRECISIONS[precision]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
     d = SCORER_DIM
     p: dict[str, np.ndarray] = {}
 
     def put_block(prefix: str, width: int, std: float):
-        bw = init_block_weights(rng, width, weight_std=std, dtype=dtype)
+        bw = init_block_weights(rng, width, weight_std=std, dtype=toygen.DTYPE)
         p.update((f"{prefix}.{f}", getattr(bw, f)) for f in _BLOCK_FIELDS)
 
     p["connector.w1"] = rng.standard_normal((FEATURE_DIM, CONNECTOR_HIDDEN)) * 0.05
@@ -141,7 +132,7 @@ def init_verifier(config: VerifierConfig, seed: int = 0,
         p["encoder.patch.b"] = np.zeros(FEATURE_DIM)
         for i in range(config.encoder_depth):
             put_block(f"encoder.block{i}", FEATURE_DIM, 0.05)
-    return {name: arr.astype(dtype, copy=False) for name, arr in p.items()}
+    return {name: arr.astype(toygen.DTYPE, copy=False) for name, arr in p.items()}
 
 
 # ------------------------------------------------------------- features
@@ -254,14 +245,15 @@ def select_best(scores: list[Score]) -> int:
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_SCHEMA = 5
+CHECKPOINT_SCHEMA = 6
 
-_PRECISION_OF = {np.dtype(t): name for name, t in toygen.PRECISIONS.items()}
+# the dtype of every checkpoint entry but the header, on disk
+_STORED = np.dtype(toygen.DTYPE).newbyteorder("<")
 
 
 class CheckpointError(ValueError):
     """A checkpoint on disk is unreadable, malformed or inconsistent with its
-    header, or the entries given to save one do not share one precision."""
+    header, or an entry given to save one is not float32."""
 
 
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
@@ -270,29 +262,23 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
     """Write one ``.npz`` at ``path``: every parameter, the normalization
     statistics as stats.* entries, and a JSON string entry ``header``.
 
-    Every entry must have the parameters' dtype, one of
-    ``toygen.PRECISIONS``; the header records that precision. Otherwise
+    Every entry must be float32 (``toygen.DTYPE``). Otherwise
     CheckpointError is raised and nothing is written.
     """
     path = Path(path)
-    dtype = params["connector.w1"].dtype
-    precision = _PRECISION_OF.get(dtype)
-    if precision is None:
-        raise CheckpointError(f"parameters of dtype {dtype} are not a serving precision")
     arrays = dict(params)
     sample_count = None
     if stats is not None:
         arrays["stats.mean"], arrays["stats.variance"] = stats.mean, stats.variance
         sample_count = int(stats.sample_count)
-    other = sorted(n for n, arr in arrays.items() if np.asarray(arr).dtype != dtype)
+    other = sorted(n for n, arr in arrays.items() if np.asarray(arr).dtype != toygen.DTYPE)
     if other:
-        raise CheckpointError(f"entries not in the parameters' {precision}: {other}")
-    header = {"schema": CHECKPOINT_SCHEMA, "config": asdict(config), "precision": precision,
+        raise CheckpointError(f"entries not float32: {other}")
+    header = {"schema": CHECKPOINT_SCHEMA, "config": asdict(config),
               "sample_count": sample_count, "meta": meta or {}}
-    stored = dtype.newbyteorder("<")
     with path.open("wb") as f:
         np.savez(f, header=np.array(json.dumps(header, sort_keys=True)),
-                 **{name: np.asarray(arr, dtype=stored) for name, arr in arrays.items()})
+                 **{name: np.asarray(arr, dtype=_STORED) for name, arr in arrays.items()})
     return path
 
 
@@ -301,9 +287,11 @@ def load_checkpoint(path: str | Path):
 
     numpy checks each entry's header and byte count, and zipfile its CRC-32;
     what they refuse raises CheckpointError, as do a malformed header, a
-    name stored twice, a dtype other than the stored precision's
-    little-endian one, and entries whose names or shapes differ from those
-    ``init_verifier`` makes for the stored config.
+    name stored twice, a dtype other than ``<f4``, entries whose names or
+    shapes differ from those ``init_verifier`` makes for the stored config
+    (statistics are [FEATURE_DIM]), a non-finite entry, a negative
+    variance, a ``sample_count`` that is neither null nor an int >= 2, and
+    a ``meta`` that is not a JSON object.
     """
     try:
         # np.load would leave the file open when the archive is unreadable
@@ -324,21 +312,31 @@ def load_checkpoint(path: str | Path):
         raise CheckpointError(f"unsupported checkpoint schema {schema!r}")
     try:
         config = VerifierConfig(**header["config"])
-        dtype = np.dtype(toygen.PRECISIONS[header["precision"]]).newbyteorder("<")
-        other = sorted(n for n, arr in arrays.items() if arr.dtype != dtype)
-        if other:
-            raise CheckpointError(f"entries not stored as {dtype.str}: {other}")
-        stats = None
-        if header["sample_count"] is not None:
-            stats = scenes.FeatureStats(
-                mean=arrays.pop("stats.mean"), variance=arrays.pop("stats.variance"),
-                sample_count=header["sample_count"])
-        meta = header["meta"]
+        sample_count, meta = header["sample_count"], header["meta"]
     except (KeyError, TypeError, VerifierConfigError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+    if sample_count is not None and not (isinstance(sample_count, int) and sample_count >= 2):
+        raise CheckpointError(f"sample_count must be null or an int >= 2, got {sample_count!r}")
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"meta must be a JSON object, got {meta!r}")
+    other = sorted(n for n, arr in arrays.items() if arr.dtype != _STORED)
+    if other:
+        raise CheckpointError(f"entries not stored as {_STORED.str}: {other}")
     found = {name: arr.shape for name, arr in arrays.items()}
     expected = {name: arr.shape for name, arr in init_verifier(config).items()}
+    if sample_count is not None:
+        expected.update({"stats.mean": (FEATURE_DIM,), "stats.variance": (FEATURE_DIM,)})
     wrong = sorted(n for n in found.keys() | expected.keys() if found.get(n) != expected.get(n))
     if wrong:
         raise CheckpointError(f"entries missing, unexpected or mis-shaped for the config: {wrong}")
+    nonfinite = sorted(n for n, arr in arrays.items() if not np.isfinite(arr).all())
+    if nonfinite:
+        raise CheckpointError(f"entries not finite: {nonfinite}")
+    stats = None
+    if sample_count is not None:
+        stats = scenes.FeatureStats(mean=arrays.pop("stats.mean"),
+                                    variance=arrays.pop("stats.variance"),
+                                    sample_count=sample_count)
+        if (stats.variance < 0).any():
+            raise CheckpointError("stats.variance has a negative entry")
     return arrays, config, stats, meta

@@ -174,16 +174,16 @@ def _stream_text(spec: SceneSpec) -> str:
 # of entries; the prompts must never move
 PROMPT_STREAM_SHA256 = "4cca20e51c3f8fe56b86dc23cdec803ed35f1b7c8cd7b7202a001f4c4d7a16f0"
 # sha256 of candidate i of prompt i of the same 200, at corruption rates 0.3
-# and 1.0: its scene, then the float64 code coordinates (match evidence and
-# noise latent) drawn from the rest of its stream; taken when a candidate's
-# randomness became one stream
-CANDIDATE_STREAM_SHA256 = "c580980d2dc1d2ec42793589404cbfc771cc730b4b1a6287094a956bca1186f2"
+# and 1.0: its scene, then the float32 code coordinates (match evidence and
+# noise latent) drawn from the rest of its stream; taken while float64
+# serving was still selectable, so it holds the float32 bits as they were
+CANDIDATE_STREAM_SHA256 = "654b9e3745b922407564ae8ae00ff04f17423c00b51d8d2b28ea9c5aedd26d6a"
 
 
 def test_prompt_and_candidate_streams_are_unchanged():
     rng = np.random.default_rng(0)
     prompts, candidates = hashlib.sha256(), hashlib.sha256()
-    cfg = toygen.GeneratorConfig(precision="f64")
+    cfg = toygen.GeneratorConfig()
     for i in range(200):
         p = sample_prompt(rng)
         prompts.update(f"{p.category}|{_stream_text(p.target)}|{p.text}".encode())

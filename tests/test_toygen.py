@@ -18,7 +18,7 @@ from latentscale.toygen import (
     build_generator, generate_full, generate_tapped, resume_and_decode,
     tap_hidden_features,
 )
-from latentscale.verifier import VerifierConfig, VerifierConfigError, init_verifier
+from latentscale.verifier import VerifierConfig, VerifierConfigError
 
 
 def test_zero_corruption_matches_target(rng, default_generator):
@@ -67,13 +67,13 @@ def test_candidate_content_is_reproducible_without_the_generator(prompt_seed, se
 # -------------------------------------------------------- truncate / resume
 
 @functools.cache
-def _params_for(precision: str):
-    return build_generator(GeneratorConfig(num_layers=6, precision=precision)).params
+def _shared_params():
+    return build_generator(GeneratorConfig(num_layers=6)).params
 
 
 def _generator(cfg: GeneratorConfig) -> Generator:
     """``cfg`` over parameters shared between tests (at most 6 layers)."""
-    params = _params_for(cfg.precision)
+    params = _shared_params()
     return Generator(cfg, dataclasses.replace(params, blocks=params.blocks[:cfg.num_layers]))
 
 
@@ -96,12 +96,11 @@ def _uninterrupted(gen: Generator, prompt, seed: int, ctx):
 
 @settings(max_examples=30, deadline=None)
 @given(layers=hst.integers(1, 6), tap_frac=hst.floats(0.0, 1.0, exclude_max=True),
-       corruption=hst.floats(0.0, 1.0), precision=hst.sampled_from(["f64", "f32"]),
-       prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62))
-def test_resume_equals_full_bitwise(layers, tap_frac, corruption, precision,
-                                    prompt_seed, seed):
+       corruption=hst.floats(0.0, 1.0), prompt_seed=hst.integers(0, 2 ** 32 - 1),
+       seed=hst.integers(0, 2 ** 62))
+def test_resume_equals_full_bitwise(layers, tap_frac, corruption, prompt_seed, seed):
     gen = _generator(GeneratorConfig(num_layers=layers, tap_layer=int(tap_frac * layers),
-                                     corruption_rate=corruption, precision=precision))
+                                     corruption_rate=corruption))
     p = sample_prompt(np.random.default_rng(prompt_seed))
     st = generate_tapped(gen, p, seed, MeterContext())
     img_resume = resume_and_decode(gen, st, MeterContext())
@@ -148,7 +147,7 @@ def test_bytes_live_returns_to_start_when_results_dropped(default_generator, rng
 
 
 def test_f32_precision_is_honoured_end_to_end(rng):
-    gen = _generator(GeneratorConfig(num_layers=3, tap_layer=1, precision="f32"))
+    gen = _generator(GeneratorConfig(num_layers=3, tap_layer=1))
     p = sample_prompt(rng)
     st = generate_tapped(gen, p, 5, MeterContext())
     assert st.hidden.dtype == np.float32
@@ -163,22 +162,11 @@ def _coordinates(cfg: GeneratorConfig, prompt, seed: int) -> np.ndarray:
     return toygen._code_coordinates(cfg, *_drawn_scene(cfg, prompt, seed))
 
 
-@given(seed=hst.integers(0, 2 ** 62))
-def test_f32_parameters_and_noise_are_the_f64_ones_rounded_once(seed):
-    for a64, a32 in zip(_param_arrays(_params_for("f64")), _param_arrays(_params_for("f32")),
-                        strict=True):
-        assert a32.dtype == np.float32 and a32.tobytes() == a64.astype(np.float32).tobytes()
-    p = sample_prompt(np.random.default_rng(seed))
-    z64, z32 = (_coordinates(GeneratorConfig(precision=q), p, seed) for q in ("f64", "f32"))
-    assert z32.dtype == np.float32 and z32.tobytes() == z64.astype(np.float32).tobytes()
-
-
-@pytest.mark.parametrize("precision, peak", [("f32", 74_888), ("f64", 149_776)])
-def test_metered_peak_of_a_full_run_halves_in_f32(precision, peak, rng):
-    # the same buffers in either precision, each half the bytes in float32
+def test_metered_peak_of_a_full_run(default_generator, rng):
+    # float32 buffers; the peak depends on shapes only
     ctx = MeterContext()
-    generate_full(build_generator(GeneratorConfig(precision=precision)), sample_prompt(rng), 5, ctx)
-    assert ctx.bytes_peak == peak
+    generate_full(default_generator, sample_prompt(rng), 5, ctx)
+    assert ctx.bytes_peak == 74_888
 
 
 def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
@@ -217,11 +205,10 @@ def test_tap_at_last_layer_resume_only_decodes(rng):
     assert c_res.flops_accumulated == expected
 
 
-@pytest.mark.parametrize("precision", ["f64", "f32"])
-def test_tap_at_last_layer_features_are_the_last_blocks_content_rows(precision, rng):
+def test_tap_at_last_layer_features_are_the_last_blocks_content_rows(rng):
     # the last block returns the content rows only; the features must be all
     # of them, as the same block run on every row gives them
-    cfg = GeneratorConfig(num_layers=2, tap_layer=1, precision=precision)
+    cfg = GeneratorConfig(num_layers=2, tap_layer=1)
     gen = _generator(cfg)
     p = sample_prompt(rng)
     feats = tap_hidden_features(generate_tapped(gen, p, 11, None))
@@ -230,8 +217,7 @@ def test_tap_at_last_layer_features_are_the_last_blocks_content_rows(precision, 
     unpruned = toygen.attention_block(x, gen.params.blocks[1], None).data
     n, d = cfg.num_noise_tokens, cfg.model_width
     assert feats.shape == (n, d) and unpruned.shape == (cfg.num_tokens, d)
-    tol = 1e-12 if precision == "f64" else 1e-5
-    assert np.abs(feats - unpruned[:n]).max() <= tol * np.abs(unpruned).max()
+    assert np.abs(feats - unpruned[:n]).max() <= 1e-5 * np.abs(unpruned).max()
 
 
 @settings(max_examples=20, deadline=None)
@@ -301,16 +287,15 @@ def _code_shapes(draw):
 
 
 @settings(max_examples=20, deadline=None)
-@given(shape=_code_shapes(), precision=hst.sampled_from(["f64", "f32"]),
-       prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62))
-@example(shape=(16, 80), precision="f64", prompt_seed=0, seed=0)  # raster_dim % d != 0
-@example(shape=(16, 80), precision="f32", prompt_seed=0, seed=0)
-def test_factored_code_is_the_dense_orthogonal_code(shape, precision, prompt_seed, seed):
+@given(shape=_code_shapes(), prompt_seed=hst.integers(0, 2 ** 32 - 1),
+       seed=hst.integers(0, 2 ** 62))
+@example(shape=(16, 80), prompt_seed=0, seed=0)  # raster_dim % d != 0
+def test_factored_code_is_the_dense_orthogonal_code(shape, prompt_seed, seed):
     tokens, width = shape
     cfg = GeneratorConfig(num_layers=1, tap_layer=0, num_noise_tokens=tokens,
-                          model_width=width, precision=precision)
+                          model_width=width)
     gen = build_generator(cfg)
-    tol = 1e-12 if precision == "f64" else 1e-5
+    tol = 1e-5
     # (A ⊗ B)(A ⊗ B)ᵀ = AAᵀ ⊗ BBᵀ: the code is orthogonal when both factors are
     a, b = (c.astype(np.float64) for c in (gen.params.token_code, gen.params.channel_code))
     for f in (a, b):
@@ -322,21 +307,21 @@ def test_factored_code_is_the_dense_orthogonal_code(shape, precision, prompt_see
     x = toygen._embed_layer0(gen, p, realized, rng, None)
     dense = (np.kron(a, b) @ coords.reshape(-1)).reshape(tokens, width)
     assert np.abs(x.data[:tokens] - dense).max() <= tol
-    if precision == "f64":
-        # no blocks between embed and projection: decoding inverts the code
-        img = toygen.decode_latent(gen, toygen._project(gen, x.data[:tokens], None), None)
-        assert np.abs(img.pixels.data - scenes.render(realized.scene)).max() <= 1e-12
+    # no blocks between embed and projection: decoding inverts the code
+    img = toygen.decode_latent(gen, toygen._project(gen, x.data[:tokens], None), None)
+    assert np.abs(img.pixels.data - scenes.render(realized.scene)).max() <= tol
 
 
-# sha256 of the float64 generator's drawn parameters (block weights, w_proj,
+# sha256 of the generator's drawn float32 parameters (block weights, w_proj,
 # token_table, seg_prompt); the QR factors and w_decode are left out, since
-# their bits depend on the LAPACK build. The candidates' code coordinates are
-# pinned with their scenes in test_scenes
-GENERATOR_DRAWS_SHA256 = "c7f7b8bd5181784b09bb70bcdce429d99524f330265293ad6c3af4fbed4348e1"
+# their bits depend on the LAPACK build. Taken while float64 serving was
+# still selectable, so it holds the float32 bits as they were. The
+# candidates' code coordinates are pinned with their scenes in test_scenes
+GENERATOR_DRAWS_SHA256 = "e49a41c089797d927510981414edf0210871cd52685b1ca7f83fec88557c7c19"
 
 
 def test_generator_draws_are_unchanged():
-    p = build_generator(GeneratorConfig(precision="f64")).params
+    p = build_generator(GeneratorConfig()).params
     digest = hashlib.sha256()
     for block in p.blocks:
         for f in dataclasses.fields(block):
@@ -429,10 +414,6 @@ def test_invalid_configs_rejected():
         VerifierConfig(scorer_blocks=-1)
     with pytest.raises(VerifierConfigError):
         VerifierConfig(encoder_depth=-1)  # any mode, though only pixel_reencode reads it
-    with pytest.raises(GeneratorConfigError):
-        GeneratorConfig(precision="f16")
-    with pytest.raises(VerifierConfigError):
-        init_verifier(VerifierConfig(), precision="f16")
 
 
 # -------------------------------------------------------- informativeness

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen, verifier
-from latentscale.numcore import BlockWeights, MeterContext, flops_for, normalize
+from latentscale.numcore import BlockWeights, MeterContext, Tensor, flops_for, normalize
 from latentscale.verifier import (
     CheckpointError, Score, VerifierConfig, init_verifier, load_checkpoint,
     save_checkpoint, score_from_logits, select_best,
@@ -74,21 +74,21 @@ def encoder_flops(cfg: VerifierConfig) -> int:
             + cfg.encoder_depth * flops_for(("attention_block", patches, e, 4 * e)))
 
 
-def metered_verification_flops(gen, cfg, stats, state, image=None) -> int:
+def metered_verification_flops(gen, cfg, stats, prompt, state, image=None) -> int:
     params, ctx = init_verifier(cfg), MeterContext()
     feats = verifier.extract_features(gen, state, cfg, stats, ctx, params=params, image=image)
-    verifier.score(params, cfg, feats, scenes.encode_prompt_tokens(state.prompt), ctx)
+    verifier.score(params, cfg, feats, scenes.encode_prompt_tokens(prompt), ctx)
     return ctx.flops_accumulated
 
 
 def test_hidden_state_verification_flops_match_closed_form(small_generator, rng):
-    cfg = VerifierConfig()
-    st = toygen.generate_tapped(small_generator, scenes.sample_prompt(rng), 2, None)
+    cfg, p = VerifierConfig(), scenes.sample_prompt(rng)
+    st = toygen.generate_tapped(small_generator, p, 2, None)
     feats = toygen.tap_hidden_features(st)
     stats = scenes.calibrate_feature_stats([feats, feats + 1.0])
     tokens, width = feats.shape
     normalize = 2 * tokens * width + width
-    assert (metered_verification_flops(small_generator, cfg, stats, st)
+    assert (metered_verification_flops(small_generator, cfg, stats, p, st)
             == normalize + scorer_flops(cfg, tokens))
 
 
@@ -99,7 +99,7 @@ def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
     st = toygen.generate_tapped(default_generator, p, 4, c_tap)
     feats = toygen.tap_hidden_features(st)
     stats = scenes.calibrate_feature_stats([feats, feats + 1.0])
-    verify = metered_verification_flops(default_generator, cfg, stats, st)
+    verify = metered_verification_flops(default_generator, cfg, stats, p, st)
     toygen.resume_and_decode(default_generator, st, c_res)
     tokens, width = feats.shape
     assert verify == 2 * tokens * width + width + scorer_flops(cfg, tokens) == 4_850_904
@@ -107,12 +107,11 @@ def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
             == 257_872_516)
 
 
-@pytest.mark.parametrize("precision", sorted(toygen.PRECISIONS))
-def test_scorer_without_blocks_mean_pools_the_tokens(precision, small_generator, rng):
+def test_scorer_without_blocks_mean_pools_the_tokens(small_generator, rng):
     # no scorer block reads out a pooled mean, so mean_pool does, on the
     # connector's feature rows and the prompt rows
     cfg = VerifierConfig(scorer_blocks=0)
-    params = init_verifier(cfg, precision=precision)
+    params = init_verifier(cfg)
     for seed in range(4):
         p = scenes.sample_prompt(rng)
         st = toygen.generate_tapped(small_generator, p, seed, None)
@@ -137,11 +136,11 @@ def test_metered_normalization_is_bitwise_reference(dtype):
 
 
 def test_pixel_reencode_verification_flops_match_closed_form(small_generator, rng):
-    cfg = VerifierConfig(mode="pixel_reencode")
-    image, st = toygen.generate_full(small_generator, scenes.sample_prompt(rng), 2, None)
+    cfg, p = VerifierConfig(mode="pixel_reencode"), scenes.sample_prompt(rng)
+    image, st = toygen.generate_full(small_generator, p, 2, None)
     patches = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2
     # the image is passed in, so nothing is decoded again
-    assert (metered_verification_flops(small_generator, cfg, None, st, image)
+    assert (metered_verification_flops(small_generator, cfg, None, p, st, image)
             == encoder_flops(cfg) + scorer_flops(cfg, patches))
 
 
@@ -158,34 +157,44 @@ class DtypeMeter(MeterContext):
 
 
 @functools.cache
-def two_layer_generator(precision: str) -> toygen.Generator:
-    return toygen.build_generator(toygen.GeneratorConfig(num_layers=2, precision=precision))
+def two_layer_generator() -> toygen.Generator:
+    return toygen.build_generator(toygen.GeneratorConfig(num_layers=2))
 
 
-# every mode, in each serving precision of the generator and the verifier
+def _tensor_as(t: Tensor | None, dtype) -> Tensor | None:
+    return None if t is None else Tensor(t.data.astype(dtype))
+
+
+# every mode, as the float32 stack serves it and as a float64 cast of the
+# verifier's parameters and of what the generator hands it: the verifier's
+# kernels compute in their operands' dtype, at the same FLOPs
 @pytest.mark.parametrize("mode", verifier.MODES)
-@pytest.mark.parametrize("precision", sorted(toygen.PRECISIONS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @settings(max_examples=3, deadline=None)
 @given(prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62))
 def test_verifier_computes_in_its_precision_with_the_same_flops(
-        mode, precision, prompt_seed, seed):
-    gen = two_layer_generator(precision)
+        mode, dtype, prompt_seed, seed):
+    gen = two_layer_generator()
     cfg = VerifierConfig(mode=mode)
-    params = init_verifier(cfg, precision=precision)
+    params = {name: arr.astype(dtype) for name, arr in init_verifier(cfg).items()}
     p = scenes.sample_prompt(np.random.default_rng(prompt_seed))
     stats = image = None
     if mode == "hidden_state":
         st = toygen.generate_tapped(gen, p, seed, None)
-        feats = toygen.tap_hidden_features(st)
-        stats = scenes.calibrate_feature_stats([feats, feats + 1.0])
     else:
         # the decode is the generator's, so the image is passed in, as in BoN
         image, st = toygen.generate_full(gen, p, seed, None)
+        image = toygen.RenderedImage(_tensor_as(image.pixels, dtype))
+    st = dataclasses.replace(st, hidden=_tensor_as(st.hidden, dtype),
+                             z0=_tensor_as(st.z0, dtype))
+    if mode == "hidden_state":
+        feats = toygen.tap_hidden_features(st)
+        stats = scenes.calibrate_feature_stats([feats, feats + 1.0])
     ctx = DtypeMeter()
     feats = verifier.extract_features(gen, st, cfg, stats, ctx, params=params, image=image)
     verifier.score(params, cfg, feats, scenes.encode_prompt_tokens(p), ctx)
     *computed, softmax_out = ctx.outputs
-    assert {dtype for dtype, _ in computed} == {np.dtype(toygen.PRECISIONS[precision])}
+    assert {dt for dt, _ in computed} == {np.dtype(dtype)}
     assert softmax_out == (np.float64, (2,))
     tokens = gen.config.num_noise_tokens
     features = {"hidden_state": flops_for(("normalize", tokens, verifier.FEATURE_DIM)),
@@ -193,20 +202,10 @@ def test_verifier_computes_in_its_precision_with_the_same_flops(
     assert ctx.flops_accumulated == features + scorer_flops(cfg, tokens)
 
 
-@pytest.mark.parametrize("mode", verifier.MODES)
-def test_f32_parameters_are_the_f64_ones_rounded_once(mode):
-    f64 = init_verifier(VerifierConfig(mode=mode), precision="f64")
-    f32 = init_verifier(VerifierConfig(mode=mode), precision="f32")
-    assert f32.keys() == f64.keys()
-    for name, arr in f64.items():
-        assert arr.dtype == np.float64 and f32[name].dtype == np.float32
-        assert f32[name].tobytes() == arr.astype(np.float32).tobytes()
-
-
 def test_features_and_pixels_enter_in_the_parameters_dtype():
     # float64 pixels and features meet float32 parameters: nothing promotes
     cfg = VerifierConfig(mode="pixel_reencode")
-    params = init_verifier(cfg, precision="f32")
+    params = init_verifier(cfg)
     rng = np.random.default_rng(7)
     ctx = DtypeMeter()
     feats = verifier.encode_pixels(
@@ -260,7 +259,7 @@ def test_hidden_state_mode_rejects_state_not_at_its_tap(small_generator, rng):
 
 def write_checkpoint(tmp_path):
     cfg = VerifierConfig()
-    params = init_verifier(cfg, precision="f32")
+    params = init_verifier(cfg)
     rng = np.random.default_rng(3)
     stats = scenes.FeatureStats(mean=rng.standard_normal(64).astype(np.float32),
                                 variance=rng.uniform(0.5, 2.0, 64).astype(np.float32),
@@ -272,42 +271,24 @@ def write_checkpoint(tmp_path):
 def test_checkpoint_round_trip_float32(tmp_path):
     path, params, cfg, stats = write_checkpoint(tmp_path)
     assert list(tmp_path.iterdir()) == [path]
+    with np.load(path) as npz:
+        assert {npz[name].dtype.str for name in npz.files if name != "header"} == {"<f4"}
     got, got_cfg, got_stats, meta = load_checkpoint(path)
     assert got_cfg == cfg and meta == {"step": 3}
     assert got.keys() == params.keys()
     for name, arr in params.items():
         assert got[name].dtype == np.float32
         assert got[name].tobytes() == arr.tobytes()
-    # statistics are stored in the checkpoint's precision too
+    # statistics are stored in float32 too
     assert got_stats.sample_count == 10
     for got_arr, arr in ((got_stats.mean, stats.mean), (got_stats.variance, stats.variance)):
         assert got_arr.dtype == np.float32 and got_arr.tobytes() == arr.tobytes()
 
 
-@pytest.mark.parametrize("precision, stored", [("f32", "<f4"), ("f64", "<f8")])
-def test_checkpoint_stores_every_entry_in_its_precision(precision, stored, tmp_path):
-    # float64 parameters and statistics, cast explicitly to the precision saved
-    dtype = toygen.PRECISIONS[precision]
-    params = {name: arr.astype(dtype)
-              for name, arr in init_verifier(VerifierConfig(), precision="f64").items()}
-    feats = np.random.default_rng(5).standard_normal((3, 16, 64)).astype(dtype)
-    stats = scenes.calibrate_feature_stats(feats)
-    path = save_checkpoint(tmp_path / "ckpt.npz", params, VerifierConfig(), stats)
-    with np.load(path) as npz:
-        assert json.loads(str(npz["header"]))["precision"] == precision
-        assert {npz[name].dtype.str for name in npz.files if name != "header"} == {stored}
-    got, got_cfg, got_stats, _ = load_checkpoint(path)
-    assert got_cfg == VerifierConfig()
-    for name, arr in params.items():
-        assert got[name].tobytes() == arr.tobytes()
-    assert got_stats.mean.tobytes() == stats.mean.tobytes()
-    assert got_stats.variance.tobytes() == stats.variance.tobytes()
-
-
 @pytest.mark.parametrize("entry", ["head.w", "stats.mean"])
 def test_checkpoint_refuses_an_entry_of_another_precision(entry, tmp_path):
     # nothing is rounded on the way to disk: one float64 entry among float32
-    params = init_verifier(VerifierConfig(), precision="f32")
+    params = init_verifier(VerifierConfig())
     stats = scenes.calibrate_feature_stats(np.zeros((2, 16, 64), dtype=np.float32))
     if entry == "head.w":
         params[entry] = params[entry].astype(np.float64)
@@ -337,8 +318,13 @@ def _edit_header(edit):
     return _edit_entries(edit_entries)
 
 
+def _replace(name, new):
+    """Entry ``name`` replaced by ``new`` of it."""
+    return _edit_entries(lambda e: e.update({name: new(e[name])}))
+
+
 def _cast(name, dtype):
-    return _edit_entries(lambda e: e.update({name: e[name].astype(dtype)}))
+    return _replace(name, lambda a: a.astype(dtype))
 
 
 def _npy_header(name, text):
@@ -390,6 +376,7 @@ CORRUPTIONS = {
     "schema": _edit_header(lambda h: h.update(schema=99)),
     "schema_4_with_tap_layer": _edit_header(
         lambda h: h.update(schema=4, config={**h["config"], "tap_layer": 0})),
+    "schema_5_with_precision": _edit_header(lambda h: h.update(schema=5, precision="f32")),
     "header_not_json": _edit_entries(lambda e: e.update(header=np.array("{"))),
     "missing_header": _edit_entries(lambda e: e.pop("header")),
     "missing_entry_key": _npy_header("head.w", "{'descr': '<f4', 'fortran_order': False}"),
@@ -397,6 +384,7 @@ CORRUPTIONS = {
         "head.w", "{'descr': '<f4', 'fortran_order': False, 'shape': (64, 3)}"),
     "integer_dtype": _cast("head.w", "<i8"),
     "big_endian_dtype": _cast("head.w", ">f4"),
+    "float64_entry": _cast("head.w", "<f8"),
     "object_entry": _cast("head.b", object),
     "bit_flip": _flip_bit("connector.w1"),
     "truncated_file": _truncate,
@@ -406,9 +394,14 @@ CORRUPTIONS = {
     "misshaped_entry": _edit_entries(  # same byte count
         lambda e: e.update({"connector.w1": e["connector.w1"].reshape(128, 64)})),
     "duplicate_entry": _store_twice("head.b"),
-    # the float32 entries stay consistent with their own shapes and bytes
-    "dtype_disagrees_with_precision": _edit_header(lambda h: h.update(precision="f64")),
-    "unknown_precision": _edit_header(lambda h: h.update(precision="f16")),
+    "stats_of_3_channels": _replace("stats.mean", lambda a: a[:3]),
+    "negative_variance": _replace("stats.variance", lambda a: np.full_like(a, -1.0)),
+    "nan_stats_mean": _replace("stats.mean", lambda a: np.full_like(a, np.nan)),
+    "inf_head_w": _replace("head.w", lambda a: np.full_like(a, np.inf)),
+    "string_sample_count": _edit_header(lambda h: h.update(sample_count="ten")),
+    "bool_sample_count": _edit_header(lambda h: h.update(sample_count=True)),
+    "sample_count_of_1": _edit_header(lambda h: h.update(sample_count=1)),
+    "list_meta": _edit_header(lambda h: h.update(meta=[1, 2])),
     "string_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks="2")),
     "float_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks=2.0)),
     "bool_encoder_depth": _edit_header(lambda h: h["config"].update(encoder_depth=True)),
@@ -427,14 +420,16 @@ def test_malformed_checkpoint_raises_checkpoint_error(name, tmp_path):
 
 # ---------------------------------------------------------------- parameters
 
-# sha256 of the encoder weights in draw order, taken while init_verifier still
-# drew the alignment readouts that its 28*d discarded normals stand in for
-ENCODER_SHA256 = "f06d64aa9fb1f84af5b21123a1fad7545ec0d5acc9f181732c3ea2d9d3c06231"
+# sha256 of the float32 encoder weights in draw order, taken while float64
+# serving was still selectable, so it holds their bits as they were; the
+# float64 digest before it was taken while init_verifier still drew the
+# alignment readouts that its 28*d discarded normals stand in for
+ENCODER_SHA256 = "76cb93e5eb9792f9bf17577ea0db33e6e8245d293b0ad1a247d49563e4eb8de6"
 
 
 def test_pixel_encoder_weights_are_unchanged():
     cfg = VerifierConfig(mode="pixel_reencode")
-    params = init_verifier(cfg, seed=0, precision="f64")
+    params = init_verifier(cfg, seed=0)
     names = ["encoder.patch.w", "encoder.patch.b"] + [
         f"encoder.block{i}.{f.name}"
         for i in range(cfg.encoder_depth) for f in dataclasses.fields(BlockWeights)]

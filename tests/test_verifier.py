@@ -271,8 +271,6 @@ def write_checkpoint(tmp_path):
 def test_checkpoint_round_trip_float32(tmp_path):
     path, params, cfg, stats = write_checkpoint(tmp_path)
     assert list(tmp_path.iterdir()) == [path]
-    with np.load(path) as npz:
-        assert {npz[name].dtype.str for name in npz.files if name != "header"} == {"<f4"}
     got, got_cfg, got_stats, meta = load_checkpoint(path)
     assert got_cfg == cfg and meta == {"step": 3}
     assert got.keys() == params.keys()
@@ -283,6 +281,25 @@ def test_checkpoint_round_trip_float32(tmp_path):
     assert got_stats.sample_count == 10
     for got_arr, arr in ((got_stats.mean, stats.mean), (got_stats.variance, stats.variance)):
         assert got_arr.dtype == np.float32 and got_arr.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("precision, stored", [("f32", "<f4")])
+def test_checkpoint_stores_every_entry_in_its_precision(precision, stored, tmp_path):
+    # float32, the one precision served, is what every stored entry holds
+    params = init_verifier(VerifierConfig())
+    feats = np.random.default_rng(5).standard_normal((3, 16, 64)).astype(np.float32)
+    stats = scenes.calibrate_feature_stats(feats)
+    path = save_checkpoint(tmp_path / "ckpt.npz", params, VerifierConfig(), stats)
+    with np.load(path) as npz:
+        # the entries' dtype is the precision; the header names none
+        assert "precision" not in json.loads(str(npz["header"]))
+        assert {npz[name].dtype.str for name in npz.files if name != "header"} == {stored}
+    got, got_cfg, got_stats, _ = load_checkpoint(path)
+    assert got_cfg == VerifierConfig()
+    for name, arr in params.items():
+        assert got[name].tobytes() == arr.tobytes()
+    assert got_stats.mean.tobytes() == stats.mean.tobytes()
+    assert got_stats.variance.tobytes() == stats.variance.tobytes()
 
 
 @pytest.mark.parametrize("entry", ["head.w", "stats.mean"])

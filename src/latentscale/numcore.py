@@ -17,7 +17,7 @@ Published FLOPs conventions (cost per element unless stated):
     layer_norm      8   (mean 1, variance 3, normalize 2, affine 2)
     gelu            12  (cubic 5, tanh 4, gate 3; tanh approximation)
     softmax         5   (max, shift, exp, sum, divide)
-    mean_pool t,d   t*d + d
+    mean_pool t,d   t*d + d (no kernel: the pooled block's row means)
     normalize t,d   2*t*d + d (subtract, divide; d for the channel scale)
     ============== ===========================================
 
@@ -253,15 +253,6 @@ def softmax(x: Operand, ctx: MeterContext | None) -> Tensor:
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return _finish(e, ctx, FLOPS_PER_ELEMENT["softmax"] * x.size)
-
-
-def mean_pool(x: Operand, ctx: MeterContext | None) -> Tensor:
-    """Mean over the token (first) axis of a [t, d] tensor."""
-    x = _data(x)
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"mean_pool needs [t, d], got {x.shape}")
-    t, d = x.shape
-    return _finish(x.mean(axis=0), ctx, t * d + d)
 
 
 def normalize(x: Operand, mean: np.ndarray, variance: np.ndarray,

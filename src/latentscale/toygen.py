@@ -10,8 +10,8 @@ The code is the Kronecker product ``A ⊗ B`` of two small orthogonal factors:
 each the QR of a normal draw. With the code coordinates ``X`` laid out as
 [T, d] (row-major), the content tokens are ``A @ X @ Bᵀ``, which is exactly
 ``(A ⊗ B) @ vec(X)`` without the [T·d, T·d] matrix. Its inverse is
-``Aᵀ @ C @ B``; the decoder needs only the first ``ceil(raster_dim / d)``
-rows of ``X``, so it multiplies by those columns of ``A`` alone, and it
+``Aᵀ @ C @ B``; the raster fills exactly the first ``RASTER_DIM / d`` rows
+of ``X``, so the decoder multiplies by those columns of ``A`` alone, and it
 undoes the final projection ``W`` and the channel factor in one product
 with ``W⁻¹ @ B``, which ``build_generator`` solves for in float64 and
 rounds once. The code coordinates split into three orthogonal banks:
@@ -28,10 +28,11 @@ A candidate's randomness is one stream, ``scenes.candidate_rng(prompt,
 seed)``: the scene draws first (``scenes.candidate_scene``), then the match
 evidence and the latent (``_code_coordinates``).
 
-The raster bank holds the centered raster unscaled. The other banks'
-scales (``MATCH_GAIN`` and ``MATCH_NOISE``, ``NOISE_GAIN``) and the blocks'
-``WEIGHT_STD`` are module constants, since no caller varies them;
-``GeneratorConfig`` holds the shape, the tap and the corruption rate.
+The raster bank holds the centered raster unscaled. The shape (``T =
+CONTENT_TOKENS`` content tokens of ``d = MODEL_WIDTH`` channels), the other
+banks' scales (``MATCH_GAIN`` and ``MATCH_NOISE``, ``NOISE_GAIN``) and the
+blocks' ``WEIGHT_STD`` are module constants, since no caller varies them;
+``GeneratorConfig`` holds the depth, the tap and the corruption rate.
 
 Execution is tap and resume: ``generate_tapped`` stops after the tap layer
 and returns the hidden state for scoring; ``resume_and_decode`` completes the
@@ -66,6 +67,9 @@ from .numcore import (
     concat_rows, init_block_weights, matmul,
 )
 
+MODEL_WIDTH = 64            # d: channels of every token, and the verifier's FEATURE_DIM
+CONTENT_TOKENS = 16         # T: content tokens, one per scene cell
+RASTER_DIM = 3 * scenes.IMAGE_SIZE * scenes.IMAGE_SIZE  # fills RASTER_DIM / d rows of X
 MATCH_CHANNELS = 4
 WEIGHT_STD = 0.01           # scale of the attention blocks' random weights
 MATCH_GAIN = 0.5            # match bank: ±MATCH_GAIN for an (un)corrupted scene,
@@ -82,13 +86,13 @@ class StateCompletionError(RuntimeError):
     """Resume called on a completed state, or a full run was required."""
 
 
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+_FIELD_TYPES = {"int": (int,), "float": (int, float)}
 
 
-def check_field_types(config, error: type[Exception]) -> None:
+def _check_field_types(config, error: type[Exception]) -> None:
     """Raise ``error`` unless each field of the dataclass ``config`` holds its
-    annotated type: an int for int, a finite int or float for float, a str
-    for str; a bool is never accepted."""
+    annotated type: an int for int, a finite int or float for float; a bool
+    is never accepted."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
@@ -101,35 +105,17 @@ def check_field_types(config, error: type[Exception]) -> None:
 class GeneratorConfig:
     """Generator settings, checked when built: GeneratorConfigError if invalid."""
     num_layers: int = 8
-    model_width: int = 64
-    num_noise_tokens: int = 16
     tap_layer: int = 0
     corruption_rate: float = 0.3
 
-    @property
-    def code_dim(self) -> int:
-        return self.num_noise_tokens * self.model_width
-
-    @property
-    def raster_dim(self) -> int:
-        return 3 * scenes.IMAGE_SIZE * scenes.IMAGE_SIZE
-
-    @property
-    def num_tokens(self) -> int:
-        return self.num_noise_tokens + scenes.PROMPT_TOKEN_LEN
-
     def __post_init__(self):
-        check_field_types(self, GeneratorConfigError)
+        _check_field_types(self, GeneratorConfigError)
         if self.num_layers < 1:
             raise GeneratorConfigError("num_layers must be >= 1")
         if not 0 <= self.tap_layer <= self.num_layers - 1:
             raise GeneratorConfigError("tap_layer must lie in [0, num_layers-1]")
         if not 0.0 <= self.corruption_rate <= 1.0:
             raise GeneratorConfigError("corruption_rate must lie in [0, 1]")
-        if self.code_dim < self.raster_dim + MATCH_CHANNELS:
-            raise GeneratorConfigError(
-                f"token capacity {self.code_dim} cannot hold raster "
-                f"({self.raster_dim}) plus match channels")
 
 
 @dataclass
@@ -154,13 +140,12 @@ class Generator:
 class GeneratorState:
     """One candidate: either tapped (layers_done == tap+1) or fully run.
 
-    ``hidden`` is the token stream after ``layers_done`` layers: content
-    rows, then prompt rows, except after the last layer, which returns the
-    first ``content_tokens`` rows only.
+    ``hidden`` is the token stream after ``layers_done`` layers: the
+    ``CONTENT_TOKENS`` content rows, then the prompt rows, except after the
+    last layer, which returns the content rows only.
     """
     hidden: Tensor
     layers_done: int
-    content_tokens: int             # the config's num_noise_tokens
     rendered_scene: scenes.Scene    # post-corruption ground truth
     corrupted: bool
     z0: Tensor | None = None        # terminal latent, set on completion
@@ -177,9 +162,9 @@ class RenderedImage:
 
 def build_generator(config: GeneratorConfig) -> Generator:
     """Construct fixed generator parameters for a config."""
-    d = config.model_width
+    d = MODEL_WIDTH
     rng = np.random.default_rng([0, 101])
-    a, _ = np.linalg.qr(rng.standard_normal((config.num_noise_tokens,) * 2))
+    a, _ = np.linalg.qr(rng.standard_normal((CONTENT_TOKENS, CONTENT_TOKENS)))
     b, _ = np.linalg.qr(rng.standard_normal((d, d)))
     w_proj = np.eye(d) + 0.02 * rng.standard_normal((d, d))
     blocks = [init_block_weights(rng, d, weight_std=WEIGHT_STD, dtype=DTYPE)
@@ -200,7 +185,7 @@ def build_generator(config: GeneratorConfig) -> Generator:
     return Generator(config, params)
 
 
-def _code_coordinates(cfg: GeneratorConfig, realized: scenes.RealizedCandidate,
+def _code_coordinates(realized: scenes.RealizedCandidate,
                       rng: np.random.Generator) -> np.ndarray:
     """The coordinates X [T, d] that the code maps to content tokens; read
     row-major, they are the raster bank, the match bank, then the noise bank.
@@ -217,19 +202,19 @@ def _code_coordinates(cfg: GeneratorConfig, realized: scenes.RealizedCandidate,
     # scene banks are overwritten, the noise bank takes its coefficients
     # straight from the latent (an orthogonal basis makes any fixed linear
     # restriction of z distributionally equivalent)
-    z = rng.standard_normal((cfg.num_noise_tokens, cfg.model_width))
+    z = rng.standard_normal((CONTENT_TOKENS, MODEL_WIDTH))
     mixed = (NOISE_GAIN * z).astype(DTYPE)
     flat = mixed.reshape(-1)
-    flat[:cfg.raster_dim] = raster - 0.5
-    flat[cfg.raster_dim:cfg.raster_dim + MATCH_CHANNELS] = match
+    flat[:RASTER_DIM] = raster - 0.5
+    flat[RASTER_DIM:RASTER_DIM + MATCH_CHANNELS] = match
     return mixed
 
 
 def _embed_layer0(gen: Generator, prompt: scenes.Prompt, realized: scenes.RealizedCandidate,
                   rng: np.random.Generator, ctx: MeterContext | None) -> Tensor:
     """Token stream at layer 0: coded content tokens A @ X @ Bᵀ, then prompt tokens."""
-    cfg, p = gen.config, gen.params
-    mixed = _code_coordinates(cfg, realized, rng)
+    p = gen.params
+    mixed = _code_coordinates(realized, rng)
     content = matmul(matmul(p.token_code, mixed, ctx), p.channel_code.T, ctx)
     ids = scenes.encode_prompt_tokens(prompt)
     prompt_tokens = add(p.token_table[ids], p.seg_prompt, ctx)
@@ -240,9 +225,8 @@ def _run_blocks(gen: Generator, x: Tensor, start: int, stop: int,
                 ctx: MeterContext | None) -> Tensor:
     """Blocks start..stop-1; the generator's last block returns the content
     rows only, since the projection reads nothing else."""
-    cfg = gen.config
     for layer in range(start, stop):
-        rows = cfg.num_noise_tokens if layer == cfg.num_layers - 1 else None
+        rows = CONTENT_TOKENS if layer == gen.config.num_layers - 1 else None
         x = attention_block(x, gen.params.blocks[layer], ctx, rows=rows)
     return x
 
@@ -255,14 +239,14 @@ def _project(gen: Generator, x: Tensor, ctx: MeterContext | None) -> Tensor:
 def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> RenderedImage:
     """Undo the projection and the code on the raster rows, then un-centre and clamp.
 
-    The raster coordinates fill the first r rows of X = Aᵀ @ z0 @ W⁻¹ @ B,
-    computed as two products, ``A[:, :r]ᵀ @ z0`` and then ``@ (W⁻¹ @ B)``.
+    The raster coordinates are exactly the first r = RASTER_DIM / d rows of
+    X = Aᵀ @ z0 @ W⁻¹ @ B, computed as two products, ``A[:, :r]ᵀ @ z0`` and
+    then ``@ (W⁻¹ @ B)``.
     """
-    cfg, p = gen.config, gen.params
-    r = -(-cfg.raster_dim // cfg.model_width)
+    p = gen.params
+    r = RASTER_DIM // MODEL_WIDTH
     x = matmul(matmul(p.token_code[:, :r].T, z0, ctx), p.w_decode, ctx)
-    coef = x.data.reshape(-1)[:cfg.raster_dim]
-    shifted = add(coef, np.full(coef.shape, 0.5, dtype=DTYPE), ctx)
+    shifted = add(x, np.full(x.shape, 0.5, dtype=DTYPE), ctx)
     pixels = clamp01(shifted.data.reshape(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3), ctx)
     return RenderedImage(pixels=pixels)
 
@@ -277,7 +261,6 @@ def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
     x = _run_blocks(gen, x, 0, cfg.tap_layer + 1, ctx)
     return GeneratorState(
         hidden=x, layers_done=cfg.tap_layer + 1,
-        content_tokens=cfg.num_noise_tokens,
         rendered_scene=realized.scene, corrupted=realized.corrupted)
 
 
@@ -304,5 +287,5 @@ def generate_full(gen: Generator, prompt: scenes.Prompt, seed: int,
 
 def tap_hidden_features(state: GeneratorState) -> np.ndarray:
     """Content-token hidden state at the tap, the verifier's raw features:
-    [num_noise_tokens, d], wherever the tap is."""
-    return state.hidden.data[:state.content_tokens]
+    [CONTENT_TOKENS, MODEL_WIDTH], wherever the tap is."""
+    return state.hidden.data[:CONTENT_TOKENS]

@@ -20,11 +20,12 @@ so the MLP down-projection runs once, not once per row. The continuous score
 is the probability of the sampled class, negated for "no", giving values in
 [-1, -0.5] or [0.5, 1].
 
-The widths are module constants: features enter the connector, and the
-pixel encoder works, at ``FEATURE_DIM`` channels (the default generator's
-model width); the connector's hidden layer has ``CONNECTOR_HIDDEN`` and the
-scorer ``SCORER_DIM``. ``VerifierConfig`` holds only the mode and the scorer's
-and encoder's depths.
+The widths and depths are module constants: features enter the connector,
+and the pixel encoder works, at ``FEATURE_DIM`` channels, which is the
+generator's ``toygen.MODEL_WIDTH``; the connector's hidden layer has
+``CONNECTOR_HIDDEN`` and the scorer ``SCORER_DIM``; the scorer has
+``SCORER_BLOCKS`` blocks and the encoder ``ENCODER_DEPTH``.
+``VerifierConfig`` holds only the mode.
 
 Parameters live in a flat ``{name: array}`` dict, which a checkpoint stores
 entry by entry. Every metered operation, feature normalization included,
@@ -38,15 +39,18 @@ parameters' dtype where they enter the connector and the encoder, a no-op
 on the float32 stack; normalization runs in the dtype of the tapped
 features, which ``calibrate_feature_stats`` gives its statistics at
 set-up. Only the 2 head logits are promoted to float64, for the softmax
-that gives the score. A checkpoint (schema 6) is one CRC-checked ``.npz``
+that gives the score. A checkpoint (schema 7) is one CRC-checked ``.npz``
 whose JSON ``header`` entry records the config, the statistics' sample
 count and the caller's meta; every other entry, statistics included, is
-little-endian float32 (``<f4``).
+little-endian float32 (``<f4``). Save and load apply the same checks, so
+what save writes, load reads.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -56,14 +60,16 @@ import numpy as np
 from . import scenes, toygen
 from .numcore import (
     BlockWeights, MeterContext, add, attention_block, concat_rows, gelu,
-    init_block_weights, linear, mean_pool, normalize, softmax,
+    init_block_weights, linear, normalize, softmax,
 )
 
 MODES = ("hidden_state", "ae_latent", "pixel_reencode")
 
-FEATURE_DIM = 64        # feature channels entering the connector; the encoder's width
+FEATURE_DIM = toygen.MODEL_WIDTH  # feature channels entering the connector; the encoder's width
 CONNECTOR_HIDDEN = 128
 SCORER_DIM = 64
+SCORER_BLOCKS = 2       # the last reads out the pooled row mean
+ENCODER_DEPTH = 2       # blocks of the pixel_reencode stand-in encoder
 
 _BLOCK_FIELDS = tuple(f.name for f in fields(BlockWeights))
 
@@ -76,17 +82,10 @@ class VerifierConfigError(ValueError):
 class VerifierConfig:
     """Verifier settings, checked when built: VerifierConfigError if invalid."""
     mode: str = "hidden_state"
-    scorer_blocks: int = 2
-    encoder_depth: int = 2             # pixel_reencode stand-in encoder
 
     def __post_init__(self):
-        toygen.check_field_types(self, VerifierConfigError)
         if self.mode not in MODES:
             raise VerifierConfigError(f"unknown mode {self.mode!r}")
-        if min(self.scorer_blocks, self.encoder_depth) < 0:
-            raise VerifierConfigError("scorer_blocks and encoder_depth must be >= 0")
-        if self.mode == "pixel_reencode" and self.encoder_depth < 1:
-            raise VerifierConfigError("pixel_reencode needs encoder_depth >= 1")
 
 
 @dataclass
@@ -121,7 +120,7 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
     p["prompt_embed.table"] = rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5
     p["segment.features"] = rng.standard_normal(d) * 0.1
     p["segment.prompt"] = rng.standard_normal(d) * 0.1
-    for i in range(config.scorer_blocks):
+    for i in range(SCORER_BLOCKS):
         put_block(f"scorer.block{i}", d, 0.05)
     p["head.w"] = rng.standard_normal((d, 2)) * 0.05
     p["head.b"] = np.zeros(2)
@@ -130,7 +129,7 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
         patch_dim = 3 * scenes.PATCH * scenes.PATCH
         p["encoder.patch.w"] = rng.standard_normal((patch_dim, FEATURE_DIM)) * 0.1
         p["encoder.patch.b"] = np.zeros(FEATURE_DIM)
-        for i in range(config.encoder_depth):
+        for i in range(ENCODER_DEPTH):
             put_block(f"encoder.block{i}", FEATURE_DIM, 0.05)
     return {name: arr.astype(toygen.DTYPE, copy=False) for name, arr in p.items()}
 
@@ -145,13 +144,13 @@ def patchify(pixels: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3, 4).reshape(cells * cells, patch * patch * 3)
 
 
-def encode_pixels(params: dict[str, np.ndarray], config: VerifierConfig,
-                  pixels: np.ndarray, ctx: MeterContext | None) -> np.ndarray:
+def encode_pixels(params: dict[str, np.ndarray], pixels: np.ndarray,
+                  ctx: MeterContext | None) -> np.ndarray:
     """Frozen stand-in visual encoder: patch projection + attention blocks,
     on the pixels cast to the parameters' dtype."""
     w = params["encoder.patch.w"]
     x = linear(patchify(pixels.astype(w.dtype, copy=False)), w, params["encoder.patch.b"], ctx)
-    for i in range(config.encoder_depth):
+    for i in range(ENCODER_DEPTH):
         x = attention_block(x, block_view(params, f"encoder.block{i}"), ctx)
     return x.data
 
@@ -186,19 +185,18 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
         return state.z0.data
     if image is None:
         raise toygen.StateCompletionError("pixel_reencode verification needs the decoded image")
-    return encode_pixels(params, config, image.pixels.data, ctx)
+    return encode_pixels(params, image.pixels.data, ctx)
 
 
 # ------------------------------------------------------------- forward
 
-def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
-                   features: np.ndarray, prompt_ids: np.ndarray,
-                   ctx: MeterContext | None = None) -> np.ndarray:
+def scorer_forward(params: dict[str, np.ndarray], features: np.ndarray,
+                   prompt_ids: np.ndarray, ctx: MeterContext | None = None) -> np.ndarray:
     """Connector + scorer forward pass in the parameters' dtype; returns the
     2 [yes, no] logits as float64.
 
-    The head reads the mean of the scorer's output rows: the last block's
-    pooled readout, or a mean_pool of the tokens when there are no blocks.
+    The head reads the mean of the scorer's output rows, which the last
+    block reads out pooled.
     """
     f = np.ascontiguousarray(features, dtype=params["connector.w1"].dtype)
     if f.shape[-1] != params["connector.w1"].shape[0]:
@@ -211,10 +209,10 @@ def scorer_forward(params: dict[str, np.ndarray], config: VerifierConfig,
     proj_seg = add(projected, params["segment.features"], ctx)
     prompt_tok = add(params["prompt_embed.table"][prompt_ids], params["segment.prompt"], ctx)
     x = concat_rows(proj_seg, prompt_tok, ctx)
-    blocks = [block_view(params, f"scorer.block{i}") for i in range(config.scorer_blocks)]
-    for w in blocks[:-1]:
-        x = attention_block(x, w, ctx)
-    pooled = attention_block(x, blocks[-1], ctx, pool=True) if blocks else mean_pool(x, ctx)
+    for i in range(SCORER_BLOCKS - 1):
+        x = attention_block(x, block_view(params, f"scorer.block{i}"), ctx)
+    pooled = attention_block(x, block_view(params, f"scorer.block{SCORER_BLOCKS - 1}"), ctx,
+                             pool=True)
     logits = linear(pooled.data[None, :], params["head.w"], params["head.b"], ctx)
     return logits.data[0].astype(np.float64)
 
@@ -230,8 +228,9 @@ def score_from_logits(logits: np.ndarray, ctx: MeterContext | None = None) -> Sc
 def score(params: dict[str, np.ndarray], config: VerifierConfig,
           features: np.ndarray, prompt_ids: np.ndarray,
           ctx: MeterContext | None = None) -> Score:
-    """Forward pass, softmax over the 2 logits, greedy decision."""
-    return score_from_logits(scorer_forward(params, config, features, prompt_ids, ctx), ctx)
+    """Forward pass, softmax over the 2 logits, greedy decision. Every mode
+    has the same scorer, so ``config`` is not read."""
+    return score_from_logits(scorer_forward(params, features, prompt_ids, ctx), ctx)
 
 
 # ------------------------------------------------------------- selection
@@ -245,7 +244,7 @@ def select_best(scores: list[Score]) -> int:
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_SCHEMA = 6
+CHECKPOINT_SCHEMA = 7
 
 # the dtype of every checkpoint entry but the header, on disk
 _STORED = np.dtype(toygen.DTYPE).newbyteorder("<")
@@ -253,7 +252,39 @@ _STORED = np.dtype(toygen.DTYPE).newbyteorder("<")
 
 class CheckpointError(ValueError):
     """A checkpoint on disk is unreadable, malformed or inconsistent with its
-    header, or an entry given to save one is not float32."""
+    header, or what is given to save one would be."""
+
+
+def _check_checkpoint(arrays: dict[str, np.ndarray], config: VerifierConfig,
+                      sample_count, meta) -> None:
+    """Raise CheckpointError unless ``arrays`` (parameters, and stats.* when
+    ``sample_count`` is not null), ``sample_count`` and ``meta`` are what a
+    checkpoint of ``config`` holds; save and load both call this.
+
+    Every entry must be ``<f4``, finite and named and shaped as
+    ``init_verifier`` makes it for ``config`` (statistics are
+    [FEATURE_DIM]); the variance must be >= 0, ``sample_count`` null or an
+    int >= 2 and ``meta`` a dict.
+    """
+    if sample_count is not None and not (isinstance(sample_count, int) and sample_count >= 2):
+        raise CheckpointError(f"sample_count must be null or an int >= 2, got {sample_count!r}")
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"meta must be a JSON object, got {meta!r}")
+    other = sorted(n for n, arr in arrays.items() if arr.dtype != _STORED)
+    if other:
+        raise CheckpointError(f"entries not {_STORED.str} (float32): {other}")
+    found = {name: arr.shape for name, arr in arrays.items()}
+    expected = {name: arr.shape for name, arr in init_verifier(config).items()}
+    if sample_count is not None:
+        expected.update({"stats.mean": (FEATURE_DIM,), "stats.variance": (FEATURE_DIM,)})
+    wrong = sorted(n for n in found.keys() | expected.keys() if found.get(n) != expected.get(n))
+    if wrong:
+        raise CheckpointError(f"entries missing, unexpected or mis-shaped for the config: {wrong}")
+    nonfinite = sorted(n for n, arr in arrays.items() if not np.isfinite(arr).all())
+    if nonfinite:
+        raise CheckpointError(f"entries not finite: {nonfinite}")
+    if sample_count is not None and (arrays["stats.variance"] < 0).any():
+        raise CheckpointError("stats.variance has a negative entry")
 
 
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
@@ -262,23 +293,36 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
     """Write one ``.npz`` at ``path``: every parameter, the normalization
     statistics as stats.* entries, and a JSON string entry ``header``.
 
-    Every entry must be float32 (``toygen.DTYPE``). Otherwise
-    CheckpointError is raised and nothing is written.
+    What ``load_checkpoint`` would refuse, and a ``meta`` that JSON cannot
+    encode, raise CheckpointError before anything is written. The file is
+    written next to ``path`` and then renamed over it, so ``path`` holds
+    either its old content or the whole new checkpoint.
     """
     path = Path(path)
-    arrays = dict(params)
+    arrays = {name: np.asarray(arr) for name, arr in params.items()}
     sample_count = None
     if stats is not None:
-        arrays["stats.mean"], arrays["stats.variance"] = stats.mean, stats.variance
+        arrays["stats.mean"] = np.asarray(stats.mean)
+        arrays["stats.variance"] = np.asarray(stats.variance)
         sample_count = int(stats.sample_count)
-    other = sorted(n for n, arr in arrays.items() if np.asarray(arr).dtype != toygen.DTYPE)
-    if other:
-        raise CheckpointError(f"entries not float32: {other}")
+    meta = {} if meta is None else meta
+    _check_checkpoint(arrays, config, sample_count, meta)
     header = {"schema": CHECKPOINT_SCHEMA, "config": asdict(config),
-              "sample_count": sample_count, "meta": meta or {}}
-    with path.open("wb") as f:
-        np.savez(f, header=np.array(json.dumps(header, sort_keys=True)),
-                 **{name: np.asarray(arr, dtype=_STORED) for name, arr in arrays.items()})
+              "sample_count": sample_count, "meta": meta}
+    try:
+        text = json.dumps(header, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint header not JSON-encodable: {exc!r}") from exc
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            np.savez(f, header=np.array(text), **arrays)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
@@ -287,11 +331,7 @@ def load_checkpoint(path: str | Path):
 
     numpy checks each entry's header and byte count, and zipfile its CRC-32;
     what they refuse raises CheckpointError, as do a malformed header, a
-    name stored twice, a dtype other than ``<f4``, entries whose names or
-    shapes differ from those ``init_verifier`` makes for the stored config
-    (statistics are [FEATURE_DIM]), a non-finite entry, a negative
-    variance, a ``sample_count`` that is neither null nor an int >= 2, and
-    a ``meta`` that is not a JSON object.
+    name stored twice and whatever ``_check_checkpoint`` refuses.
     """
     try:
         # np.load would leave the file open when the archive is unreadable
@@ -315,28 +355,10 @@ def load_checkpoint(path: str | Path):
         sample_count, meta = header["sample_count"], header["meta"]
     except (KeyError, TypeError, VerifierConfigError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
-    if sample_count is not None and not (isinstance(sample_count, int) and sample_count >= 2):
-        raise CheckpointError(f"sample_count must be null or an int >= 2, got {sample_count!r}")
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"meta must be a JSON object, got {meta!r}")
-    other = sorted(n for n, arr in arrays.items() if arr.dtype != _STORED)
-    if other:
-        raise CheckpointError(f"entries not stored as {_STORED.str}: {other}")
-    found = {name: arr.shape for name, arr in arrays.items()}
-    expected = {name: arr.shape for name, arr in init_verifier(config).items()}
-    if sample_count is not None:
-        expected.update({"stats.mean": (FEATURE_DIM,), "stats.variance": (FEATURE_DIM,)})
-    wrong = sorted(n for n in found.keys() | expected.keys() if found.get(n) != expected.get(n))
-    if wrong:
-        raise CheckpointError(f"entries missing, unexpected or mis-shaped for the config: {wrong}")
-    nonfinite = sorted(n for n, arr in arrays.items() if not np.isfinite(arr).all())
-    if nonfinite:
-        raise CheckpointError(f"entries not finite: {nonfinite}")
+    _check_checkpoint(arrays, config, sample_count, meta)
     stats = None
     if sample_count is not None:
         stats = scenes.FeatureStats(mean=arrays.pop("stats.mean"),
                                     variance=arrays.pop("stats.variance"),
                                     sample_count=sample_count)
-        if (stats.variance < 0).any():
-            raise CheckpointError("stats.variance has a negative entry")
     return arrays, config, stats, meta

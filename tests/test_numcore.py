@@ -346,7 +346,6 @@ def _kernel_cases(seed=13, dtype=np.float64):
         "layer_norm": (nc.layer_norm, (x,), (w[:, 0], w[:, 1])),
         "gelu": (nc.gelu, (x,), ()),
         "softmax": (nc.softmax, (x,), ()),
-        "mean_pool": (nc.mean_pool, (x,), ()),
         "normalize": (nc.normalize, (x,), (r(6), rng.uniform(0.5, 2.0, 6).astype(dtype))),
         "concat_rows": (nc.concat_rows, (x, y), ()),
         "linear": (nc.linear, (x,), (w, b)),
@@ -395,7 +394,6 @@ _REFERENCE = {
     "layer_norm": _ref_layer_norm,
     "gelu": _ref_gelu,
     "softmax": _ref_softmax,
-    "mean_pool": lambda a: a.mean(axis=0),
     "normalize": lambda a, mean, var: (a - mean) / np.sqrt(var + 1e-6),
     "concat_rows": lambda a, b: np.concatenate([a, b]),
     "linear": lambda a, w, b: a @ w + b,
@@ -521,8 +519,7 @@ def test_any_non_finite_output_element_raises(dtype, value, where):
 def test_finite_values_whose_squares_overflow_pass(dtype, big):
     x = np.full((3, 4), big, dtype=dtype)
     assert not math.isfinite(np.vdot(x, x))  # the element-wise fallback runs
-    for out in (nc.add(x, np.zeros(4, dtype), ctx()), nc.concat_rows(x, x, ctx()),
-                nc.mean_pool(x, ctx())):
+    for out in (nc.add(x, np.zeros(4, dtype), ctx()), nc.concat_rows(x, x, ctx())):
         assert np.isfinite(out.data).all() and np.abs(out.data).min() > big / 2
 
 

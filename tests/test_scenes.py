@@ -183,7 +183,6 @@ CANDIDATE_STREAM_SHA256 = "654b9e3745b922407564ae8ae00ff04f17423c00b51d8d2b28ea9
 def test_prompt_and_candidate_streams_are_unchanged():
     rng = np.random.default_rng(0)
     prompts, candidates = hashlib.sha256(), hashlib.sha256()
-    cfg = toygen.GeneratorConfig()
     for i in range(200):
         p = sample_prompt(rng)
         prompts.update(f"{p.category}|{_stream_text(p.target)}|{p.text}".encode())
@@ -193,7 +192,7 @@ def test_prompt_and_candidate_streams_are_unchanged():
             cand = scenes.candidate_scene(p, stream, rate)
             objs = ";".join(f"{o.shape},{o.color},{o.cell}" for o in cand.scene.objects)
             candidates.update(f"{objs}|{_stream_text(cand.spec)}|{cand.corrupted}".encode())
-            candidates.update(toygen._code_coordinates(cfg, cand, stream).tobytes())
+            candidates.update(toygen._code_coordinates(cand, stream).tobytes())
     assert prompts.hexdigest() == PROMPT_STREAM_SHA256
     assert candidates.hexdigest() == CANDIDATE_STREAM_SHA256
 

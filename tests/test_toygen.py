@@ -7,16 +7,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from latentscale import scenes, toygen
+from latentscale import scenes, toygen, verifier
 from latentscale.numcore import MeterContext, flops_for
 from latentscale.scenes import oracle_check, parse_scene, sample_prompt, scenes_equal
 from latentscale.toygen import (
-    Generator, GeneratorConfig, GeneratorConfigError, StateCompletionError,
-    build_generator, generate_full, generate_tapped, resume_and_decode,
-    tap_hidden_features,
+    CONTENT_TOKENS, MATCH_CHANNELS, MODEL_WIDTH, RASTER_DIM, Generator, GeneratorConfig,
+    GeneratorConfigError, StateCompletionError, build_generator, generate_full,
+    generate_tapped, resume_and_decode, tap_hidden_features,
 )
 from latentscale.verifier import VerifierConfig, VerifierConfigError
 
@@ -159,7 +159,7 @@ def test_f32_precision_is_honoured_end_to_end(rng):
 
 
 def _coordinates(cfg: GeneratorConfig, prompt, seed: int) -> np.ndarray:
-    return toygen._code_coordinates(cfg, *_drawn_scene(cfg, prompt, seed))
+    return toygen._code_coordinates(*_drawn_scene(cfg, prompt, seed))
 
 
 def test_metered_peak_of_a_full_run(default_generator, rng):
@@ -198,10 +198,9 @@ def test_tap_at_last_layer_resume_only_decodes(rng):
     st = generate_tapped(gen, p, 11, c_tap)
     resume_and_decode(gen, st, c_res)
     # resume ran zero blocks: projection + decode only
-    d, n = cfg.model_width, cfg.num_noise_tokens
-    expected = (flops_for(("matmul", n, d, d))
-                + _unembed_flops(cfg)
-                + 2 * cfg.raster_dim)  # shift + clamp
+    expected = (flops_for(("matmul", CONTENT_TOKENS, MODEL_WIDTH, MODEL_WIDTH))
+                + _unembed_flops()
+                + 2 * RASTER_DIM)  # shift + clamp
     assert c_res.flops_accumulated == expected
 
 
@@ -215,8 +214,8 @@ def test_tap_at_last_layer_features_are_the_last_blocks_content_rows(rng):
     realized, stream = _drawn_scene(cfg, p, 11)
     x = toygen._run_blocks(gen, toygen._embed_layer0(gen, p, realized, stream, None), 0, 1, None)
     unpruned = toygen.attention_block(x, gen.params.blocks[1], None).data
-    n, d = cfg.num_noise_tokens, cfg.model_width
-    assert feats.shape == (n, d) and unpruned.shape == (cfg.num_tokens, d)
+    n, d = CONTENT_TOKENS, MODEL_WIDTH
+    assert feats.shape == (n, d) and unpruned.shape == (n + scenes.PROMPT_TOKEN_LEN, d)
     assert np.abs(feats - unpruned[:n]).max() <= 1e-5 * np.abs(unpruned).max()
 
 
@@ -235,11 +234,11 @@ def test_flops_additivity_random_configs(layers, tap_frac, corruption, prompt_se
     assert c_tap.flops_accumulated + c_res.flops_accumulated == c_full.flops_accumulated
 
 
-def _unembed_flops(cfg: GeneratorConfig) -> int:
+def _unembed_flops() -> int:
     """The decode's two products for the r raster rows: A[:, :r]ᵀ @ z0, then
     @ (W⁻¹ @ B)."""
-    n, d = cfg.num_noise_tokens, cfg.model_width
-    r = -(-cfg.raster_dim // d)
+    n, d = CONTENT_TOKENS, MODEL_WIDTH
+    r = RASTER_DIM // d
     return flops_for(("matmul", r, n, d)) + flops_for(("matmul", r, d, d))
 
 
@@ -249,8 +248,8 @@ def test_generation_flops_match_closed_form(default_generator, rng):
     c_tap, c_res, c_full = MeterContext(), MeterContext(), MeterContext()
     resume_and_decode(default_generator, generate_tapped(default_generator, p, 3, c_tap), c_res)
     generate_full(default_generator, p, 3, c_full)
-    t, d = cfg.num_tokens, cfg.model_width
-    n = cfg.num_noise_tokens
+    n, d = CONTENT_TOKENS, MODEL_WIDTH
+    t = n + scenes.PROMPT_TOKEN_LEN
     block = flops_for(("attention_block", t, d, 4 * d))
     tapped = (
         flops_for(("matmul", n, n, d)) + flops_for(("matmul", n, d, d))  # code embed A @ X @ Bᵀ
@@ -261,8 +260,8 @@ def test_generation_flops_match_closed_form(default_generator, rng):
         (cfg.num_layers - cfg.tap_layer - 2) * block
         + flops_for(("attention_block", t, d, 4 * d, n))            # last block: content rows
         + flops_for(("matmul", n, d, d))                            # final projection
-        + _unembed_flops(cfg)                                       # decode
-        + 2 * cfg.raster_dim                                        # shift + clamp
+        + _unembed_flops()                                          # decode
+        + 2 * RASTER_DIM                                            # shift + clamp
     )
     # the default tap is block 0
     assert c_tap.flops_accumulated == tapped == 2_669_862
@@ -278,23 +277,19 @@ def _param_arrays(params) -> list[np.ndarray]:
             if isinstance(a, np.ndarray)]
 
 
-@hst.composite
-def _code_shapes(draw):
-    """(num_noise_tokens, model_width) of a valid config, code_dim <= 1280."""
-    tokens = draw(hst.integers(8, 24))
-    least = -(-(GeneratorConfig().raster_dim + toygen.MATCH_CHANNELS) // tokens)
-    return tokens, draw(hst.integers(least, 1280 // tokens))
+def test_the_code_holds_the_raster_and_match_banks_in_whole_rows():
+    # the capacity the code needs, and the decode's exact raster rows
+    assert CONTENT_TOKENS * MODEL_WIDTH >= RASTER_DIM + MATCH_CHANNELS
+    assert RASTER_DIM % MODEL_WIDTH == 0
+    # the generator alone owns the width the verifier reads
+    assert verifier.FEATURE_DIM is MODEL_WIDTH
 
 
 @settings(max_examples=20, deadline=None)
-@given(shape=_code_shapes(), prompt_seed=hst.integers(0, 2 ** 32 - 1),
-       seed=hst.integers(0, 2 ** 62))
-@example(shape=(16, 80), prompt_seed=0, seed=0)  # raster_dim % d != 0
-def test_factored_code_is_the_dense_orthogonal_code(shape, prompt_seed, seed):
-    tokens, width = shape
-    cfg = GeneratorConfig(num_layers=1, tap_layer=0, num_noise_tokens=tokens,
-                          model_width=width)
-    gen = build_generator(cfg)
+@given(prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62))
+def test_factored_code_is_the_dense_orthogonal_code(prompt_seed, seed):
+    cfg = GeneratorConfig(num_layers=1)
+    gen = _generator(cfg)
     tol = 1e-5
     # (A ⊗ B)(A ⊗ B)ᵀ = AAᵀ ⊗ BBᵀ: the code is orthogonal when both factors are
     a, b = (c.astype(np.float64) for c in (gen.params.token_code, gen.params.channel_code))
@@ -305,10 +300,10 @@ def test_factored_code_is_the_dense_orthogonal_code(shape, prompt_seed, seed):
     realized, rng = _drawn_scene(cfg, p, seed)
     coords = _coordinates(cfg, p, seed)
     x = toygen._embed_layer0(gen, p, realized, rng, None)
-    dense = (np.kron(a, b) @ coords.reshape(-1)).reshape(tokens, width)
-    assert np.abs(x.data[:tokens] - dense).max() <= tol
+    dense = (np.kron(a, b) @ coords.reshape(-1)).reshape(CONTENT_TOKENS, MODEL_WIDTH)
+    assert np.abs(x.data[:CONTENT_TOKENS] - dense).max() <= tol
     # no blocks between embed and projection: decoding inverts the code
-    img = toygen.decode_latent(gen, toygen._project(gen, x.data[:tokens], None), None)
+    img = toygen.decode_latent(gen, toygen._project(gen, x.data[:CONTENT_TOKENS], None), None)
     assert np.abs(img.pixels.data - scenes.render(realized.scene)).max() <= tol
 
 
@@ -331,17 +326,15 @@ def test_generator_draws_are_unchanged():
     assert digest.hexdigest() == GENERATOR_DRAWS_SHA256
 
 
-@pytest.mark.parametrize("width", [64, 80])
-def test_no_parameter_spans_the_code_dimension(width):
-    cfg = GeneratorConfig(model_width=width)
+def test_no_parameter_spans_the_code_dimension():
     tracemalloc.start()
     try:
-        gen = build_generator(cfg)
+        gen = build_generator(GeneratorConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     arrays = _param_arrays(gen.params)
-    assert all(cfg.code_dim not in a.shape for a in arrays)
+    assert all(CONTENT_TOKENS * MODEL_WIDTH not in a.shape for a in arrays)
     assert peak <= 2 * sum(a.nbytes for a in arrays)
 
 
@@ -365,7 +358,7 @@ def test_different_seeds_different_latents(default_generator, rng):
     st2 = generate_tapped(default_generator, p, 2, None)
     cfg = default_generator.config
     # the noise bank: the coordinates after the raster and match banks
-    z1, z2 = (_coordinates(cfg, p, s).reshape(-1)[cfg.raster_dim + toygen.MATCH_CHANNELS:]
+    z1, z2 = (_coordinates(cfg, p, s).reshape(-1)[RASTER_DIM + MATCH_CHANNELS:]
               for s in (1, 2))
     assert not np.array_equal(z1, z2)
     assert not np.array_equal(st1.hidden.data, st2.hidden.data)
@@ -375,8 +368,7 @@ def test_terminal_latent_has_one_token_per_cell(default_generator, rng):
     p = sample_prompt(rng)
     _, st = generate_full(default_generator, p, 21, None)
     latent = st.z0
-    assert latent.shape == (default_generator.config.num_noise_tokens,
-                            default_generator.config.model_width)
+    assert latent.shape == (CONTENT_TOKENS, MODEL_WIDTH)
     assert latent.shape[0] == (scenes.IMAGE_SIZE // scenes.PATCH) ** 2
 
 
@@ -405,15 +397,13 @@ def test_invalid_configs_rejected():
     with pytest.raises(GeneratorConfigError):
         GeneratorConfig(corruption_rate=1.5)
     with pytest.raises(GeneratorConfigError):
-        GeneratorConfig(model_width=16)  # too little code capacity
-    with pytest.raises(GeneratorConfigError):
         dataclasses.replace(GeneratorConfig(), tap_layer=99)
     with pytest.raises(VerifierConfigError):
         VerifierConfig(mode="bogus")
     with pytest.raises(VerifierConfigError):
-        VerifierConfig(scorer_blocks=-1)
+        VerifierConfig(mode=1)
     with pytest.raises(VerifierConfigError):
-        VerifierConfig(encoder_depth=-1)  # any mode, though only pixel_reencode reads it
+        VerifierConfig(mode=["hidden_state"])
 
 
 # -------------------------------------------------------- informativeness
@@ -423,7 +413,7 @@ def test_linear_probe_reads_corruption_bit(default_generator):
                     default_generator.params)
     rng = np.random.default_rng(42)
     n_train, n_test = 4000, 1500
-    feat_dim = gen.config.code_dim
+    feat_dim = CONTENT_TOKENS * MODEL_WIDTH
     X = np.empty((n_train + n_test, feat_dim))
     y = np.empty(n_train + n_test)
     for i in range(n_train + n_test):

@@ -41,22 +41,19 @@ def test_candidate_scores_in_range_and_float64(small_generator, rng):
         ids = scenes.encode_prompt_tokens(p)
         assert in_score_range(verifier.score(params, cfg, feats, ids).value)
         # float32 features still give float64 logits
-        logits = verifier.scorer_forward(params, cfg, feats.astype(np.float32), ids)
+        logits = verifier.scorer_forward(params, feats.astype(np.float32), ids)
         assert logits.dtype == np.float64
 
 
 # ---------------------------------------------------------------- FLOPs
 
-def scorer_flops(cfg: VerifierConfig, tokens: int) -> int:
+def scorer_flops(tokens: int) -> int:
     """Closed-form FLOPs of ``score`` on ``tokens`` feature rows: the last
-    scorer block reads out the row mean, and without blocks a mean_pool does."""
+    scorer block reads out the row mean."""
     d, seq = verifier.SCORER_DIM, tokens + scenes.PROMPT_TOKEN_LEN
     hidden = verifier.CONNECTOR_HIDDEN
-    if cfg.scorer_blocks:
-        blocks = ((cfg.scorer_blocks - 1) * flops_for(("attention_block", seq, d, 4 * d))
-                  + flops_for(("attention_block_pool", seq, d, 4 * d)))
-    else:
-        blocks = flops_for(("mean_pool", seq, d))
+    blocks = ((verifier.SCORER_BLOCKS - 1) * flops_for(("attention_block", seq, d, 4 * d))
+              + flops_for(("attention_block_pool", seq, d, 4 * d)))
     return (flops_for(("linear", tokens, verifier.FEATURE_DIM, hidden))
             + flops_for(("gelu", tokens * hidden))
             + flops_for(("linear", tokens, hidden, d))
@@ -67,11 +64,11 @@ def scorer_flops(cfg: VerifierConfig, tokens: int) -> int:
             + flops_for(("softmax", 1, 2)))
 
 
-def encoder_flops(cfg: VerifierConfig) -> int:
+def encoder_flops() -> int:
     """Closed-form FLOPs of ``encode_pixels``: patch projection and blocks."""
     patches, e = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2, verifier.FEATURE_DIM
     return (flops_for(("linear", patches, 3 * scenes.PATCH ** 2, e))
-            + cfg.encoder_depth * flops_for(("attention_block", patches, e, 4 * e)))
+            + verifier.ENCODER_DEPTH * flops_for(("attention_block", patches, e, 4 * e)))
 
 
 def metered_verification_flops(gen, cfg, stats, prompt, state, image=None) -> int:
@@ -89,7 +86,7 @@ def test_hidden_state_verification_flops_match_closed_form(small_generator, rng)
     tokens, width = feats.shape
     normalize = 2 * tokens * width + width
     assert (metered_verification_flops(small_generator, cfg, stats, p, st)
-            == normalize + scorer_flops(cfg, tokens))
+            == normalize + scorer_flops(tokens))
 
 
 def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
@@ -102,24 +99,20 @@ def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
     verify = metered_verification_flops(default_generator, cfg, stats, p, st)
     toygen.resume_and_decode(default_generator, st, c_res)
     tokens, width = feats.shape
-    assert verify == 2 * tokens * width + width + scorer_flops(cfg, tokens) == 4_850_904
+    assert verify == 2 * tokens * width + width + scorer_flops(tokens) == 4_850_904
     assert (32 * (c_tap.flops_accumulated + verify) + c_res.flops_accumulated
             == 257_872_516)
 
 
-def test_scorer_without_blocks_mean_pools_the_tokens(small_generator, rng):
-    # no scorer block reads out a pooled mean, so mean_pool does, on the
-    # connector's feature rows and the prompt rows
-    cfg = VerifierConfig(scorer_blocks=0)
-    params = init_verifier(cfg)
-    for seed in range(4):
-        p = scenes.sample_prompt(rng)
-        st = toygen.generate_tapped(small_generator, p, seed, None)
-        feats = verifier.extract_features(small_generator, st, cfg, None, None)
-        ctx = MeterContext()
-        s = verifier.score(params, cfg, feats, scenes.encode_prompt_tokens(p), ctx)
-        assert in_score_range(s.value)
-        assert ctx.flops_accumulated == scorer_flops(cfg, len(feats))
+def test_default_bon_pixel_flops_per_image_closed_form(default_generator, rng):
+    # per candidate: a full run, decoded, re-encoded and verified
+    cfg, p = VerifierConfig(mode="pixel_reencode"), scenes.sample_prompt(rng)
+    c_full = MeterContext()
+    image, st = toygen.generate_full(default_generator, p, 4, c_full)
+    verify = metered_verification_flops(default_generator, cfg, None, p, st, image)
+    patches = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2
+    assert verify == encoder_flops() + scorer_flops(patches) == 8_375_448
+    assert 8 * (c_full.flops_accumulated + verify) == 8 * (19_877_866 + 8_375_448) == 226_026_512
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -141,7 +134,7 @@ def test_pixel_reencode_verification_flops_match_closed_form(small_generator, rn
     patches = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2
     # the image is passed in, so nothing is decoded again
     assert (metered_verification_flops(small_generator, cfg, None, p, st, image)
-            == encoder_flops(cfg) + scorer_flops(cfg, patches))
+            == encoder_flops() + scorer_flops(patches))
 
 
 # ---------------------------------------------------------------- precision
@@ -196,10 +189,10 @@ def test_verifier_computes_in_its_precision_with_the_same_flops(
     *computed, softmax_out = ctx.outputs
     assert {dt for dt, _ in computed} == {np.dtype(dtype)}
     assert softmax_out == (np.float64, (2,))
-    tokens = gen.config.num_noise_tokens
+    tokens = toygen.CONTENT_TOKENS
     features = {"hidden_state": flops_for(("normalize", tokens, verifier.FEATURE_DIM)),
-                "ae_latent": 0, "pixel_reencode": encoder_flops(cfg)}[mode]
-    assert ctx.flops_accumulated == features + scorer_flops(cfg, tokens)
+                "ae_latent": 0, "pixel_reencode": encoder_flops()}[mode]
+    assert ctx.flops_accumulated == features + scorer_flops(tokens)
 
 
 def test_features_and_pixels_enter_in_the_parameters_dtype():
@@ -209,10 +202,9 @@ def test_features_and_pixels_enter_in_the_parameters_dtype():
     rng = np.random.default_rng(7)
     ctx = DtypeMeter()
     feats = verifier.encode_pixels(
-        params, cfg, rng.uniform(size=(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3)), ctx)
+        params, rng.uniform(size=(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3)), ctx)
     prompt_ids = scenes.encode_prompt_tokens(scenes.sample_prompt(rng))
-    logits = verifier.scorer_forward(params, cfg, rng.standard_normal(feats.shape),
-                                     prompt_ids, ctx)
+    logits = verifier.scorer_forward(params, rng.standard_normal(feats.shape), prompt_ids, ctx)
     assert {dtype for dtype, _ in ctx.outputs} == {np.dtype(np.float32)}
     assert logits.dtype == np.float64
 
@@ -257,13 +249,16 @@ def test_hidden_state_mode_rejects_state_not_at_its_tap(small_generator, rng):
 
 # ---------------------------------------------------------------- checkpoints
 
+def _stats() -> scenes.FeatureStats:
+    rng = np.random.default_rng(3)
+    return scenes.FeatureStats(mean=rng.standard_normal(64).astype(np.float32),
+                               variance=rng.uniform(0.5, 2.0, 64).astype(np.float32),
+                               sample_count=10)
+
+
 def write_checkpoint(tmp_path):
     cfg = VerifierConfig()
-    params = init_verifier(cfg)
-    rng = np.random.default_rng(3)
-    stats = scenes.FeatureStats(mean=rng.standard_normal(64).astype(np.float32),
-                                variance=rng.uniform(0.5, 2.0, 64).astype(np.float32),
-                                sample_count=10)
+    params, stats = init_verifier(cfg), _stats()
     path = save_checkpoint(tmp_path / "ckpt.npz", params, cfg, stats, meta={"step": 3})
     return path, params, cfg, stats
 
@@ -314,6 +309,45 @@ def test_checkpoint_refuses_an_entry_of_another_precision(entry, tmp_path):
     with pytest.raises(CheckpointError, match=entry):
         save_checkpoint(tmp_path / "ckpt.npz", params, VerifierConfig(), stats)
     assert not any(tmp_path.iterdir())
+
+
+# statistics that load refuses; save refuses them too, before writing
+BAD_STATS = {
+    "nan_stats_mean": lambda s: dataclasses.replace(s, mean=np.full_like(s.mean, np.nan)),
+    "negative_variance": lambda s: dataclasses.replace(
+        s, variance=np.full_like(s.variance, -1.0)),
+    "stats_of_3_channels": lambda s: dataclasses.replace(
+        s, mean=s.mean[:3], variance=s.variance[:3]),
+    "sample_count_of_1": lambda s: dataclasses.replace(s, sample_count=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STATS))
+def test_save_refuses_what_load_refuses_and_writes_nothing(name, tmp_path):
+    with pytest.raises(CheckpointError):
+        save_checkpoint(tmp_path / "ckpt.npz", init_verifier(VerifierConfig()),
+                        VerifierConfig(), BAD_STATS[name](_stats()))
+    assert not any(tmp_path.iterdir())
+
+
+def test_failed_save_leaves_the_old_checkpoint_as_it_was(tmp_path, monkeypatch):
+    path, params, cfg, stats = write_checkpoint(tmp_path)
+    before = path.read_bytes()
+    # a meta JSON cannot encode is refused before the file is touched
+    with pytest.raises(CheckpointError, match="JSON"):
+        save_checkpoint(path, params, cfg, stats, meta={"x": np.float32(1)})
+    assert path.read_bytes() == before
+
+    # a write that fails midway replaces nothing and leaves no temporary file
+    def fail(f, **entries):
+        f.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, params, cfg, stats)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _edit_entries(edit):
@@ -419,10 +453,9 @@ CORRUPTIONS = {
     "bool_sample_count": _edit_header(lambda h: h.update(sample_count=True)),
     "sample_count_of_1": _edit_header(lambda h: h.update(sample_count=1)),
     "list_meta": _edit_header(lambda h: h.update(meta=[1, 2])),
-    "string_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks="2")),
-    "float_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks=2.0)),
-    "bool_encoder_depth": _edit_header(lambda h: h["config"].update(encoder_depth=True)),
-    "negative_scorer_blocks": _edit_header(lambda h: h["config"].update(scorer_blocks=-1)),
+    "integer_mode": _edit_header(lambda h: h["config"].update(mode=1)),
+    "schema_6_with_scorer_blocks": _edit_header(
+        lambda h: h.update(schema=6, config={**h["config"], "scorer_blocks": 2})),
 }
 
 
@@ -449,7 +482,7 @@ def test_pixel_encoder_weights_are_unchanged():
     params = init_verifier(cfg, seed=0)
     names = ["encoder.patch.w", "encoder.patch.b"] + [
         f"encoder.block{i}.{f.name}"
-        for i in range(cfg.encoder_depth) for f in dataclasses.fields(BlockWeights)]
+        for i in range(verifier.ENCODER_DEPTH) for f in dataclasses.fields(BlockWeights)]
     digest = hashlib.sha256()
     for name in names:
         digest.update(params[name].tobytes())  # wqkv holds wq, wk, wv in turn

@@ -29,9 +29,15 @@ block's query, key and value are one product with the stacked ``wqkv``;
 NumPy runs each slab as its own BLAS call, so the bits are those of three.
 
 The block computes only what its caller reads. Every row is a key and a
-value, so the bias, ln1 and q/k/v product run on all t rows; with
-``rows=r`` only the first r query, and the rest of the block runs on r
-rows. With ``pool=True`` the caller reads the row mean, which is computed
+value, so the block's entry (``block_entry``: the bias, ln1 and q/k/v
+product) runs on every row it is not given; with ``rows=r`` only the first
+r query, and the rest of the block runs on r rows. ``given=(h, qkv)``
+appends p rows after x's whose entries ``block_entry`` computed before, for
+example once per token of a vocabulary: they are written into the block's
+one [t, d] residual and one [3, t, d] q/k/v buffer beside x's rows, so the
+block charges its entry, add(n*d) + layer_norm(n, d) + matmul(n, d, 3d),
+for x's n = t - p rows alone and the rest of the block as on t rows.
+With ``pool=True`` the caller reads the row mean, which is computed
 as ``mean(g) @ w2 + b2 + mean(h2)`` (g the GELU output, h2 the attention
 residual): mean_pool(r, mlp) + linear(1, mlp, d) + mean_pool(r, d) + d in
 place of linear(r, mlp, d) + r*d and a mean_pool(r, d) after the block.
@@ -269,14 +275,6 @@ def normalize(x: Operand, mean: np.ndarray, variance: np.ndarray,
                    flops_for(("normalize", x.size // d, d)))
 
 
-def concat_rows(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
-    """Stack two [*, d] tensors along the token axis (data movement only)."""
-    a, b = _data(a), _data(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeMismatchError(f"concat needs two [*, d] operands, got {a.shape} and {b.shape}")
-    return _finish(np.concatenate([a, b], axis=0), ctx, 0)
-
-
 def linear(x: Operand, w: np.ndarray, b: np.ndarray, ctx: MeterContext | None) -> Tensor:
     """x[t,din] @ w[din,dout] + b, one output; charged as matmul + broadcast add."""
     x = _data(x)
@@ -289,31 +287,65 @@ def linear(x: Operand, w: np.ndarray, b: np.ndarray, ctx: MeterContext | None) -
     return _finish(np.add(out, b, out=_into(out, b)), ctx, flops_for(("linear", t, din, dout)))
 
 
+def block_entry(x: Operand, w: BlockWeights, ctx: MeterContext | None,
+                given: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[Tensor, Tensor]:
+    """What a block's attention reads of its rows: the residual ``h = x +
+    t_bias`` [t, d] and the query, key and value ``ln1(h) @ wqkv`` [3, t, d].
+
+    Both are computed for x's n rows only. ``given=(h, qkv)``, a [p, d] and
+    a [3, p, d] array that this function returned before, appends p rows
+    after them at no charge, so t = n + p.
+    """
+    x = _data(x)
+    if x.ndim != 2:
+        raise ShapeMismatchError(f"block needs [t, d] input, got {x.shape}")
+    n, d = x.shape
+    if d != w.width:
+        raise ShapeMismatchError(f"block width {w.width} does not match input width {d}")
+    if given is None:
+        given = np.empty((0, d), x.dtype), np.empty((3, 0, d), x.dtype)
+    given_h, given_qkv = given
+    p = len(given_h)
+    if given_h.shape != (p, d) or given_qkv.shape != (3, p, d):
+        raise ShapeMismatchError(
+            f"given rows {given_h.shape} and {given_qkv.shape} are not [p, {d}] and [3, p, {d}]")
+    # x's rows go into the first n rows of each buffer. At the stack's width
+    # the BLAS gives a row the same bits whatever rows it is computed beside,
+    # so given rows from a table are bitwise what the block would compute
+    h = np.empty((n + p, d), np.result_type(x, w.t_bias, given_h))
+    np.add(x, w.t_bias, out=h[:n])
+    h[n:] = given_h
+    h = _finish(h, ctx, n * d)
+    a = layer_norm(h.data[:n], w.ln1_gamma, w.ln1_beta, ctx)
+    # three [n, d] products into contiguous slabs, with the bits of three calls
+    qkv = np.empty((3, n + p, d), np.result_type(a.data, w.wqkv, given_qkv))
+    np.matmul(a.data, w.wqkv, out=qkv[:, :n])
+    qkv[:, n:] = given_qkv
+    return h, _finish(qkv, ctx, 2 * n * d * 3 * d)
+
+
 def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None, *,
+                    given: tuple[np.ndarray, np.ndarray] | None = None,
                     rows: int | None = None, pool: bool = False) -> Tensor:
     """Pre-norm transformer block: LN -> self-attention -> residual,
     LN -> GELU MLP -> residual, with a constant conditioning bias at entry.
 
-    All t input rows give keys and values. ``rows=r`` lets only the first r
-    query, so the output is the first r rows of the full block's. With
-    ``pool=True`` the output is the [d] mean of the output rows, read out as
-    ``mean(g) @ w2 + b2 + mean(h2)`` (g the GELU output, h2 the attention
-    residual) without the per-row MLP down-projection.
+    ``given`` appends rows after x's whose entries ``block_entry`` computed
+    before; the block is then the block on both sets of rows. All t rows
+    give keys and values. ``rows=r`` lets only the first r query, so the
+    output is the first r rows of the full block's. With ``pool=True`` the
+    output is the [d] mean of the output rows, read out as ``mean(g) @ w2 +
+    b2 + mean(h2)`` (g the GELU output, h2 the attention residual) without
+    the per-row MLP down-projection.
     """
-    x = _data(x)
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"attention_block needs [t, d] input, got {x.shape}")
-    t, d = x.shape
-    if d != w.width:
-        raise ShapeMismatchError(f"block width {w.width} does not match input width {d}")
+    h, qkv = block_entry(x, w, ctx, given)
+    t, d = h.shape
     r = t if rows is None else rows
     if not 1 <= r <= t:
         raise ShapeMismatchError(f"attention_block rows {rows} outside [1, {t}]")
-
-    h = add(x, w.t_bias, ctx)
-    a = layer_norm(h, w.ln1_gamma, w.ln1_beta, ctx)
-    # three [t, d] products into contiguous slabs, with the bits of three calls
-    q, k, v = _finish(a.data @ w.wqkv, ctx, 2 * t * d * 3 * d).data
+    # the meter counts the q/k/v buffer until its three slabs are taken
+    q, k, v = qkv.data
+    del qkv
     # k^T reaches BLAS C-contiguous (a strided view changes the bits); the
     # Python float scale keeps float32 blocks float32 under NumPy 2. The
     # scores stay a checked output: an overflow to -Inf here would vanish in
@@ -350,10 +382,12 @@ def flops_for(descriptor: tuple) -> int:
     Descriptors: ("matmul", m, k, n), ("add", n), ("scale", n), ("clamp", n),
     ("layer_norm", rows, d), ("gelu", n), ("softmax", rows, n),
     ("mean_pool", t, d), ("normalize", t, d), ("linear", t, din, dout),
-    ("attention_block", t, d, mlp_width[, rows]) for ``attention_block`` on
-    t rows whose first ``rows`` (default t) query, and
-    ("attention_block_pool", t, d, mlp_width[, rows]) for the same with
-    ``pool=True``.
+    ("block_entry", n, d) for ``block_entry`` on n rows of its own,
+    ("attention_block", t, d, mlp_width[, rows[, given]]) for
+    ``attention_block`` on t rows whose first ``rows`` (default t) query
+    and whose last ``given`` (default 0) are given, and
+    ("attention_block_pool", t, d, mlp_width[, rows[, given]]) for the same
+    with ``pool=True``.
     """
     name, *args = descriptor
     if name in FLOPS_PER_ELEMENT:
@@ -370,11 +404,16 @@ def flops_for(descriptor: tuple) -> int:
     if name == "linear":
         t, din, dout = args
         return 2 * t * din * dout + t * dout
+    if name == "block_entry":
+        n, d = args
+        return (flops_for(("add", n * d))                    # conditioning bias
+                + flops_for(("layer_norm", n, d))            # ln1
+                + flops_for(("matmul", n, d, 3 * d)))        # q, k, v
     if name in ("attention_block", "attention_block_pool"):
-        t, d, mlp, r = args if len(args) == 4 else (*args, args[0])
-        total = flops_for(("add", t * d))                    # conditioning bias
-        total += flops_for(("layer_norm", t, d))             # ln1
-        total += flops_for(("matmul", t, d, 3 * d))          # q, k, v of every row
+        t, d, mlp, *rest = args
+        r = rest[0] if rest else t
+        given = rest[1] if len(rest) > 1 else 0
+        total = flops_for(("block_entry", t - given, d))     # every row not given
         total += flops_for(("matmul", r, d, t))              # scores of the query rows
         total += flops_for(("scale", r * t))
         total += flops_for(("softmax", r, t))

@@ -34,6 +34,15 @@ banks' scales (``MATCH_GAIN`` and ``MATCH_NOISE``, ``NOISE_GAIN``) and the
 blocks' ``WEIGHT_STD`` are module constants, since no caller varies them;
 ``GeneratorConfig`` holds the depth, the tap and the corruption rate.
 
+Prompt tokens enter block 0 by lookup. A prompt token's row at layer 0 is
+its attribute embedding plus a prompt segment vector, a function of its id
+alone, so ``build_generator`` computes block 0's entry for every vocabulary
+token once (``numcore.block_entry``: the conditioning bias, ln1 and the
+query, key and value) into ``prompt_h`` and ``prompt_qkv``. The embed makes
+the content rows only, and block 0 appends the prompt rows' looked-up
+entries after them; its output, and every later block's input, is the
+content rows, then the prompt rows.
+
 Execution is tap and resume: ``generate_tapped`` stops after the tap layer
 and returns the hidden state for scoring; ``resume_and_decode`` completes the
 remaining layers, projects, and decodes. ``generate_full`` is just the two in
@@ -63,8 +72,8 @@ import numpy as np
 
 from . import scenes
 from .numcore import (
-    BlockWeights, MeterContext, Tensor, add, attention_block, clamp01,
-    concat_rows, init_block_weights, matmul,
+    BlockWeights, MeterContext, Tensor, add, attention_block, block_entry, clamp01,
+    init_block_weights, matmul,
 )
 
 MODEL_WIDTH = 64            # d: channels of every token, and the verifier's FEATURE_DIM
@@ -76,6 +85,8 @@ MATCH_GAIN = 0.5            # match bank: ±MATCH_GAIN for an (un)corrupted scen
 MATCH_NOISE = (0.2, 0.75)   # plus noise whose σ is drawn uniformly from this range
 NOISE_GAIN = 0.5            # scale of the noise latent
 DTYPE = np.float32          # serving dtype of the generator and the verifier parameters
+_UNCENTRE = np.full(MODEL_WIDTH, 0.5, dtype=DTYPE)  # the decode's shift back to [0, 1]
+_UNCENTRE.flags.writeable = False
 
 
 class GeneratorConfigError(ValueError):
@@ -123,8 +134,8 @@ class GeneratorParams:
     """Fixed random parameters; immutable after construction."""
     token_code: np.ndarray    # A: orthogonal [T, T], the code's factor over tokens
     channel_code: np.ndarray  # B: orthogonal [d, d], its factor over channels
-    token_table: np.ndarray   # [VOCAB_SIZE, d] prompt attribute embeddings
-    seg_prompt: np.ndarray    # [d] segment vector added to prompt tokens
+    prompt_h: np.ndarray      # [VOCAB_SIZE, d] block 0's residual h of each prompt token
+    prompt_qkv: np.ndarray    # [3, VOCAB_SIZE, d] block 0's query, key and value of each
     blocks: list[BlockWeights]
     w_proj: np.ndarray        # [d, d] final projection W producing z0
     w_decode: np.ndarray      # [d, d] W⁻¹ @ B: the decoder's channel half; Aᵀ is the other
@@ -169,11 +180,16 @@ def build_generator(config: GeneratorConfig) -> Generator:
     w_proj = np.eye(d) + 0.02 * rng.standard_normal((d, d))
     blocks = [init_block_weights(rng, d, weight_std=WEIGHT_STD, dtype=DTYPE)
               for _ in range(config.num_layers)]
+    # a prompt token's row is its attribute embedding plus the prompt segment
+    # vector; block 0's entry for it depends on nothing else
+    token_table = (rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5).astype(DTYPE)
+    seg_prompt = (rng.standard_normal(d) * 0.1).astype(DTYPE)
+    prompt_h, prompt_qkv = block_entry(token_table + seg_prompt, blocks[0], None)
     params = GeneratorParams(
         token_code=a.astype(DTYPE),
         channel_code=b.astype(DTYPE),
-        token_table=(rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5).astype(DTYPE),
-        seg_prompt=(rng.standard_normal(d) * 0.1).astype(DTYPE),
+        prompt_h=prompt_h.data,
+        prompt_qkv=prompt_qkv.data,
         blocks=blocks,
         w_proj=w_proj.astype(DTYPE),
         w_decode=np.linalg.solve(w_proj, b).astype(DTYPE),
@@ -210,24 +226,25 @@ def _code_coordinates(realized: scenes.RealizedCandidate,
     return mixed
 
 
-def _embed_layer0(gen: Generator, prompt: scenes.Prompt, realized: scenes.RealizedCandidate,
+def _embed_layer0(gen: Generator, realized: scenes.RealizedCandidate,
                   rng: np.random.Generator, ctx: MeterContext | None) -> Tensor:
-    """Token stream at layer 0: coded content tokens A @ X @ Bᵀ, then prompt tokens."""
+    """The content tokens at layer 0: the coded coordinates A @ X @ Bᵀ."""
     p = gen.params
     mixed = _code_coordinates(realized, rng)
-    content = matmul(matmul(p.token_code, mixed, ctx), p.channel_code.T, ctx)
-    ids = scenes.encode_prompt_tokens(prompt)
-    prompt_tokens = add(p.token_table[ids], p.seg_prompt, ctx)
-    return concat_rows(content, prompt_tokens, ctx)
+    return matmul(matmul(p.token_code, mixed, ctx), p.channel_code.T, ctx)
 
 
-def _run_blocks(gen: Generator, x: Tensor, start: int, stop: int,
-                ctx: MeterContext | None) -> Tensor:
-    """Blocks start..stop-1; the generator's last block returns the content
-    rows only, since the projection reads nothing else."""
+def _run_blocks(gen: Generator, x: Tensor, start: int, stop: int, ctx: MeterContext | None,
+                prompt_ids: np.ndarray | None = None) -> Tensor:
+    """Blocks start..stop-1. Block 0 appends the rows of the prompt tokens
+    ``prompt_ids`` after the content rows, their entries looked up in the
+    per-token tables; the generator's last block returns the content rows
+    only, since the projection reads nothing else."""
+    p = gen.params
     for layer in range(start, stop):
+        given = (p.prompt_h[prompt_ids], p.prompt_qkv[:, prompt_ids]) if layer == 0 else None
         rows = CONTENT_TOKENS if layer == gen.config.num_layers - 1 else None
-        x = attention_block(x, gen.params.blocks[layer], ctx, rows=rows)
+        x = attention_block(x, p.blocks[layer], ctx, given=given, rows=rows)
     return x
 
 
@@ -246,7 +263,7 @@ def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> Rende
     p = gen.params
     r = RASTER_DIM // MODEL_WIDTH
     x = matmul(matmul(p.token_code[:, :r].T, z0, ctx), p.w_decode, ctx)
-    shifted = add(x, np.full(x.shape, 0.5, dtype=DTYPE), ctx)
+    shifted = add(x, _UNCENTRE, ctx)
     pixels = clamp01(shifted.data.reshape(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3), ctx)
     return RenderedImage(pixels=pixels)
 
@@ -257,8 +274,8 @@ def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
     cfg = gen.config
     rng = scenes.candidate_rng(prompt, seed)
     realized = scenes.candidate_scene(prompt, rng, cfg.corruption_rate)
-    x = _embed_layer0(gen, prompt, realized, rng, ctx)
-    x = _run_blocks(gen, x, 0, cfg.tap_layer + 1, ctx)
+    x = _embed_layer0(gen, realized, rng, ctx)
+    x = _run_blocks(gen, x, 0, cfg.tap_layer + 1, ctx, scenes.encode_prompt_tokens(prompt))
     return GeneratorState(
         hidden=x, layers_done=cfg.tap_layer + 1,
         rendered_scene=realized.scene, corrupted=realized.corrupted)

@@ -16,9 +16,11 @@ where their visual features come from:
 The scorer is a compact transformer reading [projected features ++ prompt
 attribute tokens] into a 2-logit yes/no head on the mean of its output rows;
 its last block reads that mean out pooled (``attention_block(pool=True)``),
-so the MLP down-projection runs once, not once per row. The continuous score
-is the probability of the sampled class, negated for "no", giving values in
-[-1, -0.5] or [0.5, 1].
+so the MLP down-projection runs once, not once per row. A prompt token's
+row depends on its id alone, so block 0 looks up its entry (residual and
+query, key and value) in per-token tables made once by ``init_verifier``.
+The continuous score is the probability of the sampled class, negated for
+"no", giving values in [-1, -0.5] or [0.5, 1].
 
 The widths and depths are module constants: features enter the connector,
 and the pixel encoder works, at ``FEATURE_DIM`` channels, which is the
@@ -39,11 +41,21 @@ parameters' dtype where they enter the connector and the encoder, a no-op
 on the float32 stack; normalization runs in the dtype of the tapped
 features, which ``calibrate_feature_stats`` gives its statistics at
 set-up. Only the 2 head logits are promoted to float64, for the softmax
-that gives the score. A checkpoint (schema 7) is one CRC-checked ``.npz``
+that gives the score. A checkpoint (schema 8) is one CRC-checked ``.npz``
 whose JSON ``header`` entry records the config, the statistics' sample
 count and the caller's meta; every other entry, statistics included, is
 little-endian float32 (``<f4``). Save and load apply the same checks, so
 what save writes, load reads.
+
+Schema 8's scorer entries: ``connector.{w1,b1,w2,b2}`` (``b2`` holds the
+feature segment vector), ``prompt.h`` [VOCAB_SIZE, SCORER_DIM] and
+``prompt.qkv`` [3, VOCAB_SIZE, SCORER_DIM] (scorer block 0's entry for
+each prompt token), ``scorer.block{i}.*`` and ``head.{w,b}``; the
+``pixel_reencode`` mode adds ``encoder.*``. Schema 7 stored the prompt
+embedding table and both segment vectors in place of the per-token tables
+and the folded ``b2``, and is refused. Training updates ``prompt.h`` and
+``prompt.qkv`` as parameters in their own right: the embedding they were
+made from is not kept.
 """
 
 from __future__ import annotations
@@ -59,8 +71,8 @@ import numpy as np
 
 from . import scenes, toygen
 from .numcore import (
-    BlockWeights, MeterContext, add, attention_block, concat_rows, gelu,
-    init_block_weights, linear, normalize, softmax,
+    BlockWeights, MeterContext, attention_block, block_entry, gelu, init_block_weights,
+    linear, normalize, softmax,
 )
 
 MODES = ("hidden_state", "ae_latent", "pixel_reencode")
@@ -104,6 +116,12 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
     The draws are float64, rounded once to ``toygen.DTYPE``. The pixel
     encoder comes after 28*d discarded normals, the draws of the deleted,
     never-read alignment readouts, so its weights stay as they were.
+
+    A prompt token's row is its attribute embedding plus the prompt segment
+    vector, so scorer block 0's entry for it is one row of the per-token
+    tables ``prompt.h`` and ``prompt.qkv``, computed here in the serving
+    dtype. The feature segment vector is ``connector.b2``, which is zero
+    without it.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
     d = SCORER_DIM
@@ -116,12 +134,14 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
     p["connector.w1"] = rng.standard_normal((FEATURE_DIM, CONNECTOR_HIDDEN)) * 0.05
     p["connector.b1"] = np.zeros(CONNECTOR_HIDDEN)
     p["connector.w2"] = rng.standard_normal((CONNECTOR_HIDDEN, d)) * 0.05
-    p["connector.b2"] = np.zeros(d)
-    p["prompt_embed.table"] = rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5
-    p["segment.features"] = rng.standard_normal(d) * 0.1
-    p["segment.prompt"] = rng.standard_normal(d) * 0.1
+    token_table = rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5
+    p["connector.b2"] = rng.standard_normal(d) * 0.1
+    seg_prompt = rng.standard_normal(d) * 0.1
     for i in range(SCORER_BLOCKS):
         put_block(f"scorer.block{i}", d, 0.05)
+    tokens = token_table.astype(toygen.DTYPE) + seg_prompt.astype(toygen.DTYPE)
+    h, qkv = block_entry(tokens, block_view(p, "scorer.block0"), None)
+    p["prompt.h"], p["prompt.qkv"] = h.data.copy(), qkv.data.copy()  # writable, as the rest
     p["head.w"] = rng.standard_normal((d, 2)) * 0.05
     p["head.b"] = np.zeros(2)
     if config.mode == "pixel_reencode":
@@ -195,8 +215,10 @@ def scorer_forward(params: dict[str, np.ndarray], features: np.ndarray,
     """Connector + scorer forward pass in the parameters' dtype; returns the
     2 [yes, no] logits as float64.
 
-    The head reads the mean of the scorer's output rows, which the last
-    block reads out pooled.
+    Block 0 appends the rows of the prompt tokens ``prompt_ids`` after the
+    feature rows, their entries looked up in ``prompt.h`` and
+    ``prompt.qkv``. The head reads the mean of the scorer's output rows,
+    which the last block reads out pooled.
     """
     f = np.ascontiguousarray(features, dtype=params["connector.w1"].dtype)
     if f.shape[-1] != params["connector.w1"].shape[0]:
@@ -205,15 +227,13 @@ def scorer_forward(params: dict[str, np.ndarray], features: np.ndarray,
             f"{params['connector.w1'].shape[0]}")
     c_pre = linear(f, params["connector.w1"], params["connector.b1"], ctx)
     c_act = gelu(c_pre, ctx)
-    projected = linear(c_act, params["connector.w2"], params["connector.b2"], ctx)
-    proj_seg = add(projected, params["segment.features"], ctx)
-    prompt_tok = add(params["prompt_embed.table"][prompt_ids], params["segment.prompt"], ctx)
-    x = concat_rows(proj_seg, prompt_tok, ctx)
-    for i in range(SCORER_BLOCKS - 1):
-        x = attention_block(x, block_view(params, f"scorer.block{i}"), ctx)
-    pooled = attention_block(x, block_view(params, f"scorer.block{SCORER_BLOCKS - 1}"), ctx,
-                             pool=True)
-    logits = linear(pooled.data[None, :], params["head.w"], params["head.b"], ctx)
+    x = linear(c_act, params["connector.w2"], params["connector.b2"], ctx)
+    given = params["prompt.h"][prompt_ids], params["prompt.qkv"][:, prompt_ids]
+    for i in range(SCORER_BLOCKS):
+        x = attention_block(x, block_view(params, f"scorer.block{i}"), ctx, given=given,
+                            pool=i == SCORER_BLOCKS - 1)
+        given = None
+    logits = linear(x.data[None, :], params["head.w"], params["head.b"], ctx)
     return logits.data[0].astype(np.float64)
 
 
@@ -244,7 +264,7 @@ def select_best(scores: list[Score]) -> int:
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_SCHEMA = 7
+CHECKPOINT_SCHEMA = 8
 
 # the dtype of every checkpoint entry but the header, on disk
 _STORED = np.dtype(toygen.DTYPE).newbyteorder("<")

@@ -64,10 +64,17 @@ def test_matmul_dim_mismatch():
         nc.matmul(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((2, 3))), ctx())
 
 
+def given_rows(h_shape, qkv_shape):
+    """A block of width 8 on 5 rows, given rows of these shapes."""
+    w = rand_block(np.random.default_rng(0), 8)
+    return nc.attention_block(np.ones((5, 8)), w, None,
+                              given=(np.ones(h_shape), np.ones(qkv_shape)))
+
+
 @pytest.mark.parametrize("call", [
-    lambda: nc.concat_rows(np.ones(64), np.ones((7, 64)), None),
-    lambda: nc.concat_rows(np.ones((7, 64)), np.ones((1, 7, 64)), None),
-    lambda: nc.concat_rows(np.ones((7, 64)), np.ones((7, 63)), None),
+    lambda: given_rows((8,), (3, 1, 8)),
+    lambda: given_rows((7, 8), (7, 8)),
+    lambda: given_rows((7, 7), (3, 7, 7)),
     lambda: nc.linear(np.ones((5, 6)), np.ones((5, 3)), np.ones(3), None),
     lambda: nc.linear(np.ones(6), np.ones((6, 3)), np.ones(3), None),
     lambda: nc.linear(np.ones((5, 6)), np.ones((6, 3)), np.ones(4), None),
@@ -78,7 +85,7 @@ def test_matmul_dim_mismatch():
                                rows=0),
     lambda: nc.attention_block(np.ones((5, 8)), rand_block(np.random.default_rng(0), 8), None,
                                rows=6),
-], ids=["concat_1d", "concat_3d", "concat_width", "linear_inner", "linear_1d",
+], ids=["given_1d", "given_qkv_2d", "given_width", "linear_inner", "linear_1d",
         "linear_bias_width", "linear_bias_2d", "normalize_width", "normalize_2d_stats",
         "block_no_rows", "block_rows_past_input"])
 def test_shape_errors_are_typed(call):
@@ -251,11 +258,17 @@ def test_metering_exactness_100_random_shapes():
                       rng.standard_normal(dout), c)
             assert c.flops_accumulated == nc.flops_for(("linear", t, din, dout))
         else:
+            # the last p of the block's t rows are given: block_entry made them
             t, d = int(rng.integers(1, 12)), int(rng.integers(4, 20))
+            p = int(rng.integers(0, t))
             w = rand_block(rng, d, std=0.1)
             c = ctx()
-            nc.attention_block(nc.Tensor(rng.standard_normal((t, d))), w, c)
-            assert c.flops_accumulated == nc.flops_for(("attention_block", t, d, 4 * d))
+            h, qkv = nc.block_entry(rng.standard_normal((p, d)), w, c)
+            assert c.flops_accumulated == nc.flops_for(("block_entry", p, d))
+            c = ctx()
+            nc.attention_block(nc.Tensor(rng.standard_normal((t - p, d))), w, c,
+                               given=(h.data, qkv.data))
+            assert c.flops_accumulated == nc.flops_for(("attention_block", t, d, 4 * d, t, p))
 
 
 # ---------------------------------------------------------------- meter context
@@ -280,7 +293,10 @@ def test_meter_monotone_and_peak_dominance():
 def test_block_registers_11_outputs(monkeypatch):
     # the bias, scale and residual epilogues share their product's buffer,
     # and q, k, v are slabs of one: h, ln1, qkv, scores, probs, att, h2,
-    # ln2, MLP-up, gelu, out
+    # ln2, MLP-up, gelu, out; given rows are written into h's and qkv's
+    rng = np.random.default_rng(6)
+    w = rand_block(rng, 8, std=0.1)
+    h, qkv = nc.block_entry(rng.standard_normal((3, 8)), w, None)
     seen = []
     register = nc.MeterContext.register
 
@@ -289,9 +305,10 @@ def test_block_registers_11_outputs(monkeypatch):
         register(c, tensor)
 
     monkeypatch.setattr(nc.MeterContext, "register", record)
-    rng = np.random.default_rng(6)
-    nc.attention_block(rng.standard_normal((5, 8)), rand_block(rng, 8, std=0.1), ctx())
-    assert len(seen) == 11
+    for given in (None, (h.data, qkv.data)):
+        seen.clear()
+        nc.attention_block(rng.standard_normal((5, 8)), w, ctx(), given=given)
+        assert len(seen) == 11
 
 
 def test_bytes_live_falls_when_tensors_die():
@@ -338,6 +355,11 @@ def _kernel_cases(seed=13, dtype=np.float64):
     x, y = r(5, 6), r(5, 6)
     w, b = r(6, 3), r(3)
     blk = nc.init_block_weights(rng, 6, weight_std=0.3, dtype=dtype)
+
+    def block_given_y(a, y, blk, ctx):
+        h, qkv = nc.block_entry(y, blk, None)
+        return nc.attention_block(a, blk, ctx, given=(h.data, qkv.data))
+
     return {
         "matmul": (nc.matmul, (x, w), ()),
         "add": (nc.add, (x, y), ()),
@@ -347,11 +369,11 @@ def _kernel_cases(seed=13, dtype=np.float64):
         "gelu": (nc.gelu, (x,), ()),
         "softmax": (nc.softmax, (x,), ()),
         "normalize": (nc.normalize, (x,), (r(6), rng.uniform(0.5, 2.0, 6).astype(dtype))),
-        "concat_rows": (nc.concat_rows, (x, y), ()),
         "linear": (nc.linear, (x,), (w, b)),
         "attention_block": (nc.attention_block, (x,), (blk,)),
         "attention_block_rows": (functools.partial(nc.attention_block, rows=3), (x,), (blk,)),
         "attention_block_pool": (functools.partial(nc.attention_block, pool=True), (x,), (blk,)),
+        "attention_block_given": (block_given_y, (x,), (y, blk)),
     }
 
 
@@ -395,11 +417,11 @@ _REFERENCE = {
     "gelu": _ref_gelu,
     "softmax": _ref_softmax,
     "normalize": lambda a, mean, var: (a - mean) / np.sqrt(var + 1e-6),
-    "concat_rows": lambda a, b: np.concatenate([a, b]),
     "linear": lambda a, w, b: a @ w + b,
     "attention_block": _ref_block,
     "attention_block_rows": functools.partial(_ref_block, rows=3),
     "attention_block_pool": functools.partial(_ref_block, pool=True),
+    "attention_block_given": lambda a, y, w: _ref_block(np.concatenate([a, y]), w),
 }
 
 CASE_NAMES = sorted(_kernel_cases())
@@ -445,6 +467,41 @@ def test_block_matches_unfused_reference_bitwise_at_any_shape(t, d, data, seed, 
     want = _ref_block(x, w, rows, pool)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=hst.integers(1, 30), p=hst.integers(0, 12), vocab=hst.integers(1, 40),
+       data=hst.data(), seed=hst.integers(0, 2 ** 32 - 1), dtype=DTYPES)
+def test_block_with_given_rows_is_the_block_on_the_concatenated_rows(n, p, vocab, data, seed,
+                                                                     dtype):
+    # p rows looked up in a table of block_entry's rows for a vocabulary.
+    # At the stack's width, 64, OpenBLAS's gemm gives a product's row the
+    # same bits whatever rows it is computed beside, so the looked-up rows
+    # are bitwise the plain block's. NumPy sends a one-row product to gemv
+    # instead, and at some widths the gemm kernel's bits depend on a row's
+    # neighbours, so there the two agree to rounding
+    d = data.draw(hst.just(64) | hst.integers(1, 64), label="d")
+    rows = data.draw(hst.none() | hst.integers(1, n + p), label="rows")
+    pool = data.draw(hst.booleans(), label="pool")
+    rng = np.random.default_rng(seed)
+    w = nc.init_block_weights(rng, d, weight_std=0.3, dtype=dtype)
+    x = rng.standard_normal((n, d)).astype(dtype)
+    table = rng.standard_normal((vocab, d)).astype(dtype)
+    ids = rng.integers(0, vocab, p)
+    h, qkv = nc.block_entry(table, w, None)
+    c = ctx()
+    got = nc.attention_block(x, w, c, given=(h.data[ids], qkv.data[:, ids]),
+                             rows=rows, pool=pool).data
+    want = nc.attention_block(np.concatenate([x, table[ids]]), w, None, rows=rows,
+                              pool=pool).data
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    if d == 64 and min(n, vocab) >= 2:
+        assert got.tobytes() == want.tobytes()
+    else:
+        tol = (1e-12 if dtype == np.float64 else 1e-5) * max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= tol
+    kind = "attention_block_pool" if pool else "attention_block"
+    assert c.flops_accumulated == nc.flops_for((kind, n + p, d, 4 * d, rows or n + p, p))
 
 
 def test_fused_kernels_keep_numpy_promotion_of_mixed_precision():
@@ -519,7 +576,8 @@ def test_any_non_finite_output_element_raises(dtype, value, where):
 def test_finite_values_whose_squares_overflow_pass(dtype, big):
     x = np.full((3, 4), big, dtype=dtype)
     assert not math.isfinite(np.vdot(x, x))  # the element-wise fallback runs
-    for out in (nc.add(x, np.zeros(4, dtype), ctx()), nc.concat_rows(x, x, ctx())):
+    for out in (nc.add(x, np.zeros(4, dtype), ctx()),
+                nc.matmul(x, np.eye(4, dtype=dtype), ctx())):
         assert np.isfinite(out.data).all() and np.abs(out.data).min() > big / 2
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen, verifier
-from latentscale.numcore import MeterContext, flops_for
+from latentscale.numcore import MeterContext, block_entry, flops_for
 from latentscale.scenes import oracle_check, parse_scene, sample_prompt, scenes_equal
 from latentscale.toygen import (
     CONTENT_TOKENS, MATCH_CHANNELS, MODEL_WIDTH, RASTER_DIM, Generator, GeneratorConfig,
@@ -88,8 +88,8 @@ def _uninterrupted(gen: Generator, prompt, seed: int, ctx):
     that a tapped run resumed later must equal. Returns (image, hidden, z0)."""
     cfg = gen.config
     realized, rng = _drawn_scene(cfg, prompt, seed)
-    x = toygen._embed_layer0(gen, prompt, realized, rng, ctx)
-    x = toygen._run_blocks(gen, x, 0, cfg.num_layers, ctx)
+    x = toygen._embed_layer0(gen, realized, rng, ctx)
+    x = toygen._run_blocks(gen, x, 0, cfg.num_layers, ctx, scenes.encode_prompt_tokens(prompt))
     z0 = toygen._project(gen, x, ctx)
     return toygen.decode_latent(gen, z0, ctx), x, z0
 
@@ -121,7 +121,7 @@ def test_metered_and_unmetered_runs_bitwise_equal(default_generator, rng):
 
 def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
     # each buffer the meter counts is held here, so none can be freed and reused;
-    # the count is 4 at embed, 11 in each of 8 blocks, 1 projection, 4 at decode
+    # the count is 2 at embed, 11 in each of 8 blocks, 1 projection, 4 at decode
     seen = []
     register = MeterContext.register
 
@@ -131,7 +131,7 @@ def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
 
     monkeypatch.setattr(MeterContext, "register", record)
     generate_full(default_generator, sample_prompt(rng), 6, MeterContext())
-    assert len(seen) == 97
+    assert len(seen) == 95
     assert [(a.shape, b.shape) for a, b in itertools.combinations(seen, 2)
             if np.shares_memory(a, b)] == []
 
@@ -166,13 +166,12 @@ def test_metered_peak_of_a_full_run(default_generator, rng):
     # float32 buffers; the peak depends on shapes only
     ctx = MeterContext()
     generate_full(default_generator, sample_prompt(rng), 5, ctx)
-    assert ctx.bytes_peak == 74_888
+    assert ctx.bytes_peak == 69_000
 
 
 def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
     p = default_generator.params
-    arrays = [p.token_code, p.channel_code, p.token_table, p.seg_prompt, p.w_proj,
-              p.w_decode]
+    arrays = [p.token_code, p.channel_code, p.prompt_h, p.prompt_qkv, p.w_proj, p.w_decode]
     arrays += [getattr(b, f.name) for b in p.blocks for f in dataclasses.fields(b)]
     assert not any(a.flags.writeable for a in arrays)
     img, st = generate_full(default_generator, sample_prompt(rng), 1, MeterContext())
@@ -212,11 +211,34 @@ def test_tap_at_last_layer_features_are_the_last_blocks_content_rows(rng):
     p = sample_prompt(rng)
     feats = tap_hidden_features(generate_tapped(gen, p, 11, None))
     realized, stream = _drawn_scene(cfg, p, 11)
-    x = toygen._run_blocks(gen, toygen._embed_layer0(gen, p, realized, stream, None), 0, 1, None)
+    x = toygen._run_blocks(gen, toygen._embed_layer0(gen, realized, stream, None), 0, 1, None,
+                           scenes.encode_prompt_tokens(p))
     unpruned = toygen.attention_block(x, gen.params.blocks[1], None).data
     n, d = CONTENT_TOKENS, MODEL_WIDTH
     assert feats.shape == (n, d) and unpruned.shape == (n + scenes.PROMPT_TOKEN_LEN, d)
     assert np.abs(feats - unpruned[:n]).max() <= 1e-5 * np.abs(unpruned).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(layers=hst.integers(1, 2), prompt_seed=hst.integers(0, 2 ** 32 - 1),
+       seed=hst.integers(0, 2 ** 62))
+def test_block_0_with_looked_up_prompt_rows_is_the_block_on_the_concatenated_rows(
+        layers, prompt_seed, seed):
+    # tables of block 0's entry for stand-in token rows; with one layer,
+    # block 0 is also the last, which returns the content rows only
+    cfg = GeneratorConfig(num_layers=layers)
+    gen = _generator(cfg)
+    rng = np.random.default_rng(prompt_seed)
+    tokens = rng.standard_normal((scenes.VOCAB_SIZE, MODEL_WIDTH)).astype(toygen.DTYPE)
+    h, qkv = block_entry(tokens, gen.params.blocks[0], None)
+    gen = Generator(cfg, dataclasses.replace(gen.params, prompt_h=h.data, prompt_qkv=qkv.data))
+    p = sample_prompt(rng)
+    realized, stream = _drawn_scene(cfg, p, seed)
+    x = np.concatenate([toygen._embed_layer0(gen, realized, stream, None).data,
+                        tokens[scenes.encode_prompt_tokens(p)]])
+    want = toygen.attention_block(x, gen.params.blocks[0], None,
+                                  rows=CONTENT_TOKENS if layers == 1 else None)
+    assert generate_tapped(gen, p, seed, None).hidden.data.tobytes() == want.data.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -248,13 +270,13 @@ def test_generation_flops_match_closed_form(default_generator, rng):
     c_tap, c_res, c_full = MeterContext(), MeterContext(), MeterContext()
     resume_and_decode(default_generator, generate_tapped(default_generator, p, 3, c_tap), c_res)
     generate_full(default_generator, p, 3, c_full)
-    n, d = CONTENT_TOKENS, MODEL_WIDTH
-    t = n + scenes.PROMPT_TOKEN_LEN
+    n, d, prompt = CONTENT_TOKENS, MODEL_WIDTH, scenes.PROMPT_TOKEN_LEN
+    t = n + prompt
     block = flops_for(("attention_block", t, d, 4 * d))
     tapped = (
         flops_for(("matmul", n, n, d)) + flops_for(("matmul", n, d, d))  # code embed A @ X @ Bᵀ
-        + scenes.PROMPT_TOKEN_LEN * d                               # prompt segment add
-        + (cfg.tap_layer + 1) * block
+        + flops_for(("attention_block", t, d, 4 * d, t, prompt))    # block 0: prompt rows given
+        + cfg.tap_layer * block
     )
     resumed = (
         (cfg.num_layers - cfg.tap_layer - 2) * block
@@ -264,9 +286,9 @@ def test_generation_flops_match_closed_form(default_generator, rng):
         + 2 * RASTER_DIM                                            # shift + clamp
     )
     # the default tap is block 0
-    assert c_tap.flops_accumulated == tapped == 2_669_862
+    assert c_tap.flops_accumulated == tapped == 2_493_350
     assert c_res.flops_accumulated == resumed == 17_208_004
-    assert c_full.flops_accumulated == tapped + resumed == 19_877_866
+    assert c_full.flops_accumulated == tapped + resumed == 19_701_354
 
 
 # -------------------------------------------------------- scene code
@@ -299,20 +321,20 @@ def test_factored_code_is_the_dense_orthogonal_code(prompt_seed, seed):
     p = sample_prompt(np.random.default_rng(prompt_seed))
     realized, rng = _drawn_scene(cfg, p, seed)
     coords = _coordinates(cfg, p, seed)
-    x = toygen._embed_layer0(gen, p, realized, rng, None)
+    x = toygen._embed_layer0(gen, realized, rng, None)
     dense = (np.kron(a, b) @ coords.reshape(-1)).reshape(CONTENT_TOKENS, MODEL_WIDTH)
-    assert np.abs(x.data[:CONTENT_TOKENS] - dense).max() <= tol
+    assert np.abs(x.data - dense).max() <= tol
     # no blocks between embed and projection: decoding inverts the code
-    img = toygen.decode_latent(gen, toygen._project(gen, x.data[:CONTENT_TOKENS], None), None)
+    img = toygen.decode_latent(gen, toygen._project(gen, x, None), None)
     assert np.abs(img.pixels.data - scenes.render(realized.scene)).max() <= tol
 
 
-# sha256 of the generator's drawn float32 parameters (block weights, w_proj,
-# token_table, seg_prompt); the QR factors and w_decode are left out, since
-# their bits depend on the LAPACK build. Taken while float64 serving was
-# still selectable, so it holds the float32 bits as they were. The
-# candidates' code coordinates are pinned with their scenes in test_scenes
-GENERATOR_DRAWS_SHA256 = "e49a41c089797d927510981414edf0210871cd52685b1ca7f83fec88557c7c19"
+# sha256 of the generator's float32 parameters made of draws and sums alone
+# (block weights, w_proj, prompt_h: each token's row plus block 0's t_bias);
+# prompt_qkv, the QR factors and w_decode are left out, since their bits
+# depend on the BLAS and LAPACK build. The candidates' code coordinates are
+# pinned with their scenes in test_scenes
+GENERATOR_DRAWS_SHA256 = "c60a73519bed309a85a2428a6a7ada3d4267e550af5c72b555234f58c9942ca4"
 
 
 def test_generator_draws_are_unchanged():
@@ -321,7 +343,7 @@ def test_generator_draws_are_unchanged():
     for block in p.blocks:
         for f in dataclasses.fields(block):
             digest.update(getattr(block, f.name).tobytes())
-    for arr in (p.w_proj, p.token_table, p.seg_prompt):
+    for arr in (p.w_proj, p.prompt_h):
         digest.update(arr.tobytes())
     assert digest.hexdigest() == GENERATOR_DRAWS_SHA256
 

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from latentscale import scenes, toygen, verifier
-from latentscale.numcore import BlockWeights, MeterContext, Tensor, flops_for, normalize
+from latentscale.numcore import (
+    BlockWeights, MeterContext, Tensor, attention_block, block_entry, flops_for, gelu, linear,
+    normalize,
+)
 from latentscale.verifier import (
     CheckpointError, Score, VerifierConfig, init_verifier, load_checkpoint,
     save_checkpoint, score_from_logits, select_best,
@@ -48,17 +51,17 @@ def test_candidate_scores_in_range_and_float64(small_generator, rng):
 # ---------------------------------------------------------------- FLOPs
 
 def scorer_flops(tokens: int) -> int:
-    """Closed-form FLOPs of ``score`` on ``tokens`` feature rows: the last
-    scorer block reads out the row mean."""
+    """Closed-form FLOPs of ``score`` on ``tokens`` feature rows: block 0
+    looks up the prompt rows' entries, and the last block reads out the row
+    mean."""
     d, seq = verifier.SCORER_DIM, tokens + scenes.PROMPT_TOKEN_LEN
     hidden = verifier.CONNECTOR_HIDDEN
-    blocks = ((verifier.SCORER_BLOCKS - 1) * flops_for(("attention_block", seq, d, 4 * d))
+    blocks = (flops_for(("attention_block", seq, d, 4 * d, seq, scenes.PROMPT_TOKEN_LEN))
+              + (verifier.SCORER_BLOCKS - 2) * flops_for(("attention_block", seq, d, 4 * d))
               + flops_for(("attention_block_pool", seq, d, 4 * d)))
     return (flops_for(("linear", tokens, verifier.FEATURE_DIM, hidden))
             + flops_for(("gelu", tokens * hidden))
-            + flops_for(("linear", tokens, hidden, d))
-            + flops_for(("add", tokens * d))                           # feature segment
-            + flops_for(("add", scenes.PROMPT_TOKEN_LEN * d))          # prompt segment
+            + flops_for(("linear", tokens, hidden, d))                 # feature segment in b2
             + blocks
             + flops_for(("linear", 1, d, 2))
             + flops_for(("softmax", 1, 2)))
@@ -99,9 +102,9 @@ def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
     verify = metered_verification_flops(default_generator, cfg, stats, p, st)
     toygen.resume_and_decode(default_generator, st, c_res)
     tokens, width = feats.shape
-    assert verify == 2 * tokens * width + width + scorer_flops(tokens) == 4_850_904
+    assert verify == 2 * tokens * width + width + scorer_flops(tokens) == 4_673_368
     assert (32 * (c_tap.flops_accumulated + verify) + c_res.flops_accumulated
-            == 257_872_516)
+            == 246_542_980)
 
 
 def test_default_bon_pixel_flops_per_image_closed_form(default_generator, rng):
@@ -111,8 +114,8 @@ def test_default_bon_pixel_flops_per_image_closed_form(default_generator, rng):
     image, st = toygen.generate_full(default_generator, p, 4, c_full)
     verify = metered_verification_flops(default_generator, cfg, None, p, st, image)
     patches = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2
-    assert verify == encoder_flops() + scorer_flops(patches) == 8_375_448
-    assert 8 * (c_full.flops_accumulated + verify) == 8 * (19_877_866 + 8_375_448) == 226_026_512
+    assert verify == encoder_flops() + scorer_flops(patches) == 8_197_912
+    assert 8 * (c_full.flops_accumulated + verify) == 8 * (19_701_354 + 8_197_912) == 223_194_128
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -193,6 +196,30 @@ def test_verifier_computes_in_its_precision_with_the_same_flops(
     features = {"hidden_state": flops_for(("normalize", tokens, verifier.FEATURE_DIM)),
                 "ae_latent": 0, "pixel_reencode": encoder_flops()}[mode]
     assert ctx.flops_accumulated == features + scorer_flops(tokens)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1))
+def test_scorer_block_0_with_looked_up_prompt_rows_is_the_block_on_the_concatenated_rows(seed):
+    # tables of block 0's entry for stand-in token rows; the scorer run on
+    # [projected features ++ token rows] gives the same logits bit for bit
+    params = init_verifier(VerifierConfig())
+    rng = np.random.default_rng(seed)
+    d, dtype = verifier.SCORER_DIM, toygen.DTYPE
+    tokens = rng.standard_normal((scenes.VOCAB_SIZE, d)).astype(dtype)
+    h, qkv = block_entry(tokens, verifier.block_view(params, "scorer.block0"), None)
+    params.update({"prompt.h": h.data, "prompt.qkv": qkv.data})
+    feats = rng.standard_normal((toygen.CONTENT_TOKENS, verifier.FEATURE_DIM)).astype(dtype)
+    ids = scenes.encode_prompt_tokens(scenes.sample_prompt(rng))
+    got = verifier.scorer_forward(params, feats, ids)
+    x = gelu(linear(feats, params["connector.w1"], params["connector.b1"], None), None)
+    x = linear(x, params["connector.w2"], params["connector.b2"], None).data
+    x = np.concatenate([x, tokens[ids]])
+    for i in range(verifier.SCORER_BLOCKS):
+        x = attention_block(x, verifier.block_view(params, f"scorer.block{i}"), None,
+                            pool=i == verifier.SCORER_BLOCKS - 1)
+    want = linear(x.data[None, :], params["head.w"], params["head.b"], None).data[0]
+    assert got.tobytes() == want.astype(np.float64).tobytes()
 
 
 def test_features_and_pixels_enter_in_the_parameters_dtype():
@@ -416,6 +443,15 @@ def _store_twice(name):
     return apply
 
 
+def _schema_7_entries(entries):
+    """Schema 7's prompt table and segment vectors in place of schema 8's
+    per-token tables of scorer block 0 (their values do not matter)."""
+    h = entries.pop("prompt.h")
+    entries.pop("prompt.qkv")
+    return {"prompt_embed.table": h, "segment.features": entries["connector.b2"],
+            "segment.prompt": entries["connector.b2"]}
+
+
 def _truncate(path):
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) // 2])
@@ -456,6 +492,10 @@ CORRUPTIONS = {
     "integer_mode": _edit_header(lambda h: h["config"].update(mode=1)),
     "schema_6_with_scorer_blocks": _edit_header(
         lambda h: h.update(schema=6, config={**h["config"], "scorer_blocks": 2})),
+    "schema_7_layout": _edit_entries(lambda e: e.update(
+        header=np.array(json.dumps({**json.loads(str(e["header"])), "schema": 7})),
+        **_schema_7_entries(e))),
+    "schema_7_layout_under_schema_8": _edit_entries(lambda e: e.update(_schema_7_entries(e))),
 }
 
 

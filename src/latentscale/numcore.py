@@ -28,10 +28,13 @@ one charge; the table and the total charged are the same as unfused. The
 block's query, key and value are one product with the stacked ``wqkv``;
 NumPy runs each slab as its own BLAS call, so the bits are those of three.
 
-The block computes only what its caller reads. Every row is a key and a
-value, so the block's entry (``block_entry``: the bias, ln1 and q/k/v
-product) runs on every row it is not given; with ``rows=r`` only the first
-r query, and the rest of the block runs on r rows. ``given=(h, qkv)``
+The block computes only what its caller reads. It is two kernels in turn:
+``block_entry`` (the bias, ln1 and q/k/v product) and ``block_queries``
+(attention, ln2 and the MLP for a range of query rows). Every row is a key
+and a value, so the entry runs on every row it is not given; the queries
+run on the rows whose output is read: with ``rows=r`` the first r, and a
+caller holding the entry can run the rest later with another
+``block_queries`` call, whose rows join the first's. ``given=(h, qkv)``
 appends p rows after x's whose entries ``block_entry`` computed before, for
 example once per token of a vocabulary: they are written into the block's
 one [t, d] residual and one [3, t, d] q/k/v buffer beside x's rows, so the
@@ -324,39 +327,39 @@ def block_entry(x: Operand, w: BlockWeights, ctx: MeterContext | None,
     return h, _finish(qkv, ctx, 2 * n * d * 3 * d)
 
 
-def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None, *,
-                    given: tuple[np.ndarray, np.ndarray] | None = None,
-                    rows: int | None = None, pool: bool = False) -> Tensor:
-    """Pre-norm transformer block: LN -> self-attention -> residual,
-    LN -> GELU MLP -> residual, with a constant conditioning bias at entry.
+def block_queries(h: Operand, qkv: Operand, w: BlockWeights, ctx: MeterContext | None, *,
+                  start: int = 0, stop: int | None = None, pool: bool = False) -> Tensor:
+    """The rest of a block after its entry, for the query rows start..stop-1
+    (default every row): attention over all t rows' keys and values, the
+    residual, ln2 and the MLP.
 
-    ``given`` appends rows after x's whose entries ``block_entry`` computed
-    before; the block is then the block on both sets of rows. All t rows
-    give keys and values. ``rows=r`` lets only the first r query, so the
-    output is the first r rows of the full block's. With ``pool=True`` the
-    output is the [d] mean of the output rows, read out as ``mean(g) @ w2 +
-    b2 + mean(h2)`` (g the GELU output, h2 the attention residual) without
-    the per-row MLP down-projection.
+    ``h`` [t, d] and ``qkv`` [3, t, d] are what ``block_entry`` returned; of
+    h and q only the query rows are read. The output is those rows of the
+    block's output, or with ``pool=True`` their [d] mean, read out as
+    ``mean(g) @ w2 + b2 + mean(h2)`` (g the GELU output, h2 the attention
+    residual) without the per-row MLP down-projection.
     """
-    h, qkv = block_entry(x, w, ctx, given)
+    h, qkv = _data(h), _data(qkv)
+    if h.ndim != 2 or h.shape[1] != w.width or qkv.shape != (3, *h.shape):
+        raise ShapeMismatchError(
+            f"block entry {h.shape} and {qkv.shape} are not [t, {w.width}] and [3, t, {w.width}]")
     t, d = h.shape
-    r = t if rows is None else rows
-    if not 1 <= r <= t:
-        raise ShapeMismatchError(f"attention_block rows {rows} outside [1, {t}]")
-    # the meter counts the q/k/v buffer until its three slabs are taken
-    q, k, v = qkv.data
-    del qkv
+    stop = t if stop is None else stop
+    if not 0 <= start < stop <= t:
+        raise ShapeMismatchError(f"block query rows {start}..{stop - 1} outside 0..{t - 1}")
+    r = stop - start
+    q, k, v = qkv
     # k^T reaches BLAS C-contiguous (a strided view changes the bits); the
     # Python float scale keeps float32 blocks float32 under NumPy 2. The
     # scores stay a checked output: an overflow to -Inf here would vanish in
     # the softmax
-    scores = q[:r] @ np.ascontiguousarray(k.T)
+    scores = q[start:stop] @ np.ascontiguousarray(k.T)
     scores *= 1.0 / math.sqrt(d)
     scores = _finish(scores, ctx, 2 * r * d * t + r * t)
     probs = softmax(scores, ctx)
     att = matmul(probs, v, ctx)
     h2 = att.data @ w.wo
-    h2 = _finish(np.add(h2, h.data[:r], out=_into(h2, h.data)), ctx, 2 * r * d * d + r * d)
+    h2 = _finish(np.add(h2, h[start:stop], out=_into(h2, h)), ctx, 2 * r * d * d + r * d)
 
     m = layer_norm(h2, w.ln2_gamma, w.ln2_beta, ctx)
     g = gelu(linear(m, w.w1, w.b1, ctx), ctx)
@@ -376,6 +379,24 @@ def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None, *,
     return _finish(out, ctx, flops)
 
 
+def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None, *,
+                    given: tuple[np.ndarray, np.ndarray] | None = None,
+                    rows: int | None = None, pool: bool = False) -> Tensor:
+    """Pre-norm transformer block: LN -> self-attention -> residual,
+    LN -> GELU MLP -> residual, with a constant conditioning bias at entry;
+    ``block_entry`` then ``block_queries``.
+
+    ``given`` appends rows after x's whose entries ``block_entry`` computed
+    before; the block is then the block on both sets of rows. All t rows
+    give keys and values. ``rows=r`` lets only the first r query, so the
+    output is the first r rows of the full block's. ``pool=True`` reads out
+    the mean of the output rows.
+    """
+    # h and the q/k/v buffer stay held, so metered, while the queries read them
+    h, qkv = block_entry(x, w, ctx, given)
+    return block_queries(h, qkv, w, ctx, stop=rows, pool=pool)
+
+
 def flops_for(descriptor: tuple) -> int:
     """Analytic FLOPs for one kernel execution with concrete shapes.
 
@@ -383,11 +404,13 @@ def flops_for(descriptor: tuple) -> int:
     ("layer_norm", rows, d), ("gelu", n), ("softmax", rows, n),
     ("mean_pool", t, d), ("normalize", t, d), ("linear", t, din, dout),
     ("block_entry", n, d) for ``block_entry`` on n rows of its own,
-    ("attention_block", t, d, mlp_width[, rows[, given]]) for
-    ``attention_block`` on t rows whose first ``rows`` (default t) query
-    and whose last ``given`` (default 0) are given, and
-    ("attention_block_pool", t, d, mlp_width[, rows[, given]]) for the same
-    with ``pool=True``.
+    ("block_queries", t, d, mlp_width[, rows]) for ``block_queries`` on t
+    rows of which ``rows`` (default t) query, ("attention_block", t, d,
+    mlp_width[, rows[, given]]) for ``attention_block`` on t rows whose
+    first ``rows`` (default t) query and whose last ``given`` (default 0)
+    are given, that is block_entry on t - given rows plus block_queries,
+    and ("block_queries_pool", ...) and ("attention_block_pool", ...) for
+    the same with ``pool=True``.
     """
     name, *args = descriptor
     if name in FLOPS_PER_ELEMENT:
@@ -409,12 +432,10 @@ def flops_for(descriptor: tuple) -> int:
         return (flops_for(("add", n * d))                    # conditioning bias
                 + flops_for(("layer_norm", n, d))            # ln1
                 + flops_for(("matmul", n, d, 3 * d)))        # q, k, v
-    if name in ("attention_block", "attention_block_pool"):
+    if name in ("block_queries", "block_queries_pool"):
         t, d, mlp, *rest = args
         r = rest[0] if rest else t
-        given = rest[1] if len(rest) > 1 else 0
-        total = flops_for(("block_entry", t - given, d))     # every row not given
-        total += flops_for(("matmul", r, d, t))              # scores of the query rows
+        total = flops_for(("matmul", r, d, t))               # scores of the query rows
         total += flops_for(("scale", r * t))
         total += flops_for(("softmax", r, t))
         total += flops_for(("matmul", r, t, d))              # aggregate values
@@ -423,13 +444,20 @@ def flops_for(descriptor: tuple) -> int:
         total += flops_for(("layer_norm", r, d))             # ln2
         total += flops_for(("linear", r, d, mlp))
         total += flops_for(("gelu", r * mlp))
-        if name == "attention_block":
+        if name == "block_queries":
             total += flops_for(("linear", r, mlp, d))
             return total + flops_for(("add", r * d))         # residual 2
         total += flops_for(("mean_pool", r, mlp))            # mean(g)
         total += flops_for(("linear", 1, mlp, d))
         total += flops_for(("mean_pool", r, d))              # mean(h2)
         return total + flops_for(("add", d))                 # pooled residual 2
+    if name in ("attention_block", "attention_block_pool"):
+        t, d, mlp, *rest = args
+        r = rest[0] if rest else t
+        given = rest[1] if len(rest) > 1 else 0
+        queries = "block_queries_pool" if name == "attention_block_pool" else "block_queries"
+        return (flops_for(("block_entry", t - given, d))     # every row not given
+                + flops_for((queries, t, d, mlp, r)))
     raise UnknownKernelError(name)
 
 

@@ -48,8 +48,13 @@ and returns the hidden state for scoring; ``resume_and_decode`` completes the
 remaining layers, projects, and decodes. ``generate_full`` is just the two in
 turn, so full and resumed runs share one path, values and metered FLOPs.
 The projection reads only the content rows, so the last block lets only
-those query and returns them alone: a state that has run every layer, a
-state tapped at the last layer included, holds the content rows only.
+those query and returns them alone. The tap block, too, lets only the
+content rows query (``numcore.block_queries``): the verifier reads them
+alone, and a pruned candidate never runs the next block, the only reader of
+the prompt rows. The state keeps the content rows' keys and values and the
+prompt ids until resume, which runs the prompt rows' queries, joins them
+after the content rows and drops what the state kept. A state holds the
+content rows only, at the tap and after every layer.
 
 The default tap is layer 0, the first block. The match bank is written at
 embed and the blocks' small weights barely touch it, so a linear readout
@@ -72,8 +77,8 @@ import numpy as np
 
 from . import scenes
 from .numcore import (
-    BlockWeights, MeterContext, Tensor, add, attention_block, block_entry, clamp01,
-    init_block_weights, matmul,
+    BlockWeights, MeterContext, Tensor, add, attention_block, block_entry, block_queries,
+    clamp01, init_block_weights, matmul,
 )
 
 MODEL_WIDTH = 64            # d: channels of every token, and the verifier's FEATURE_DIM
@@ -151,14 +156,23 @@ class Generator:
 class GeneratorState:
     """One candidate: either tapped (layers_done == tap+1) or fully run.
 
-    ``hidden`` is the token stream after ``layers_done`` layers: the
-    ``CONTENT_TOKENS`` content rows, then the prompt rows, except after the
-    last layer, which returns the content rows only.
+    ``hidden`` is the ``CONTENT_TOKENS`` content rows [T, d] of the token
+    stream after ``layers_done`` layers: the tap block and the last block
+    let only the content rows query. Until it is resumed, a state tapped
+    before the last layer also keeps what the tap block's prompt rows read
+    when they query at resume and the per-token tables cannot supply: the
+    content rows' keys and values ``kv`` and the prompt's token ids, by
+    which block 0 looks the prompt rows' entries up. A tap past block 0
+    keeps those entries themselves, ``prompt_entry``, in place of the ids.
+    Resume drops what was kept.
     """
     hidden: Tensor
     layers_done: int
     rendered_scene: scenes.Scene    # post-corruption ground truth
     corrupted: bool
+    kv: Tensor | None = None        # [2, T, d] the tap block's content keys and values
+    prompt_ids: np.ndarray | None = None
+    prompt_entry: tuple[Tensor, Tensor] | None = None  # [p, d] h and [3, p, d] q/k/v
     z0: Tensor | None = None        # terminal latent, set on completion
 
     @property
@@ -234,17 +248,24 @@ def _embed_layer0(gen: Generator, realized: scenes.RealizedCandidate,
     return matmul(matmul(p.token_code, mixed, ctx), p.channel_code.T, ctx)
 
 
+def _looked_up(gen: Generator, layer: int,
+               prompt_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The prompt rows' entries at ``layer`` from the per-token tables: block
+    0's alone, since a later block's prompt rows depend on the content."""
+    p = gen.params
+    return (p.prompt_h[prompt_ids], p.prompt_qkv[:, prompt_ids]) if layer == 0 else None
+
+
 def _run_blocks(gen: Generator, x: Tensor, start: int, stop: int, ctx: MeterContext | None,
                 prompt_ids: np.ndarray | None = None) -> Tensor:
     """Blocks start..stop-1. Block 0 appends the rows of the prompt tokens
     ``prompt_ids`` after the content rows, their entries looked up in the
     per-token tables; the generator's last block returns the content rows
     only, since the projection reads nothing else."""
-    p = gen.params
     for layer in range(start, stop):
-        given = (p.prompt_h[prompt_ids], p.prompt_qkv[:, prompt_ids]) if layer == 0 else None
         rows = CONTENT_TOKENS if layer == gen.config.num_layers - 1 else None
-        x = attention_block(x, p.blocks[layer], ctx, given=given, rows=rows)
+        x = attention_block(x, gen.params.blocks[layer], ctx,
+                            given=_looked_up(gen, layer, prompt_ids), rows=rows)
     return x
 
 
@@ -270,24 +291,68 @@ def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> Rende
 
 def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
                     ctx: MeterContext | None) -> GeneratorState:
-    """Run layers 0..tap_layer only; returns the state holding the tap hidden."""
+    """Run layers 0..tap_layer only; returns the state holding the tap hidden.
+
+    The tap block lets only the content rows query. A pruned candidate
+    stops here, and its prompt rows' queries in that block would be read
+    by the next block alone.
+    """
     cfg = gen.config
+    tap, n = cfg.tap_layer, CONTENT_TOKENS
     rng = scenes.candidate_rng(prompt, seed)
     realized = scenes.candidate_scene(prompt, rng, cfg.corruption_rate)
+    prompt_ids = scenes.encode_prompt_tokens(prompt)
     x = _embed_layer0(gen, realized, rng, ctx)
-    x = _run_blocks(gen, x, 0, cfg.tap_layer + 1, ctx, scenes.encode_prompt_tokens(prompt))
-    return GeneratorState(
-        hidden=x, layers_done=cfg.tap_layer + 1,
+    x = _run_blocks(gen, x, 0, tap, ctx, prompt_ids)
+    w = gen.params.blocks[tap]
+    h, qkv = block_entry(x, w, ctx, _looked_up(gen, tap, prompt_ids))
+    state = GeneratorState(
+        hidden=block_queries(h, qkv, w, ctx, stop=n), layers_done=tap + 1,
         rendered_scene=realized.scene, corrupted=realized.corrupted)
+    if tap < cfg.num_layers - 1:
+        state.kv = Tensor(np.ascontiguousarray(qkv.data[1:, :n]), ctx)
+        if tap == 0:
+            state.prompt_ids = prompt_ids
+        else:
+            state.prompt_entry = (Tensor(h.data[n:].copy(), ctx),
+                                  Tensor(np.ascontiguousarray(qkv.data[:, n:]), ctx))
+    return state
+
+
+def _tap_block_rows(gen: Generator, state: GeneratorState,
+                    ctx: MeterContext | None) -> Tensor:
+    """The tap block's output on every row the next block reads. Unless the
+    tap is the last layer, the prompt rows query now and are joined after
+    the content rows that queried at the tap, and the state drops what it
+    kept for them."""
+    if state.kv is None:
+        return state.hidden
+    n, w = CONTENT_TOKENS, gen.params.blocks[gen.config.tap_layer]
+    looked_up = _looked_up(gen, gen.config.tap_layer, state.prompt_ids)
+    h_p, qkv_p = looked_up or (e.data for e in state.prompt_entry)
+    t = n + len(h_p)
+    # block_queries reads the query rows' h and q alone: the content rows'
+    # are left zero
+    h = np.zeros((t, MODEL_WIDTH), DTYPE)
+    h[n:] = h_p
+    qkv = np.zeros((3, t, MODEL_WIDTH), DTYPE)
+    qkv[1:, :n] = state.kv.data
+    qkv[:, n:] = qkv_p
+    state.kv = state.prompt_ids = state.prompt_entry = None
+    prompt_rows = block_queries(Tensor(h, ctx), Tensor(qkv, ctx), w, ctx, start=n)
+    return Tensor(np.concatenate([state.hidden.data, prompt_rows.data]), ctx)
 
 
 def resume_and_decode(gen: Generator, state: GeneratorState,
                       ctx: MeterContext | None) -> RenderedImage:
-    """Complete layers tap+1..L-1 for a tapped state, project, and decode."""
+    """Finish the tap block's prompt rows, complete layers tap+1..L-1 for a
+    tapped state, project, and decode."""
     cfg = gen.config
     if state.layers_done != cfg.tap_layer + 1 or state.completed:
         raise StateCompletionError("state is not a tapped state of this config")
-    x = _run_blocks(gen, state.hidden, cfg.tap_layer + 1, cfg.num_layers, ctx)
+    # the joined rows are passed on, not held, so they die after the next block
+    x = _run_blocks(gen, _tap_block_rows(gen, state, ctx), cfg.tap_layer + 1, cfg.num_layers,
+                    ctx)
     z0 = _project(gen, x, ctx)
     state.hidden = x
     state.layers_done = cfg.num_layers
@@ -305,4 +370,4 @@ def generate_full(gen: Generator, prompt: scenes.Prompt, seed: int,
 def tap_hidden_features(state: GeneratorState) -> np.ndarray:
     """Content-token hidden state at the tap, the verifier's raw features:
     [CONTENT_TOKENS, MODEL_WIDTH], wherever the tap is."""
-    return state.hidden.data[:CONTENT_TOKENS]
+    return state.hidden.data

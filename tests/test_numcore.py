@@ -71,6 +71,12 @@ def given_rows(h_shape, qkv_shape):
                               given=(np.ones(h_shape), np.ones(qkv_shape)))
 
 
+def queries(h_shape, qkv_shape, **kw):
+    """block_queries of a block of width 8 on an entry of these shapes."""
+    w = rand_block(np.random.default_rng(0), 8)
+    return nc.block_queries(np.ones(h_shape), np.ones(qkv_shape), w, None, **kw)
+
+
 @pytest.mark.parametrize("call", [
     lambda: given_rows((8,), (3, 1, 8)),
     lambda: given_rows((7, 8), (7, 8)),
@@ -85,9 +91,14 @@ def given_rows(h_shape, qkv_shape):
                                rows=0),
     lambda: nc.attention_block(np.ones((5, 8)), rand_block(np.random.default_rng(0), 8), None,
                                rows=6),
+    lambda: queries((5, 8), (3, 5, 8), start=3, stop=3),
+    lambda: queries((5, 8), (3, 5, 8), start=-1),
+    lambda: queries((5, 8), (3, 4, 8)),
+    lambda: queries((5, 7), (3, 5, 7)),
 ], ids=["given_1d", "given_qkv_2d", "given_width", "linear_inner", "linear_1d",
         "linear_bias_width", "linear_bias_2d", "normalize_width", "normalize_2d_stats",
-        "block_no_rows", "block_rows_past_input"])
+        "block_no_rows", "block_rows_past_input", "queries_none", "queries_before_first_row",
+        "queries_qkv_rows", "queries_width"])
 def test_shape_errors_are_typed(call):
     with pytest.raises(nc.ShapeMismatchError):
         call()
@@ -228,7 +239,8 @@ def test_flops_for_unknown_kernel():
 def test_metering_exactness_100_random_shapes():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        kind = rng.choice(["matmul", "layer_norm", "gelu", "softmax", "linear", "attention_block"])
+        kind = rng.choice(["matmul", "layer_norm", "gelu", "softmax", "linear", "attention_block",
+                           "block_queries"])
         if kind == "matmul":
             m, k, n = (int(v) for v in rng.integers(1, 20, size=3))
             c = ctx()
@@ -257,6 +269,17 @@ def test_metering_exactness_100_random_shapes():
             nc.linear(rng.standard_normal((t, din)), rng.standard_normal((din, dout)),
                       rng.standard_normal(dout), c)
             assert c.flops_accumulated == nc.flops_for(("linear", t, din, dout))
+        elif kind == "block_queries":
+            t, d = int(rng.integers(1, 12)), int(rng.integers(4, 20))
+            start = int(rng.integers(0, t))
+            stop = int(rng.integers(start + 1, t + 1))
+            pool = bool(rng.integers(0, 2))
+            w = rand_block(rng, d, std=0.1)
+            h, qkv = nc.block_entry(rng.standard_normal((t, d)), w, None)
+            c = ctx()
+            nc.block_queries(h, qkv, w, c, start=start, stop=stop, pool=pool)
+            kernel = "block_queries_pool" if pool else "block_queries"
+            assert c.flops_accumulated == nc.flops_for((kernel, t, d, 4 * d, stop - start))
         else:
             # the last p of the block's t rows are given: block_entry made them
             t, d = int(rng.integers(1, 12)), int(rng.integers(4, 20))
@@ -360,6 +383,8 @@ def _kernel_cases(seed=13, dtype=np.float64):
         h, qkv = nc.block_entry(y, blk, None)
         return nc.attention_block(a, blk, ctx, given=(h.data, qkv.data))
 
+    h, qkv = (e.data.copy() for e in nc.block_entry(x, blk, None))  # writable, as the rest
+
     return {
         "matmul": (nc.matmul, (x, w), ()),
         "add": (nc.add, (x, y), ()),
@@ -374,6 +399,10 @@ def _kernel_cases(seed=13, dtype=np.float64):
         "attention_block_rows": (functools.partial(nc.attention_block, rows=3), (x,), (blk,)),
         "attention_block_pool": (functools.partial(nc.attention_block, pool=True), (x,), (blk,)),
         "attention_block_given": (block_given_y, (x,), (y, blk)),
+        "block_queries": (functools.partial(nc.block_queries, start=1, stop=4), (h, qkv),
+                          (blk,)),
+        "block_queries_pool": (functools.partial(nc.block_queries, start=1, pool=True),
+                               (h, qkv), (blk,)),
     }
 
 
@@ -391,21 +420,28 @@ def _ref_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _ref_block(x, w, rows=None, pool=False):
-    """The block as unfused numpy steps in the kernels' order (bitwise reference),
-    with q, k and v projected separately; the first ``rows`` query, and
-    ``pool`` reads out their mean."""
-    r = len(x) if rows is None else rows
-    h = x + w.t_bias
-    a = _ref_layer_norm(h, w.ln1_gamma, w.ln1_beta)
-    q, k, v = (a @ w.wqkv[0])[:r], a @ w.wqkv[1], a @ w.wqkv[2]
-    probs = _ref_softmax((q @ np.ascontiguousarray(k.T)) * (1.0 / math.sqrt(x.shape[1])))
-    h2 = h[:r] + (probs @ v) @ w.wo
+def _ref_queries(h, qkv, w, start=0, stop=None, pool=False):
+    """The block after its entry as unfused numpy steps in the kernels' order
+    (bitwise reference): the rows start..stop-1 query, and ``pool`` reads
+    out their mean."""
+    q, k, v = qkv[0][start:stop], qkv[1], qkv[2]
+    probs = _ref_softmax((q @ np.ascontiguousarray(k.T)) * (1.0 / math.sqrt(h.shape[1])))
+    h2 = h[start:stop] + (probs @ v) @ w.wo
     m = _ref_layer_norm(h2, w.ln2_gamma, w.ln2_beta)
     g = _ref_gelu(m @ w.w1 + w.b1)
     if pool:
         return h2.mean(axis=0) + (g.mean(axis=0) @ w.w2 + w.b2)
     return h2 + (g @ w.w2 + w.b2)
+
+
+def _ref_block(x, w, rows=None, pool=False):
+    """The block as unfused numpy steps (bitwise reference), with q, k and v
+    projected separately; the first ``rows`` query, and ``pool`` reads out
+    their mean."""
+    h = x + w.t_bias
+    a = _ref_layer_norm(h, w.ln1_gamma, w.ln1_beta)
+    qkv = np.stack([a @ w.wqkv[0], a @ w.wqkv[1], a @ w.wqkv[2]])
+    return _ref_queries(h, qkv, w, stop=rows, pool=pool)
 
 
 _REFERENCE = {
@@ -422,6 +458,8 @@ _REFERENCE = {
     "attention_block_rows": functools.partial(_ref_block, rows=3),
     "attention_block_pool": functools.partial(_ref_block, pool=True),
     "attention_block_given": lambda a, y, w: _ref_block(np.concatenate([a, y]), w),
+    "block_queries": functools.partial(_ref_queries, start=1, stop=4),
+    "block_queries_pool": functools.partial(_ref_queries, start=1, pool=True),
 }
 
 CASE_NAMES = sorted(_kernel_cases())
@@ -502,6 +540,44 @@ def test_block_with_given_rows_is_the_block_on_the_concatenated_rows(n, p, vocab
         assert np.abs(got - want).max() <= tol
     kind = "attention_block_pool" if pool else "attention_block"
     assert c.flops_accumulated == nc.flops_for((kind, n + p, d, 4 * d, rows or n + p, p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=hst.integers(2, 39), p=hst.integers(0, 12), data=hst.data(),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_block_queries_split_at_any_row_join_to_the_block(t, p, data, seed):
+    # width 64, float32, as the stack serves; the last p of the t rows are
+    # given. The query rows' bits can depend on how the BLAS groups a
+    # product's rows: with OpenBLAS's Haswell sgemm the scores product
+    # [r, d] @ [d, t] takes rows in groups of 4 from the first, and NumPy
+    # sends a one-row product to gemv, so a split is bitwise there when its
+    # row is a multiple of 4 that leaves at least 2 rows after it, as the
+    # generator's at 16 of 23 does, and else equal to rounding
+    r = data.draw(hst.integers(1, t - 1), label="r")
+    p = min(p, t - 1)
+    rng = np.random.default_rng(seed)
+    d = 64
+    w = nc.init_block_weights(rng, d, weight_std=0.3, dtype=np.float32)
+    x = rng.standard_normal((t - p, d)).astype(np.float32)
+    given = None
+    if p:
+        given = tuple(e.data for e in nc.block_entry(
+            rng.standard_normal((p, d)).astype(np.float32), w, None))
+    c_entry, c_head, c_tail = ctx(), ctx(), ctx()
+    h, qkv = nc.block_entry(x, w, c_entry, given)
+    head = nc.block_queries(h, qkv, w, c_head, stop=r).data
+    tail = nc.block_queries(h, qkv, w, c_tail, start=r).data
+    want = nc.attention_block(x, w, None, given=given).data
+    got = np.concatenate([head, tail])
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    if r % 4 == 0 and t - r >= 2:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= 1e-5 * max(1.0, np.abs(want).max())
+    assert c_head.flops_accumulated == nc.flops_for(("block_queries", t, d, 4 * d, r))
+    assert c_tail.flops_accumulated == nc.flops_for(("block_queries", t, d, 4 * d, t - r))
+    assert (c_entry.flops_accumulated + c_head.flops_accumulated + c_tail.flops_accumulated
+            == nc.flops_for(("attention_block", t, d, 4 * d, t, p)))
 
 
 def test_fused_kernels_keep_numpy_promotion_of_mixed_precision():

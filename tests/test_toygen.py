@@ -121,7 +121,10 @@ def test_metered_and_unmetered_runs_bitwise_equal(default_generator, rng):
 
 def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
     # each buffer the meter counts is held here, so none can be freed and reused;
-    # the count is 2 at embed, 11 in each of 8 blocks, 1 projection, 4 at decode
+    # the count is 2 at embed, 11 in each of 8 blocks, 1 projection, 4 at
+    # decode, and 12 more because the tap block's query pass runs twice: the
+    # prompt rows' pass at resume (8), the key and value kept at the tap, the
+    # resume's h and q/k/v buffers of the tap block, and the joined rows
     seen = []
     register = MeterContext.register
 
@@ -131,7 +134,7 @@ def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
 
     monkeypatch.setattr(MeterContext, "register", record)
     generate_full(default_generator, sample_prompt(rng), 6, MeterContext())
-    assert len(seen) == 95
+    assert len(seen) == 107
     assert [(a.shape, b.shape) for a, b in itertools.combinations(seen, 2)
             if np.shares_memory(a, b)] == []
 
@@ -163,10 +166,15 @@ def _coordinates(cfg: GeneratorConfig, prompt, seed: int) -> np.ndarray:
 
 
 def test_metered_peak_of_a_full_run(default_generator, rng):
-    # float32 buffers; the peak depends on shapes only
+    # float32 buffers; the peak depends on shapes only. It is reached as a
+    # 23-row block between the tap block and the last registers its output:
+    # the state's tapped content rows 4,096, the block's input 5,888, h 5,888,
+    # q/k/v 17,664, scores and probs 2 * 2,116, att, h2, ln2 and the output
+    # 4 * 5,888, and the GELU 23,552
     ctx = MeterContext()
     generate_full(default_generator, sample_prompt(rng), 5, ctx)
-    assert ctx.bytes_peak == 69_000
+    assert ctx.bytes_peak == 4_096 + 2 * 5_888 + 17_664 + 2 * 2_116 + 4 * 5_888 + 23_552
+    assert ctx.bytes_peak == 84_872
 
 
 def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
@@ -179,6 +187,48 @@ def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         p.channel_code[0, 0] = 1.0
+
+
+def test_tapped_state_keeps_the_content_rows_and_the_tap_blocks_content_keys_and_values(
+        default_generator, rng):
+    # float32 at the default config: hidden 4,096 B and the key and value 8,192 B
+    n, d = CONTENT_TOKENS, MODEL_WIDTH
+    p = sample_prompt(rng)
+    ctx = MeterContext()
+    st = generate_tapped(default_generator, p, 9, ctx)
+    assert st.hidden.shape == (n, d) and st.kv.shape == (2, n, d)
+    assert st.prompt_ids.tolist() == scenes.encode_prompt_tokens(p).tolist()
+    assert st.prompt_entry is None  # block 0 looks the prompt rows' entries up
+    assert ctx.bytes_live == 4 * n * d + 4 * 2 * n * d == 12_288
+    resume_and_decode(default_generator, st, MeterContext())
+    assert (st.kv, st.prompt_ids, st.prompt_entry) == (None, None, None)
+    assert ctx.bytes_live == 0  # the tap's buffers went with what resume dropped
+    pruned = generate_tapped(default_generator, p, 10, ctx)
+    assert ctx.bytes_live == 12_288
+    del pruned
+    assert ctx.bytes_live == 0
+
+
+@pytest.mark.parametrize("layers, tap", [(4, 3), (1, 0)])
+def test_tap_at_the_last_layer_keeps_nothing(layers, tap, rng):
+    ctx = MeterContext()
+    st = generate_tapped(_generator(GeneratorConfig(num_layers=layers, tap_layer=tap)),
+                         sample_prompt(rng), 3, ctx)
+    assert (st.kv, st.prompt_ids, st.prompt_entry) == (None, None, None)
+    assert st.hidden.shape == (CONTENT_TOKENS, MODEL_WIDTH)
+    assert ctx.bytes_live == st.hidden.data.nbytes
+
+
+def test_tap_past_block_0_keeps_the_prompt_rows_entries(rng):
+    # a later block's prompt rows depend on the content, so no table holds them
+    n, d, prompt = CONTENT_TOKENS, MODEL_WIDTH, scenes.PROMPT_TOKEN_LEN
+    ctx = MeterContext()
+    st = generate_tapped(_generator(GeneratorConfig(num_layers=3, tap_layer=1)),
+                         sample_prompt(rng), 3, ctx)
+    h, qkv = st.prompt_entry
+    assert st.prompt_ids is None
+    assert (st.kv.shape, h.shape, qkv.shape) == ((2, n, d), (prompt, d), (3, prompt, d))
+    assert ctx.bytes_live == 4 * (n * d + 2 * n * d + prompt * d + 3 * prompt * d)
 
 
 def test_resume_on_completed_state_raises(default_generator, rng):
@@ -224,8 +274,8 @@ def test_tap_at_last_layer_features_are_the_last_blocks_content_rows(rng):
        seed=hst.integers(0, 2 ** 62))
 def test_block_0_with_looked_up_prompt_rows_is_the_block_on_the_concatenated_rows(
         layers, prompt_seed, seed):
-    # tables of block 0's entry for stand-in token rows; with one layer,
-    # block 0 is also the last, which returns the content rows only
+    # tables of block 0's entry for stand-in token rows; the tap block, and
+    # with one layer the last, lets the content rows alone query
     cfg = GeneratorConfig(num_layers=layers)
     gen = _generator(cfg)
     rng = np.random.default_rng(prompt_seed)
@@ -236,8 +286,7 @@ def test_block_0_with_looked_up_prompt_rows_is_the_block_on_the_concatenated_row
     realized, stream = _drawn_scene(cfg, p, seed)
     x = np.concatenate([toygen._embed_layer0(gen, realized, stream, None).data,
                         tokens[scenes.encode_prompt_tokens(p)]])
-    want = toygen.attention_block(x, gen.params.blocks[0], None,
-                                  rows=CONTENT_TOKENS if layers == 1 else None)
+    want = toygen.attention_block(x, gen.params.blocks[0], None, rows=CONTENT_TOKENS)
     assert generate_tapped(gen, p, seed, None).hidden.data.tobytes() == want.data.tobytes()
 
 
@@ -273,21 +322,22 @@ def test_generation_flops_match_closed_form(default_generator, rng):
     n, d, prompt = CONTENT_TOKENS, MODEL_WIDTH, scenes.PROMPT_TOKEN_LEN
     t = n + prompt
     block = flops_for(("attention_block", t, d, 4 * d))
+    # the default tap is block 0: its prompt rows are given, and query at resume
     tapped = (
         flops_for(("matmul", n, n, d)) + flops_for(("matmul", n, d, d))  # code embed A @ X @ Bᵀ
-        + flops_for(("attention_block", t, d, 4 * d, t, prompt))    # block 0: prompt rows given
-        + cfg.tap_layer * block
+        + flops_for(("attention_block", t, d, 4 * d, n, prompt))
     )
     resumed = (
-        (cfg.num_layers - cfg.tap_layer - 2) * block
+        flops_for(("block_queries", t, d, 4 * d, prompt))
+        + (cfg.num_layers - 2) * block
         + flops_for(("attention_block", t, d, 4 * d, n))            # last block: content rows
         + flops_for(("matmul", n, d, d))                            # final projection
         + _unembed_flops()                                          # decode
         + 2 * RASTER_DIM                                            # shift + clamp
     )
-    # the default tap is block 0
-    assert c_tap.flops_accumulated == tapped == 2_493_350
-    assert c_res.flops_accumulated == resumed == 17_208_004
+    assert cfg.tap_layer == 0
+    assert c_tap.flops_accumulated == tapped == 1_906_848
+    assert c_res.flops_accumulated == resumed == 17_794_506
     assert c_full.flops_accumulated == tapped + resumed == 19_701_354
 
 

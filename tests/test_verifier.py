@@ -104,7 +104,7 @@ def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
     tokens, width = feats.shape
     assert verify == 2 * tokens * width + width + scorer_flops(tokens) == 4_673_368
     assert (32 * (c_tap.flops_accumulated + verify) + c_res.flops_accumulated
-            == 246_542_980)
+            == 228_361_418)
 
 
 def test_default_bon_pixel_flops_per_image_closed_form(default_generator, rng):

@@ -12,7 +12,7 @@ Published FLOPs conventions (cost per element unless stated):
 
     ============== ===========================================
     matmul m,k,n    2*m*k*n (multiply-add counted as 2 FLOPs)
-    add / scale     1
+    add / scale     1   (no kernel: the fused bias, scale and residual steps)
     clamp           1
     layer_norm      8   (mean 1, variance 3, normalize 2, affine 2)
     gelu            12  (cubic 5, tanh 4, gate 3; tanh approximation)
@@ -30,20 +30,21 @@ NumPy runs each slab as its own BLAS call, so the bits are those of three.
 
 The block computes only what its caller reads. It is two kernels in turn:
 ``block_entry`` (the bias, ln1 and q/k/v product) and ``block_queries``
-(attention, ln2 and the MLP for a range of query rows). Every row is a key
-and a value, so the entry runs on every row it is not given; the queries
-run on the rows whose output is read: with ``rows=r`` the first r, and a
-caller holding the entry can run the rest later with another
-``block_queries`` call, whose rows join the first's. ``given=(h, qkv)``
-appends p rows after x's whose entries ``block_entry`` computed before, for
-example once per token of a vocabulary: they are written into the block's
-one [t, d] residual and one [3, t, d] q/k/v buffer beside x's rows, so the
-block charges its entry, add(n*d) + layer_norm(n, d) + matmul(n, d, 3d),
-for x's n = t - p rows alone and the rest of the block as on t rows.
-With ``pool=True`` the caller reads the row mean, which is computed
-as ``mean(g) @ w2 + b2 + mean(h2)`` (g the GELU output, h2 the attention
-residual): mean_pool(r, mlp) + linear(1, mlp, d) + mean_pool(r, d) + d in
-place of linear(r, mlp, d) + r*d and a mean_pool(r, d) after the block.
+(attention, ln2 and the MLP for the query rows whose residual and query it
+is handed, over every row's key and value). Every row is a key and a value,
+so the entry runs on every row it is not given; the queries run on the rows
+whose output is read: with ``rows=r`` the first r, and a caller holding the
+entry can run other rows later, whose output joins the first's.
+``given=(h, qkv)`` appends p rows after x's whose entries ``block_entry``
+computed before, for example once per token of a vocabulary: they are
+written into the block's one [t, d] residual and one [3, t, d] q/k/v buffer
+beside x's rows, so the block charges its entry, add(n*d) +
+layer_norm(n, d) + matmul(n, d, 3d), for x's n = t - p rows alone and the
+rest of the block as on t rows. With ``pool=True`` the caller reads the
+row mean, which is computed as ``mean(g) @ w2 + b2 + mean(h2)`` (g the
+GELU output, h2 the attention residual): mean_pool(r, mlp) + linear(1, mlp,
+d) + mean_pool(r, d) + d in place of linear(r, mlp, d) + r*d and a
+mean_pool(r, d) after the block.
 ``flops_for`` evaluates the same table analytically without executing
 anything; the two routes are cross-checked in the test suite.
 
@@ -91,10 +92,12 @@ class UnknownKernelError(KeyError):
 class MeterContext:
     """Accumulates FLOPs and tracks live/peak bytes of kernel outputs.
 
-    An output's bytes are live from registration until its Tensor wrapper
-    dies. A context must not be shared across concurrent kernel executions;
-    distinct contexts are independent. Kernels given ``ctx=None`` run
-    unmetered.
+    An output's bytes are live from registration while its Tensor wrapper
+    lives and while a kernel reads it: a kernel holds its Tensor operands
+    until it returns, so ``gelu(linear(...))`` counts both outputs on every
+    Python version. A context must not be shared across concurrent kernel
+    executions; distinct contexts are independent. Kernels given
+    ``ctx=None`` run unmetered.
     """
 
     flops_accumulated: int = 0
@@ -115,8 +118,8 @@ class Tensor:
     Its scalars are float64 or float32, whichever the kernel computed in.
     ``data`` must be a C-contiguous float64/float32 array that nothing else
     writes to (a kernel's fresh output); it is kept as is and made
-    read-only. A buffer registered with a MeterContext is live there until
-    the wrapper dies.
+    read-only. A buffer registered with a MeterContext is live there while
+    the wrapper lives and while a kernel reads it.
     Kernels treat tensors as values and never write through them.
     """
 
@@ -179,6 +182,8 @@ Operand = Tensor | np.ndarray
 
 
 def _data(x: Operand) -> np.ndarray:
+    """x's array. A kernel binds it to a new name and keeps its parameter
+    bound, so a Tensor operand, and its metered bytes, live until it returns."""
     return x.data if isinstance(x, Tensor) else x
 
 
@@ -200,93 +205,85 @@ def _into(buf: np.ndarray, other: np.ndarray) -> np.ndarray | None:
 
 def matmul(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
     """Matrix product a[m,k] @ b[k,n]; charges 2*m*k*n FLOPs."""
-    a, b = _data(a), _data(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatchError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    m, k = a.shape
-    k2, n = b.shape
+    ad, bd = _data(a), _data(b)
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeMismatchError(f"matmul needs 2-D operands, got {ad.shape} @ {bd.shape}")
+    m, k = ad.shape
+    k2, n = bd.shape
     if k != k2:
-        raise ShapeMismatchError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return _finish(a @ b, ctx, 2 * m * k * n)
-
-
-def add(a: Operand, b: Operand, ctx: MeterContext | None) -> Tensor:
-    """Elementwise sum; b may be a row vector broadcast over a's rows."""
-    a, b = _data(a), _data(b)
-    if a.shape != b.shape and not (b.ndim == 1 and a.shape[-1] == b.shape[0]):
-        raise ShapeMismatchError(f"add shapes incompatible: {a.shape} + {b.shape}")
-    return _finish(a + b, ctx, a.size)
+        raise ShapeMismatchError(f"inner dimensions differ: {ad.shape} @ {bd.shape}")
+    return _finish(ad @ bd, ctx, 2 * m * k * n)
 
 
 def clamp01(a: Operand, ctx: MeterContext | None) -> Tensor:
-    a = _data(a)
-    return _finish(np.clip(a, 0.0, 1.0), ctx, a.size)
+    ad = _data(a)
+    return _finish(np.clip(ad, 0.0, 1.0), ctx, ad.size)
 
 
 def layer_norm(x: Operand, gamma: np.ndarray, beta: np.ndarray,
                ctx: MeterContext | None) -> Tensor:
     """Row-wise layer norm over the last axis (epsilon 1e-5) with affine output."""
-    x = _data(x)
-    if x.shape[-1] != gamma.shape[0] or x.shape[-1] != beta.shape[0]:
+    xd = _data(x)
+    if xd.shape[-1] != gamma.shape[0] or xd.shape[-1] != beta.shape[0]:
         raise ShapeMismatchError("layer_norm affine width mismatch")
-    d = x.shape[-1]
+    d = xd.shape[-1]
     # add.reduce / d is bitwise np.mean; centered * centered reduced is np.var
-    c = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    c = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
     var = np.add.reduce(c * c, axis=-1, keepdims=True) / d
     var += 1e-5
     c /= np.sqrt(var, out=var)
     c = np.multiply(c, gamma, out=_into(c, gamma))
     return _finish(np.add(c, beta, out=_into(c, beta)), ctx,
-                   FLOPS_PER_ELEMENT["layer_norm"] * x.size)
+                   FLOPS_PER_ELEMENT["layer_norm"] * xd.size)
 
 
 def gelu(x: Operand, ctx: MeterContext | None) -> Tensor:
     """Tanh-approximation GELU."""
-    x = _data(x)
-    inner = x * x
-    inner *= x  # x**3 spelled out: libm pow is slow
+    xd = _data(x)
+    inner = xd * xd
+    inner *= xd  # x**3 spelled out: libm pow is slow
     inner *= GELU_C1
-    inner += x
+    inner += xd
     inner *= GELU_C0
     gate = np.tanh(inner, out=inner)
     gate += 1.0
-    out = x * 0.5
+    out = xd * 0.5
     out *= gate
-    return _finish(out, ctx, FLOPS_PER_ELEMENT["gelu"] * x.size)
+    return _finish(out, ctx, FLOPS_PER_ELEMENT["gelu"] * xd.size)
 
 
 def softmax(x: Operand, ctx: MeterContext | None) -> Tensor:
     """Row-wise softmax over the last axis (max-shifted for stability)."""
-    x = _data(x)
-    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    xd = _data(x)
+    e = xd - np.maximum.reduce(xd, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return _finish(e, ctx, FLOPS_PER_ELEMENT["softmax"] * x.size)
+    return _finish(e, ctx, FLOPS_PER_ELEMENT["softmax"] * xd.size)
 
 
 def normalize(x: Operand, mean: np.ndarray, variance: np.ndarray,
               ctx: MeterContext | None) -> Tensor:
     """(x - mean) / sqrt(variance + 1e-6), channelwise over the last axis."""
-    x = _data(x)
-    d = x.shape[-1]
+    xd = _data(x)
+    d = xd.shape[-1]
     if mean.shape != (d,) or variance.shape != (d,):
         raise ShapeMismatchError(
             f"normalize statistics {mean.shape}, {variance.shape} do not match width {d}")
-    c = x - mean
+    c = xd - mean
     s = np.sqrt(variance + 1e-6)
     return _finish(np.divide(c, s, out=_into(c, s)), ctx,
-                   flops_for(("normalize", x.size // d, d)))
+                   flops_for(("normalize", xd.size // d, d)))
 
 
 def linear(x: Operand, w: np.ndarray, b: np.ndarray, ctx: MeterContext | None) -> Tensor:
     """x[t,din] @ w[din,dout] + b, one output; charged as matmul + broadcast add."""
-    x = _data(x)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeMismatchError(f"linear needs [t, din] @ [din, dout], got {x.shape} @ {w.shape}")
-    (t, din), dout = x.shape, w.shape[1]
+    xd = _data(x)
+    if xd.ndim != 2 or w.ndim != 2 or xd.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"linear needs [t, din] @ [din, dout], got {xd.shape} @ {w.shape}")
+    (t, din), dout = xd.shape, w.shape[1]
     if b.shape != (dout,):
         raise ShapeMismatchError(f"linear bias {b.shape} does not match output width {dout}")
-    out = x @ w
+    out = xd @ w
     return _finish(np.add(out, b, out=_into(out, b)), ctx, flops_for(("linear", t, din, dout)))
 
 
@@ -299,14 +296,14 @@ def block_entry(x: Operand, w: BlockWeights, ctx: MeterContext | None,
     a [3, p, d] array that this function returned before, appends p rows
     after them at no charge, so t = n + p.
     """
-    x = _data(x)
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"block needs [t, d] input, got {x.shape}")
-    n, d = x.shape
+    xd = _data(x)
+    if xd.ndim != 2:
+        raise ShapeMismatchError(f"block needs [t, d] input, got {xd.shape}")
+    n, d = xd.shape
     if d != w.width:
         raise ShapeMismatchError(f"block width {w.width} does not match input width {d}")
     if given is None:
-        given = np.empty((0, d), x.dtype), np.empty((3, 0, d), x.dtype)
+        given = np.empty((0, d), xd.dtype), np.empty((3, 0, d), xd.dtype)
     given_h, given_qkv = given
     p = len(given_h)
     if given_h.shape != (p, d) or given_qkv.shape != (3, p, d):
@@ -315,8 +312,8 @@ def block_entry(x: Operand, w: BlockWeights, ctx: MeterContext | None,
     # x's rows go into the first n rows of each buffer. At the stack's width
     # the BLAS gives a row the same bits whatever rows it is computed beside,
     # so given rows from a table are bitwise what the block would compute
-    h = np.empty((n + p, d), np.result_type(x, w.t_bias, given_h))
-    np.add(x, w.t_bias, out=h[:n])
+    h = np.empty((n + p, d), np.result_type(xd, w.t_bias, given_h))
+    np.add(xd, w.t_bias, out=h[:n])
     h[n:] = given_h
     h = _finish(h, ctx, n * d)
     a = layer_norm(h.data[:n], w.ln1_gamma, w.ln1_beta, ctx)
@@ -327,39 +324,37 @@ def block_entry(x: Operand, w: BlockWeights, ctx: MeterContext | None,
     return h, _finish(qkv, ctx, 2 * n * d * 3 * d)
 
 
-def block_queries(h: Operand, qkv: Operand, w: BlockWeights, ctx: MeterContext | None, *,
-                  start: int = 0, stop: int | None = None, pool: bool = False) -> Tensor:
-    """The rest of a block after its entry, for the query rows start..stop-1
-    (default every row): attention over all t rows' keys and values, the
-    residual, ln2 and the MLP.
+def block_queries(h: Operand, q: Operand, kv: Operand, w: BlockWeights,
+                  ctx: MeterContext | None, *, pool: bool = False) -> Tensor:
+    """The rest of a block after its entry, for r query rows: attention over
+    all t rows' keys and values, the residual, ln2 and the MLP.
 
-    ``h`` [t, d] and ``qkv`` [3, t, d] are what ``block_entry`` returned; of
-    h and q only the query rows are read. The output is those rows of the
-    block's output, or with ``pool=True`` their [d] mean, read out as
-    ``mean(g) @ w2 + b2 + mean(h2)`` (g the GELU output, h2 the attention
-    residual) without the per-row MLP down-projection.
+    ``h`` and ``q`` [r, d] are the query rows' residual and query, and
+    ``kv`` [2, t, d] every row's key and value, as ``block_entry`` returned
+    them. The output is the query rows' block output [r, d], or with
+    ``pool=True`` its [d] mean, read out as ``mean(g) @ w2 + b2 + mean(h2)``
+    (g the GELU output, h2 the attention residual) without the per-row MLP
+    down-projection.
     """
-    h, qkv = _data(h), _data(qkv)
-    if h.ndim != 2 or h.shape[1] != w.width or qkv.shape != (3, *h.shape):
-        raise ShapeMismatchError(
-            f"block entry {h.shape} and {qkv.shape} are not [t, {w.width}] and [3, t, {w.width}]")
-    t, d = h.shape
-    stop = t if stop is None else stop
-    if not 0 <= start < stop <= t:
-        raise ShapeMismatchError(f"block query rows {start}..{stop - 1} outside 0..{t - 1}")
-    r = stop - start
-    q, k, v = qkv
+    hd, qd, kvd = _data(h), _data(q), _data(kv)
+    d = w.width
+    if (hd.ndim != 2 or hd.shape[1] != d or qd.shape != hd.shape or not len(hd)
+            or kvd.ndim != 3 or kvd.shape[::2] != (2, d) or not kvd.shape[1]):
+        raise ShapeMismatchError(f"block queries {hd.shape}, {qd.shape} and keys and values "
+                                 f"{kvd.shape} are not [r, {d}], [r, {d}], [2, t, {d}], r, t > 0")
+    r, t = len(hd), kvd.shape[1]
+    k, v = kvd
     # k^T reaches BLAS C-contiguous (a strided view changes the bits); the
     # Python float scale keeps float32 blocks float32 under NumPy 2. The
     # scores stay a checked output: an overflow to -Inf here would vanish in
     # the softmax
-    scores = q[start:stop] @ np.ascontiguousarray(k.T)
+    scores = qd @ np.ascontiguousarray(k.T)
     scores *= 1.0 / math.sqrt(d)
     scores = _finish(scores, ctx, 2 * r * d * t + r * t)
     probs = softmax(scores, ctx)
     att = matmul(probs, v, ctx)
     h2 = att.data @ w.wo
-    h2 = _finish(np.add(h2, h[start:stop], out=_into(h2, h)), ctx, 2 * r * d * d + r * d)
+    h2 = _finish(np.add(h2, hd, out=_into(h2, hd)), ctx, 2 * r * d * d + r * d)
 
     m = layer_norm(h2, w.ln2_gamma, w.ln2_beta, ctx)
     g = gelu(linear(m, w.w1, w.b1, ctx), ctx)
@@ -394,7 +389,10 @@ def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None, *,
     """
     # h and the q/k/v buffer stay held, so metered, while the queries read them
     h, qkv = block_entry(x, w, ctx, given)
-    return block_queries(h, qkv, w, ctx, stop=rows, pool=pool)
+    t = len(h.data)
+    if rows is not None and not 0 < rows <= t:
+        raise ShapeMismatchError(f"block query rows {rows} outside 1..{t}")
+    return block_queries(h.data[:rows], qkv.data[0, :rows], qkv.data[1:], w, ctx, pool=pool)
 
 
 def flops_for(descriptor: tuple) -> int:
@@ -404,8 +402,8 @@ def flops_for(descriptor: tuple) -> int:
     ("layer_norm", rows, d), ("gelu", n), ("softmax", rows, n),
     ("mean_pool", t, d), ("normalize", t, d), ("linear", t, din, dout),
     ("block_entry", n, d) for ``block_entry`` on n rows of its own,
-    ("block_queries", t, d, mlp_width[, rows]) for ``block_queries`` on t
-    rows of which ``rows`` (default t) query, ("attention_block", t, d,
+    ("block_queries", t, d, mlp_width[, rows]) for ``block_queries`` with
+    t keys and values and ``rows`` (default t) query rows, ("attention_block", t, d,
     mlp_width[, rows[, given]]) for ``attention_block`` on t rows whose
     first ``rows`` (default t) query and whose last ``given`` (default 0)
     are given, that is block_entry on t - given rows plus block_queries,

@@ -52,9 +52,11 @@ those query and returns them alone. The tap block, too, lets only the
 content rows query (``numcore.block_queries``): the verifier reads them
 alone, and a pruned candidate never runs the next block, the only reader of
 the prompt rows. The state keeps the content rows' keys and values and the
-prompt ids until resume, which runs the prompt rows' queries, joins them
-after the content rows and drops what the state kept. A state holds the
-content rows only, at the tap and after every layer.
+prompt ids until resume. Resume joins those keys and values with the
+prompt rows', runs the prompt rows' queries on their looked-up residual
+and query as they are, appends their output after the content rows and
+drops what the state kept. A state holds the content rows only, at the
+tap and after every layer.
 
 The default tap is layer 0, the first block. The match bank is written at
 embed and the blocks' small weights barely touch it, so a linear readout
@@ -77,8 +79,8 @@ import numpy as np
 
 from . import scenes
 from .numcore import (
-    BlockWeights, MeterContext, Tensor, add, attention_block, block_entry, block_queries,
-    clamp01, init_block_weights, matmul,
+    BlockWeights, MeterContext, Tensor, attention_block, block_entry, block_queries, clamp01,
+    init_block_weights, linear, matmul,
 )
 
 MODEL_WIDTH = 64            # d: channels of every token, and the verifier's FEATURE_DIM
@@ -90,7 +92,7 @@ MATCH_GAIN = 0.5            # match bank: ±MATCH_GAIN for an (un)corrupted scen
 MATCH_NOISE = (0.2, 0.75)   # plus noise whose σ is drawn uniformly from this range
 NOISE_GAIN = 0.5            # scale of the noise latent
 DTYPE = np.float32          # serving dtype of the generator and the verifier parameters
-_UNCENTRE = np.full(MODEL_WIDTH, 0.5, dtype=DTYPE)  # the decode's shift back to [0, 1]
+_UNCENTRE = np.full(MODEL_WIDTH, 0.5, dtype=DTYPE)  # decode's bias: the shift back to [0, 1]
 _UNCENTRE.flags.writeable = False
 
 
@@ -164,7 +166,8 @@ class GeneratorState:
     content rows' keys and values ``kv`` and the prompt's token ids, by
     which block 0 looks the prompt rows' entries up. A tap past block 0
     keeps those entries themselves, ``prompt_entry``, in place of the ids.
-    Resume drops what was kept.
+    Resume joins ``kv`` with the prompt rows' keys and values, hands their
+    residual and query to the queries as they are, and drops what was kept.
     """
     hidden: Tensor
     layers_done: int
@@ -279,12 +282,11 @@ def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> Rende
 
     The raster coordinates are exactly the first r = RASTER_DIM / d rows of
     X = Aᵀ @ z0 @ W⁻¹ @ B, computed as two products, ``A[:, :r]ᵀ @ z0`` and
-    then ``@ (W⁻¹ @ B)``.
+    then ``@ (W⁻¹ @ B)``, the second with the shift as its bias.
     """
     p = gen.params
     r = RASTER_DIM // MODEL_WIDTH
-    x = matmul(matmul(p.token_code[:, :r].T, z0, ctx), p.w_decode, ctx)
-    shifted = add(x, _UNCENTRE, ctx)
+    shifted = linear(matmul(p.token_code[:, :r].T, z0, ctx), p.w_decode, _UNCENTRE, ctx)
     pixels = clamp01(shifted.data.reshape(scenes.IMAGE_SIZE, scenes.IMAGE_SIZE, 3), ctx)
     return RenderedImage(pixels=pixels)
 
@@ -307,8 +309,8 @@ def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
     w = gen.params.blocks[tap]
     h, qkv = block_entry(x, w, ctx, _looked_up(gen, tap, prompt_ids))
     state = GeneratorState(
-        hidden=block_queries(h, qkv, w, ctx, stop=n), layers_done=tap + 1,
-        rendered_scene=realized.scene, corrupted=realized.corrupted)
+        hidden=block_queries(h.data[:n], qkv.data[0, :n], qkv.data[1:], w, ctx),
+        layers_done=tap + 1, rendered_scene=realized.scene, corrupted=realized.corrupted)
     if tap < cfg.num_layers - 1:
         state.kv = Tensor(np.ascontiguousarray(qkv.data[1:, :n]), ctx)
         if tap == 0:
@@ -327,19 +329,13 @@ def _tap_block_rows(gen: Generator, state: GeneratorState,
     kept for them."""
     if state.kv is None:
         return state.hidden
-    n, w = CONTENT_TOKENS, gen.params.blocks[gen.config.tap_layer]
-    looked_up = _looked_up(gen, gen.config.tap_layer, state.prompt_ids)
-    h_p, qkv_p = looked_up or (e.data for e in state.prompt_entry)
-    t = n + len(h_p)
-    # block_queries reads the query rows' h and q alone: the content rows'
-    # are left zero
-    h = np.zeros((t, MODEL_WIDTH), DTYPE)
-    h[n:] = h_p
-    qkv = np.zeros((3, t, MODEL_WIDTH), DTYPE)
-    qkv[1:, :n] = state.kv.data
-    qkv[:, n:] = qkv_p
-    state.kv = state.prompt_ids = state.prompt_entry = None
-    prompt_rows = block_queries(Tensor(h, ctx), Tensor(qkv, ctx), w, ctx, start=n)
+    w = gen.params.blocks[gen.config.tap_layer]
+    h_p, qkv_p = (_looked_up(gen, gen.config.tap_layer, state.prompt_ids)
+                  or (e.data for e in state.prompt_entry))
+    kv = Tensor(np.concatenate([state.kv.data, qkv_p[1:]], axis=1), ctx)
+    state.kv = state.prompt_ids = None
+    prompt_rows = block_queries(h_p, qkv_p[0], kv, w, ctx)
+    state.prompt_entry = None  # kept, so metered, while the queries read it
     return Tensor(np.concatenate([state.hidden.data, prompt_rows.data]), ctx)
 
 
@@ -350,9 +346,10 @@ def resume_and_decode(gen: Generator, state: GeneratorState,
     cfg = gen.config
     if state.layers_done != cfg.tap_layer + 1 or state.completed:
         raise StateCompletionError("state is not a tapped state of this config")
-    # the joined rows are passed on, not held, so they die after the next block
-    x = _run_blocks(gen, _tap_block_rows(gen, state, ctx), cfg.tap_layer + 1, cfg.num_layers,
-                    ctx)
+    # the joined rows are held, so metered, to the last block on every Python:
+    # passed straight in, 3.10 would hold them that long but 3.11 would not
+    x = _tap_block_rows(gen, state, ctx)
+    x = _run_blocks(gen, x, cfg.tap_layer + 1, cfg.num_layers, ctx)
     z0 = _project(gen, x, ctx)
     state.hidden = x
     state.layers_done = cfg.num_layers

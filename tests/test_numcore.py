@@ -71,10 +71,10 @@ def given_rows(h_shape, qkv_shape):
                               given=(np.ones(h_shape), np.ones(qkv_shape)))
 
 
-def queries(h_shape, qkv_shape, **kw):
-    """block_queries of a block of width 8 on an entry of these shapes."""
+def queries(h_shape, q_shape, kv_shape):
+    """block_queries of a block of width 8 on operands of these shapes."""
     w = rand_block(np.random.default_rng(0), 8)
-    return nc.block_queries(np.ones(h_shape), np.ones(qkv_shape), w, None, **kw)
+    return nc.block_queries(np.ones(h_shape), np.ones(q_shape), np.ones(kv_shape), w, None)
 
 
 @pytest.mark.parametrize("call", [
@@ -91,14 +91,16 @@ def queries(h_shape, qkv_shape, **kw):
                                rows=0),
     lambda: nc.attention_block(np.ones((5, 8)), rand_block(np.random.default_rng(0), 8), None,
                                rows=6),
-    lambda: queries((5, 8), (3, 5, 8), start=3, stop=3),
-    lambda: queries((5, 8), (3, 5, 8), start=-1),
-    lambda: queries((5, 8), (3, 4, 8)),
-    lambda: queries((5, 7), (3, 5, 7)),
+    lambda: queries((0, 8), (0, 8), (2, 5, 8)),
+    lambda: queries((5, 8), (4, 8), (2, 5, 8)),
+    lambda: queries((5, 8), (5, 8), (3, 5, 8)),
+    lambda: queries((5, 8), (5, 8), (2, 5, 7)),
+    lambda: queries((5, 8), (5, 8), (2, 0, 8)),
+    lambda: queries((5, 7), (5, 7), (2, 5, 7)),
 ], ids=["given_1d", "given_qkv_2d", "given_width", "linear_inner", "linear_1d",
         "linear_bias_width", "linear_bias_2d", "normalize_width", "normalize_2d_stats",
-        "block_no_rows", "block_rows_past_input", "queries_none", "queries_before_first_row",
-        "queries_qkv_rows", "queries_width"])
+        "block_no_rows", "block_rows_past_input", "queries_none", "queries_qkv_rows",
+        "queries_kv_not_2_t_d", "queries_kv_width", "queries_no_keys", "queries_width"])
 def test_shape_errors_are_typed(call):
     with pytest.raises(nc.ShapeMismatchError):
         call()
@@ -275,9 +277,9 @@ def test_metering_exactness_100_random_shapes():
             stop = int(rng.integers(start + 1, t + 1))
             pool = bool(rng.integers(0, 2))
             w = rand_block(rng, d, std=0.1)
-            h, qkv = nc.block_entry(rng.standard_normal((t, d)), w, None)
+            h, qkv = (e.data for e in nc.block_entry(rng.standard_normal((t, d)), w, None))
             c = ctx()
-            nc.block_queries(h, qkv, w, c, start=start, stop=stop, pool=pool)
+            nc.block_queries(h[start:stop], qkv[0, start:stop], qkv[1:], w, c, pool=pool)
             kernel = "block_queries_pool" if pool else "block_queries"
             assert c.flops_accumulated == nc.flops_for((kernel, t, d, 4 * d, stop - start))
         else:
@@ -334,6 +336,15 @@ def test_block_registers_11_outputs(monkeypatch):
         assert len(seen) == 11
 
 
+def test_an_operand_passed_straight_in_is_metered_until_the_kernel_returns():
+    # no caller holds linear's output while gelu reads it, so gelu keeps it
+    c = ctx()
+    out = nc.gelu(nc.linear(np.ones((4, 8)), np.ones((8, 16)), np.zeros(16), c), c)
+    assert c.bytes_peak == 2 * 4 * 16 * 8  # the MLP-up output and the GELU's
+    del out
+    assert c.bytes_live == 0
+
+
 def test_bytes_live_falls_when_tensors_die():
     c = ctx()
     out = nc.matmul(nc.Tensor(np.ones((32, 32))), nc.Tensor(np.ones((32, 32))), c)
@@ -383,12 +394,12 @@ def _kernel_cases(seed=13, dtype=np.float64):
         h, qkv = nc.block_entry(y, blk, None)
         return nc.attention_block(a, blk, ctx, given=(h.data, qkv.data))
 
-    h, qkv = (e.data.copy() for e in nc.block_entry(x, blk, None))  # writable, as the rest
+    # writable, as the rest: rows 1..5 of a 10-row entry query, then rows 5..9
+    h, qkv = (e.data for e in nc.block_entry(np.concatenate([x, y]), blk, None))
+    entry = [(h[a:a + 5].copy(), qkv[0, a:a + 5].copy(), qkv[1:].copy()) for a in (1, 5)]
 
     return {
         "matmul": (nc.matmul, (x, w), ()),
-        "add": (nc.add, (x, y), ()),
-        "add_row": (nc.add, (x, r(6)), ()),
         "clamp01": (nc.clamp01, (x,), ()),
         "layer_norm": (nc.layer_norm, (x,), (w[:, 0], w[:, 1])),
         "gelu": (nc.gelu, (x,), ()),
@@ -399,10 +410,9 @@ def _kernel_cases(seed=13, dtype=np.float64):
         "attention_block_rows": (functools.partial(nc.attention_block, rows=3), (x,), (blk,)),
         "attention_block_pool": (functools.partial(nc.attention_block, pool=True), (x,), (blk,)),
         "attention_block_given": (block_given_y, (x,), (y, blk)),
-        "block_queries": (functools.partial(nc.block_queries, start=1, stop=4), (h, qkv),
-                          (blk,)),
-        "block_queries_pool": (functools.partial(nc.block_queries, start=1, pool=True),
-                               (h, qkv), (blk,)),
+        "block_queries": (nc.block_queries, entry[0], (blk,)),
+        "block_queries_pool": (functools.partial(nc.block_queries, pool=True), entry[1],
+                               (blk,)),
     }
 
 
@@ -420,13 +430,13 @@ def _ref_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _ref_queries(h, qkv, w, start=0, stop=None, pool=False):
+def _ref_queries(h, q, kv, w, pool=False):
     """The block after its entry as unfused numpy steps in the kernels' order
-    (bitwise reference): the rows start..stop-1 query, and ``pool`` reads
-    out their mean."""
-    q, k, v = qkv[0][start:stop], qkv[1], qkv[2]
+    (bitwise reference): the rows of h and q query, and ``pool`` reads out
+    their mean."""
+    k, v = kv
     probs = _ref_softmax((q @ np.ascontiguousarray(k.T)) * (1.0 / math.sqrt(h.shape[1])))
-    h2 = h[start:stop] + (probs @ v) @ w.wo
+    h2 = h + (probs @ v) @ w.wo
     m = _ref_layer_norm(h2, w.ln2_gamma, w.ln2_beta)
     g = _ref_gelu(m @ w.w1 + w.b1)
     if pool:
@@ -441,13 +451,11 @@ def _ref_block(x, w, rows=None, pool=False):
     h = x + w.t_bias
     a = _ref_layer_norm(h, w.ln1_gamma, w.ln1_beta)
     qkv = np.stack([a @ w.wqkv[0], a @ w.wqkv[1], a @ w.wqkv[2]])
-    return _ref_queries(h, qkv, w, stop=rows, pool=pool)
+    return _ref_queries(h[:rows], qkv[0, :rows], qkv[1:], w, pool=pool)
 
 
 _REFERENCE = {
     "matmul": np.matmul,
-    "add": np.add,
-    "add_row": np.add,
     "clamp01": lambda a: np.clip(a, 0.0, 1.0),
     "layer_norm": _ref_layer_norm,
     "gelu": _ref_gelu,
@@ -458,8 +466,8 @@ _REFERENCE = {
     "attention_block_rows": functools.partial(_ref_block, rows=3),
     "attention_block_pool": functools.partial(_ref_block, pool=True),
     "attention_block_given": lambda a, y, w: _ref_block(np.concatenate([a, y]), w),
-    "block_queries": functools.partial(_ref_queries, start=1, stop=4),
-    "block_queries_pool": functools.partial(_ref_queries, start=1, pool=True),
+    "block_queries": _ref_queries,
+    "block_queries_pool": functools.partial(_ref_queries, pool=True),
 }
 
 CASE_NAMES = sorted(_kernel_cases())
@@ -564,9 +572,9 @@ def test_block_queries_split_at_any_row_join_to_the_block(t, p, data, seed):
         given = tuple(e.data for e in nc.block_entry(
             rng.standard_normal((p, d)).astype(np.float32), w, None))
     c_entry, c_head, c_tail = ctx(), ctx(), ctx()
-    h, qkv = nc.block_entry(x, w, c_entry, given)
-    head = nc.block_queries(h, qkv, w, c_head, stop=r).data
-    tail = nc.block_queries(h, qkv, w, c_tail, start=r).data
+    h, qkv = (e.data for e in nc.block_entry(x, w, c_entry, given))
+    head = nc.block_queries(h[:r], qkv[0, :r], qkv[1:], w, c_head).data
+    tail = nc.block_queries(h[r:], qkv[0, r:], qkv[1:], w, c_tail).data
     want = nc.attention_block(x, w, None, given=given).data
     got = np.concatenate([head, tail])
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
@@ -645,16 +653,16 @@ def test_any_non_finite_output_element_raises(dtype, value, where):
     out = np.ones((4, 5), dtype=dtype)
     out.flat[where] = value
     with pytest.raises(nc.NonFiniteError):
-        nc.add(out, np.zeros(5, dtype), ctx())  # output == out, element for element
+        # [20, 1] @ [[1]]: the output is out, element for element
+        nc.matmul(out.reshape(-1, 1), np.ones((1, 1), dtype), ctx())
 
 
 @pytest.mark.parametrize("dtype, big", [(np.float64, 1e200), (np.float32, 1e30)])
 def test_finite_values_whose_squares_overflow_pass(dtype, big):
     x = np.full((3, 4), big, dtype=dtype)
     assert not math.isfinite(np.vdot(x, x))  # the element-wise fallback runs
-    for out in (nc.add(x, np.zeros(4, dtype), ctx()),
-                nc.matmul(x, np.eye(4, dtype=dtype), ctx())):
-        assert np.isfinite(out.data).all() and np.abs(out.data).min() > big / 2
+    out = nc.matmul(x, np.eye(4, dtype=dtype), ctx())
+    assert np.isfinite(out.data).all() and np.abs(out.data).min() > big / 2
 
 
 def test_overflowing_attention_scores_raise_though_softmax_would_hide_them():

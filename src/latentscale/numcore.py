@@ -12,7 +12,7 @@ Published FLOPs conventions (cost per element unless stated):
 
     ============== ===========================================
     matmul m,k,n    2*m*k*n (multiply-add counted as 2 FLOPs)
-    add / scale     1   (no kernel: the fused bias, scale and residual steps)
+    add             1   (no kernel: the fused bias and residual steps)
     clamp           1
     layer_norm      8   (mean 1, variance 3, normalize 2, affine 2)
     gelu            12  (cubic 5, tanh 4, gate 3; tanh approximation)
@@ -22,24 +22,36 @@ Published FLOPs conventions (cost per element unless stated):
     ============== ===========================================
 
 Composite kernels (``attention_block``, ``linear``) charge exactly the sum of
-their constituent primitives. They fuse the bias, scale and residual epilogues
-into the buffer of the product before them, so a fused step is one output and
-one charge; the table and the total charged are the same as unfused. The
-block's query, key and value are one product with the stacked ``wqkv``;
-NumPy runs each slab as its own BLAS call, so the bits are those of three.
+their constituent primitives. They fuse the bias and residual epilogues into
+the buffer of the product before them, so a fused step is one output and one
+charge; the table and the total charged are the same as unfused.
+
+Every block here has one attention head as wide as the block, d. Its query
+and key products then meet only as ``Wq Wkᵀ``, and its value and output
+products only as ``Wv Wo``: each pair is one d×d matrix stored as two
+factors (the QK and OV circuits of Elhage et al. 2021, "A Mathematical
+Framework for Transformer Circuits"). So a block stores the two products,
+``wqk_vo`` = [W_QK, W_VO] with ``W_QK = Wq Wkᵀ / √d`` and ``W_VO = Wv Wo``.
+A row's key is its ln1 output ``a`` itself, its query ``a @ W_QK`` and its
+value ``a @ W_VO``: one product with the stacked pair, which NumPy runs as
+one BLAS call per slab, so the bits are those of two. The scores are ``q @
+aᵀ`` with no scale step, and the attention residual is ``probs @ v + h``
+with no output projection. A multi-head block whose heads are narrower than
+d would keep its factors, since there each factor pair has rank below d.
 
 The block computes only what its caller reads. It is two kernels in turn:
-``block_entry`` (the bias, ln1 and q/k/v product) and ``block_queries``
-(attention, ln2 and the MLP for the query rows whose residual and query it
-is handed, over every row's key and value). Every row is a key and a value,
-so the entry runs on every row it is not given; the queries run on the rows
-whose output is read: with ``rows=r`` the first r, and a caller holding the
-entry can run other rows later, whose output joins the first's.
+``block_entry`` (the bias, ln1 and the query and value product) and
+``block_queries`` (attention, ln2 and the MLP for the query rows whose
+residual and query it is handed, over every row's key and value). Every row
+is a key and a value, so the entry runs on every row it is not given; the
+queries run on the rows whose output is read: with ``rows=r`` the first r,
+and a caller holding the entry can run other rows later, whose output joins
+the first's.
 ``given=(h, qkv)`` appends p rows after x's whose entries ``block_entry``
 computed before, for example once per token of a vocabulary: they are
 written into the block's one [t, d] residual and one [3, t, d] q/k/v buffer
 beside x's rows, so the block charges its entry, add(n*d) +
-layer_norm(n, d) + matmul(n, d, 3d), for x's n = t - p rows alone and the
+layer_norm(n, d) + matmul(n, d, 2d), for x's n = t - p rows alone and the
 rest of the block as on t rows. With ``pool=True`` the caller reads the
 row mean, which is computed as ``mean(g) @ w2 + b2 + mean(h2)`` (g the
 GELU output, h2 the attention residual): mean_pool(r, mlp) + linear(1, mlp,
@@ -51,8 +63,8 @@ anything; the two routes are cross-checked in the test suite.
 Data movement (copies, concatenation, gathers) and RNG draws are not FLOPs.
 Non-finite kernel output (NaN/Inf) is a hard error: each output gets one exact
 finite check. A dropped intermediate needs none, because adding any operand to
-+/-Inf or NaN, scaling it by a factor in (0, 1], or multiplying it into a
-product with finite factors never gives a finite value.
++/-Inf or NaN, or multiplying it into a product with finite factors, never
+gives a finite value.
 """
 
 from __future__ import annotations
@@ -68,7 +80,6 @@ GELU_C1 = 0.044715
 # per-element costs referenced by both the kernels and flops_for
 FLOPS_PER_ELEMENT = {
     "add": 1,
-    "scale": 1,
     "clamp": 1,
     "layer_norm": 8,
     "gelu": 12,
@@ -156,15 +167,15 @@ class Tensor:
 class BlockWeights:
     """Parameters of one pre-norm transformer block (single-head attention).
 
-    ``wqkv`` is [3, d, d]: the query, key and value projections stacked in
-    that order. ``t_bias`` is the constant conditioning bias added to the
-    block input (the single-step collapse of a timestep embedding).
+    ``wqk_vo`` is [2, d, d]: the attention's folded pair ``W_QK = Wq Wkᵀ /
+    √d`` and ``W_VO = Wv Wo``, in that order (see the module docstring).
+    ``t_bias`` is the constant conditioning bias added to the block input
+    (the single-step collapse of a timestep embedding).
     """
 
     ln1_gamma: np.ndarray
     ln1_beta: np.ndarray
-    wqkv: np.ndarray
-    wo: np.ndarray
+    wqk_vo: np.ndarray
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
     w1: np.ndarray
@@ -175,7 +186,7 @@ class BlockWeights:
 
     @property
     def width(self) -> int:
-        return self.wqkv.shape[1]
+        return self.wqk_vo.shape[1]
 
 
 Operand = Tensor | np.ndarray
@@ -290,7 +301,8 @@ def linear(x: Operand, w: np.ndarray, b: np.ndarray, ctx: MeterContext | None) -
 def block_entry(x: Operand, w: BlockWeights, ctx: MeterContext | None,
                 given: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[Tensor, Tensor]:
     """What a block's attention reads of its rows: the residual ``h = x +
-    t_bias`` [t, d] and the query, key and value ``ln1(h) @ wqkv`` [3, t, d].
+    t_bias`` [t, d] and, with ``a = ln1(h)``, the query ``a @ W_QK``, the
+    key ``a`` and the value ``a @ W_VO``, stacked [3, t, d].
 
     Both are computed for x's n rows only. ``given=(h, qkv)``, a [p, d] and
     a [3, p, d] array that this function returned before, appends p rows
@@ -317,11 +329,13 @@ def block_entry(x: Operand, w: BlockWeights, ctx: MeterContext | None,
     h[n:] = given_h
     h = _finish(h, ctx, n * d)
     a = layer_norm(h.data[:n], w.ln1_gamma, w.ln1_beta, ctx)
-    # three [n, d] products into contiguous slabs, with the bits of three calls
-    qkv = np.empty((3, n + p, d), np.result_type(a.data, w.wqkv, given_qkv))
-    np.matmul(a.data, w.wqkv, out=qkv[:, :n])
+    # two [n, d] products into the query and value slabs, with the bits of
+    # two calls; the key slab is a
+    qkv = np.empty((3, n + p, d), np.result_type(a.data, w.wqk_vo, given_qkv))
+    np.matmul(a.data, w.wqk_vo, out=qkv[::2, :n])
+    qkv[1, :n] = a.data
     qkv[:, n:] = given_qkv
-    return h, _finish(qkv, ctx, 2 * n * d * 3 * d)
+    return h, _finish(qkv, ctx, 2 * n * d * 2 * d)
 
 
 def block_queries(h: Operand, q: Operand, kv: Operand, w: BlockWeights,
@@ -344,17 +358,13 @@ def block_queries(h: Operand, q: Operand, kv: Operand, w: BlockWeights,
                                  f"{kvd.shape} are not [r, {d}], [r, {d}], [2, t, {d}], r, t > 0")
     r, t = len(hd), kvd.shape[1]
     k, v = kvd
-    # k^T reaches BLAS C-contiguous (a strided view changes the bits); the
-    # Python float scale keeps float32 blocks float32 under NumPy 2. The
+    # k^T reaches BLAS C-contiguous (a strided view changes the bits). The
     # scores stay a checked output: an overflow to -Inf here would vanish in
     # the softmax
-    scores = qd @ np.ascontiguousarray(k.T)
-    scores *= 1.0 / math.sqrt(d)
-    scores = _finish(scores, ctx, 2 * r * d * t + r * t)
+    scores = _finish(qd @ np.ascontiguousarray(k.T), ctx, 2 * r * d * t)
     probs = softmax(scores, ctx)
-    att = matmul(probs, v, ctx)
-    h2 = att.data @ w.wo
-    h2 = _finish(np.add(h2, hd, out=_into(h2, hd)), ctx, 2 * r * d * d + r * d)
+    h2 = probs.data @ v
+    h2 = _finish(np.add(h2, hd, out=_into(h2, hd)), ctx, 2 * r * t * d + r * d)
 
     m = layer_norm(h2, w.ln2_gamma, w.ln2_beta, ctx)
     g = gelu(linear(m, w.w1, w.b1, ctx), ctx)
@@ -398,7 +408,7 @@ def attention_block(x: Operand, w: BlockWeights, ctx: MeterContext | None, *,
 def flops_for(descriptor: tuple) -> int:
     """Analytic FLOPs for one kernel execution with concrete shapes.
 
-    Descriptors: ("matmul", m, k, n), ("add", n), ("scale", n), ("clamp", n),
+    Descriptors: ("matmul", m, k, n), ("add", n), ("clamp", n),
     ("layer_norm", rows, d), ("gelu", n), ("softmax", rows, n),
     ("mean_pool", t, d), ("normalize", t, d), ("linear", t, din, dout),
     ("block_entry", n, d) for ``block_entry`` on n rows of its own,
@@ -429,15 +439,13 @@ def flops_for(descriptor: tuple) -> int:
         n, d = args
         return (flops_for(("add", n * d))                    # conditioning bias
                 + flops_for(("layer_norm", n, d))            # ln1
-                + flops_for(("matmul", n, d, 3 * d)))        # q, k, v
+                + flops_for(("matmul", n, d, 2 * d)))        # query and value
     if name in ("block_queries", "block_queries_pool"):
         t, d, mlp, *rest = args
         r = rest[0] if rest else t
         total = flops_for(("matmul", r, d, t))               # scores of the query rows
-        total += flops_for(("scale", r * t))
         total += flops_for(("softmax", r, t))
         total += flops_for(("matmul", r, t, d))              # aggregate values
-        total += flops_for(("matmul", r, d, d))              # output proj
         total += flops_for(("add", r * d))                   # residual 1
         total += flops_for(("layer_norm", r, d))             # ln2
         total += flops_for(("linear", r, d, mlp))
@@ -462,14 +470,19 @@ def flops_for(descriptor: tuple) -> int:
 def init_block_weights(rng: np.random.Generator, d: int, *, weight_std: float,
                        dtype) -> BlockWeights:
     """Random block parameters at the given scale, drawn in float64 and
-    rounded once to ``dtype``; MLP width 4*d, LN affine at identity."""
+    rounded once to ``dtype``; MLP width 4*d, LN affine at identity.
+
+    Wq, Wk, Wv and Wo are drawn in that order and folded in float64 into
+    ``wqk_vo``, which is then rounded once."""
     m = 4 * d
     def w(*shape):
-        return (rng.standard_normal(shape) * weight_std).astype(dtype)
+        return rng.standard_normal(shape) * weight_std
+    wq, wk, wv, wo = w(d, d), w(d, d), w(d, d), w(d, d)
     return BlockWeights(
         ln1_gamma=np.ones(d, dtype=dtype), ln1_beta=np.zeros(d, dtype=dtype),
-        wqkv=np.stack([w(d, d), w(d, d), w(d, d)]), wo=w(d, d),
+        wqk_vo=np.stack([wq @ wk.T / math.sqrt(d), wv @ wo]).astype(dtype),
         ln2_gamma=np.ones(d, dtype=dtype), ln2_beta=np.zeros(d, dtype=dtype),
-        w1=w(d, m), b1=np.zeros(m, dtype=dtype), w2=w(m, d), b2=np.zeros(d, dtype=dtype),
-        t_bias=w(d),
+        w1=w(d, m).astype(dtype), b1=np.zeros(m, dtype=dtype),
+        w2=w(m, d).astype(dtype), b2=np.zeros(d, dtype=dtype),
+        t_bias=w(d).astype(dtype),
     )

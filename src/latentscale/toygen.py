@@ -38,7 +38,8 @@ Prompt tokens enter block 0 by lookup. A prompt token's row at layer 0 is
 its attribute embedding plus a prompt segment vector, a function of its id
 alone, so ``build_generator`` computes block 0's entry for every vocabulary
 token once (``numcore.block_entry``: the conditioning bias, ln1 and the
-query, key and value) into ``prompt_h`` and ``prompt_qkv``. The embed makes
+query, key and value, the key being the ln1 output itself) into
+``prompt_h`` and ``prompt_qkv``. The embed makes
 the content rows only, and block 0 appends the prompt rows' looked-up
 entries after them; its output, and every later block's input, is the
 content rows, then the prompt rows.
@@ -51,8 +52,9 @@ The projection reads only the content rows, so the last block lets only
 those query and returns them alone. The tap block, too, lets only the
 content rows query (``numcore.block_queries``): the verifier reads them
 alone, and a pruned candidate never runs the next block, the only reader of
-the prompt rows. The state keeps the content rows' keys and values and the
-prompt ids until resume. Resume joins those keys and values with the
+the prompt rows. The state keeps the content rows' keys (their ln1
+outputs) and values (those outputs times the block's folded ``W_VO``) and
+the prompt ids until resume. Resume joins those keys and values with the
 prompt rows', runs the prompt rows' queries on their looked-up residual
 and query as they are, appends their output after the content rows and
 drops what the state kept. A state holds the content rows only, at the
@@ -142,7 +144,7 @@ class GeneratorParams:
     token_code: np.ndarray    # A: orthogonal [T, T], the code's factor over tokens
     channel_code: np.ndarray  # B: orthogonal [d, d], its factor over channels
     prompt_h: np.ndarray      # [VOCAB_SIZE, d] block 0's residual h of each prompt token
-    prompt_qkv: np.ndarray    # [3, VOCAB_SIZE, d] block 0's query, key and value of each
+    prompt_qkv: np.ndarray    # [3, VOCAB_SIZE, d] block 0's query, key (ln1 output), value
     blocks: list[BlockWeights]
     w_proj: np.ndarray        # [d, d] final projection W producing z0
     w_decode: np.ndarray      # [d, d] W⁻¹ @ B: the decoder's channel half; Aᵀ is the other
@@ -163,7 +165,8 @@ class GeneratorState:
     let only the content rows query. Until it is resumed, a state tapped
     before the last layer also keeps what the tap block's prompt rows read
     when they query at resume and the per-token tables cannot supply: the
-    content rows' keys and values ``kv`` and the prompt's token ids, by
+    content rows' keys and values ``kv`` (their ln1 outputs, and those
+    times the folded ``W_VO``) and the prompt's token ids, by
     which block 0 looks the prompt rows' entries up. A tap past block 0
     keeps those entries themselves, ``prompt_entry``, in place of the ids.
     Resume joins ``kv`` with the prompt rows' keys and values, hands their

@@ -18,7 +18,8 @@ attribute tokens] into a 2-logit yes/no head on the mean of its output rows;
 its last block reads that mean out pooled (``attention_block(pool=True)``),
 so the MLP down-projection runs once, not once per row. A prompt token's
 row depends on its id alone, so block 0 looks up its entry (residual and
-query, key and value) in per-token tables made once by ``init_verifier``.
+query, key and value; the key is the row's ln1 output) in per-token tables
+made once by ``init_verifier``.
 The continuous score is the probability of the sampled class, negated for
 "no", giving values in [-1, -0.5] or [0.5, 1].
 
@@ -41,21 +42,24 @@ parameters' dtype where they enter the connector and the encoder, a no-op
 on the float32 stack; normalization runs in the dtype of the tapped
 features, which ``calibrate_feature_stats`` gives its statistics at
 set-up. Only the 2 head logits are promoted to float64, for the softmax
-that gives the score. A checkpoint (schema 8) is one CRC-checked ``.npz``
+that gives the score. A checkpoint (schema 9) is one CRC-checked ``.npz``
 whose JSON ``header`` entry records the config, the statistics' sample
 count and the caller's meta; every other entry, statistics included, is
 little-endian float32 (``<f4``). Save and load apply the same checks, so
 what save writes, load reads.
 
-Schema 8's scorer entries: ``connector.{w1,b1,w2,b2}`` (``b2`` holds the
+Schema 9's scorer entries: ``connector.{w1,b1,w2,b2}`` (``b2`` holds the
 feature segment vector), ``prompt.h`` [VOCAB_SIZE, SCORER_DIM] and
 ``prompt.qkv`` [3, VOCAB_SIZE, SCORER_DIM] (scorer block 0's entry for
 each prompt token), ``scorer.block{i}.*`` and ``head.{w,b}``; the
-``pixel_reencode`` mode adds ``encoder.*``. Schema 7 stored the prompt
-embedding table and both segment vectors in place of the per-token tables
-and the folded ``b2``, and is refused. Training updates ``prompt.h`` and
-``prompt.qkv`` as parameters in their own right: the embedding they were
-made from is not kept.
+``pixel_reencode`` mode adds ``encoder.*``. A block's attention is one
+entry, ``*.wqk_vo`` [2, d, d], the folded ``W_QK`` and ``W_VO`` of
+``numcore.BlockWeights``. Schema 8 stored the four factors as ``*.wqkv``
+[3, d, d] and ``*.wo`` [d, d]; schema 7 the prompt embedding table and both
+segment vectors in place of the per-token tables and the folded ``b2``.
+Both are refused. Training updates ``prompt.h`` and ``prompt.qkv`` as
+parameters in their own right: the embedding they were made from is not
+kept.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ import numpy as np
 
 from . import scenes, toygen
 from .numcore import (
-    BlockWeights, MeterContext, attention_block, block_entry, gelu, init_block_weights,
-    linear, normalize, softmax,
+    BlockWeights, MeterContext, Operand, Tensor, _data, attention_block, block_entry, gelu,
+    init_block_weights, linear, normalize, softmax,
 )
 
 MODES = ("hidden_state", "ae_latent", "pixel_reencode")
@@ -165,22 +169,25 @@ def patchify(pixels: np.ndarray) -> np.ndarray:
 
 
 def encode_pixels(params: dict[str, np.ndarray], pixels: np.ndarray,
-                  ctx: MeterContext | None) -> np.ndarray:
+                  ctx: MeterContext | None) -> Tensor:
     """Frozen stand-in visual encoder: patch projection + attention blocks,
     on the pixels cast to the parameters' dtype."""
     w = params["encoder.patch.w"]
     x = linear(patchify(pixels.astype(w.dtype, copy=False)), w, params["encoder.patch.b"], ctx)
     for i in range(ENCODER_DEPTH):
         x = attention_block(x, block_view(params, f"encoder.block{i}"), ctx)
-    return x.data
+    return x
 
 
 def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
                      config: VerifierConfig, stats: scenes.FeatureStats | None,
                      ctx: MeterContext | None,
                      params: dict[str, np.ndarray] | None = None,
-                     image: toygen.RenderedImage | None = None) -> np.ndarray:
+                     image: toygen.RenderedImage | None = None) -> Tensor:
     """Mode-appropriate candidate features, with the pathway's cost metered.
+
+    The features are a Tensor, so a meter counts them while the caller, and
+    then the scorer, holds them.
 
     ``hidden_state`` needs a state tapped at the generator's tap layer; the
     other modes need a completed state, and ``pixel_reencode`` also the
@@ -194,15 +201,14 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
             raise toygen.StateCompletionError(
                 f"hidden_state verification taps layer {tap}, "
                 f"but the state has run {state.layers_done} layers")
-        feats = toygen.tap_hidden_features(state)
-        if stats is not None:
-            feats = normalize(feats, stats.mean, stats.variance, ctx).data
-        return feats
+        if stats is None:
+            return state.hidden
+        return normalize(state.hidden, stats.mean, stats.variance, ctx)
     if not state.completed:
         raise toygen.StateCompletionError(
             f"{config.mode} verification needs a completed generation")
     if config.mode == "ae_latent":
-        return state.z0.data
+        return state.z0
     if image is None:
         raise toygen.StateCompletionError("pixel_reencode verification needs the decoded image")
     return encode_pixels(params, image.pixels.data, ctx)
@@ -210,7 +216,7 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
 
 # ------------------------------------------------------------- forward
 
-def scorer_forward(params: dict[str, np.ndarray], features: np.ndarray,
+def scorer_forward(params: dict[str, np.ndarray], features: Operand,
                    prompt_ids: np.ndarray, ctx: MeterContext | None = None) -> np.ndarray:
     """Connector + scorer forward pass in the parameters' dtype; returns the
     2 [yes, no] logits as float64.
@@ -220,7 +226,7 @@ def scorer_forward(params: dict[str, np.ndarray], features: np.ndarray,
     ``prompt.qkv``. The head reads the mean of the scorer's output rows,
     which the last block reads out pooled.
     """
-    f = np.ascontiguousarray(features, dtype=params["connector.w1"].dtype)
+    f = np.ascontiguousarray(_data(features), dtype=params["connector.w1"].dtype)
     if f.shape[-1] != params["connector.w1"].shape[0]:
         raise VerifierConfigError(
             f"feature width {f.shape[-1]} does not match connector input "
@@ -246,7 +252,7 @@ def score_from_logits(logits: np.ndarray, ctx: MeterContext | None = None) -> Sc
 
 
 def score(params: dict[str, np.ndarray], config: VerifierConfig,
-          features: np.ndarray, prompt_ids: np.ndarray,
+          features: Operand, prompt_ids: np.ndarray,
           ctx: MeterContext | None = None) -> Score:
     """Forward pass, softmax over the 2 logits, greedy decision. Every mode
     has the same scorer, so ``config`` is not read."""
@@ -264,7 +270,7 @@ def select_best(scores: list[Score]) -> int:
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_SCHEMA = 8
+CHECKPOINT_SCHEMA = 9
 
 # the dtype of every checkpoint entry but the header, on disk
 _STORED = np.dtype(toygen.DTYPE).newbyteorder("<")

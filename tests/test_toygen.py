@@ -122,10 +122,10 @@ def test_metered_and_unmetered_runs_bitwise_equal(default_generator, rng):
 
 def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
     # each buffer the meter counts is held here, so none can be freed and reused;
-    # the count is 2 at embed, 11 in each of 8 blocks, 1 projection, 3 at
+    # the count is 2 at embed, 10 in each of 8 blocks, 1 projection, 3 at
     # decode (the first product, the second with its shift, the clamp), and
-    # 11 more because the tap block's query pass runs twice: the prompt rows'
-    # pass at resume (8), the key and value kept at the tap, the resume's
+    # 10 more because the tap block's query pass runs twice: the prompt rows'
+    # pass at resume (7), the key and value kept at the tap, the resume's
     # joined keys and values, and the joined rows
     seen = []
     register = MeterContext.register
@@ -136,7 +136,7 @@ def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
 
     monkeypatch.setattr(MeterContext, "register", record)
     generate_full(default_generator, sample_prompt(rng), 6, MeterContext())
-    assert len(seen) == 105
+    assert len(seen) == 96
     assert [(a.shape, b.shape) for a, b in itertools.combinations(seen, 2)
             if np.shares_memory(a, b)] == []
 
@@ -173,12 +173,12 @@ def test_metered_peak_of_a_full_run(default_generator, rng):
     # registers its GELU, while the GELU still reads the MLP-up output: the
     # state's tapped content rows 4,096, the tap block's joined rows 5,888,
     # the block's input 5,888, h 5,888, q/k/v 17,664, scores and probs
-    # 2 * 2,116, att, h2 and ln2 3 * 5,888, and the MLP-up and GELU outputs
+    # 2 * 2,116, h2 and ln2 2 * 5,888, and the MLP-up and GELU outputs
     # 2 * 23,552
     ctx = MeterContext()
     generate_full(default_generator, sample_prompt(rng), 5, ctx)
-    assert ctx.bytes_peak == 4_096 + 3 * 5_888 + 17_664 + 2 * 2_116 + 3 * 5_888 + 2 * 23_552
-    assert ctx.bytes_peak == 108_424
+    assert ctx.bytes_peak == 4_096 + 3 * 5_888 + 17_664 + 2 * 2_116 + 2 * 5_888 + 2 * 23_552
+    assert ctx.bytes_peak == 102_536
 
 
 def test_metered_peak_does_not_depend_on_who_holds_a_calls_arguments(
@@ -213,6 +213,20 @@ def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         p.channel_code[0, 0] = 1.0
+
+
+def test_the_tap_blocks_query_split_falls_where_the_blas_groups_rows():
+    # the tap block's content rows query at the tap and its prompt rows at
+    # resume; test_resume_equals_full_bitwise needs the two passes to give
+    # the bits of one. OpenBLAS's sgemm takes the scores product's rows in
+    # groups of 4, and NumPy sends a one-row product to gemv, so that holds
+    # only for a split at a multiple of 4 with at least 2 rows after it
+    # (test_block_queries_split_at_any_row_join_to_the_block)
+    assert CONTENT_TOKENS % 4 == 0, (
+        f"CONTENT_TOKENS = {CONTENT_TOKENS} splits the tap block's scores product inside "
+        "one of OpenBLAS sgemm's 4-row groups, so tap + resume is no longer bitwise the "
+        "full run")
+    assert scenes.PROMPT_TOKEN_LEN >= 2, "a one-row prompt query pass would run as gemv"
 
 
 def test_tapped_state_keeps_the_content_rows_and_the_tap_blocks_content_keys_and_values(
@@ -251,7 +265,7 @@ def test_resume_joins_the_tap_blocks_keys_and_values_and_queries_the_prompt_rows
     monkeypatch.setattr(MeterContext, "register", record)
     rows = toygen._tap_block_rows(default_generator, st, MeterContext())
     assert seen == [(2, n + prompt, d), (prompt, n + prompt), (prompt, n + prompt),
-                    (prompt, d), (prompt, d), (prompt, d), (prompt, 4 * d), (prompt, 4 * d),
+                    (prompt, d), (prompt, d), (prompt, 4 * d), (prompt, 4 * d),
                     (prompt, d), (n + prompt, d)]
     assert rows.shape == (n + prompt, d)
 
@@ -383,9 +397,9 @@ def test_generation_flops_match_closed_form(default_generator, rng):
         + 2 * RASTER_DIM                                            # shift + clamp
     )
     assert cfg.tap_layer == 0
-    assert c_tap.flops_accumulated == tapped == 1_906_848
-    assert c_res.flops_accumulated == resumed == 17_794_506
-    assert c_full.flops_accumulated == tapped + resumed == 19_701_354
+    assert c_tap.flops_accumulated == tapped == 1_644_336
+    assert c_res.flops_accumulated == resumed == 15_152_979
+    assert c_full.flops_accumulated == tapped + resumed == 16_797_315
 
 
 # -------------------------------------------------------- scene code
@@ -427,11 +441,12 @@ def test_factored_code_is_the_dense_orthogonal_code(prompt_seed, seed):
 
 
 # sha256 of the generator's float32 parameters made of draws and sums alone
-# (block weights, w_proj, prompt_h: each token's row plus block 0's t_bias);
-# prompt_qkv, the QR factors and w_decode are left out, since their bits
-# depend on the BLAS and LAPACK build. The candidates' code coordinates are
-# pinned with their scenes in test_scenes
-GENERATOR_DRAWS_SHA256 = "c60a73519bed309a85a2428a6a7ada3d4267e550af5c72b555234f58c9942ca4"
+# (every block entry but the folded wqk_vo, w_proj, prompt_h: each token's
+# row plus block 0's t_bias); wqk_vo, prompt_qkv, the QR factors and
+# w_decode are left out, since their bits depend on the BLAS and LAPACK
+# build (test_numcore pins the fold against its four draws). The
+# candidates' code coordinates are pinned with their scenes in test_scenes
+GENERATOR_DRAWS_SHA256 = "6ee355763fca2fe2923cdae6c89cc38613584875e93738d16ab37170acb5680a"
 
 
 def test_generator_draws_are_unchanged():
@@ -439,7 +454,8 @@ def test_generator_draws_are_unchanged():
     digest = hashlib.sha256()
     for block in p.blocks:
         for f in dataclasses.fields(block):
-            digest.update(getattr(block, f.name).tobytes())
+            if f.name != "wqk_vo":
+                digest.update(getattr(block, f.name).tobytes())
     for arr in (p.w_proj, p.prompt_h):
         digest.update(arr.tobytes())
     assert digest.hexdigest() == GENERATOR_DRAWS_SHA256

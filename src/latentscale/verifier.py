@@ -1,27 +1,36 @@
 """Candidate verifiers: score a generation against its prompt without labels.
 
-Three architectures share one connector + scorer stack and differ only in
-where their visual features come from:
+Three modes, which differ in where their visual features come from and in
+what reads them:
 
   * ``hidden_state``   - the generator's tap-layer activations, normalized
-                         by pre-computed channel statistics; candidates only
-                         need to run up to the generator's tap (by default
-                         block 0). The tap is the generator's setting alone.
+                         by pre-computed channel statistics and read by one
+                         linear head; candidates only need to run up to the
+                         generator's tap (by default block 0). The tap is the
+                         generator's setting alone.
   * ``ae_latent``      - the terminal latent z0, flattened over spatial
                          positions; needs a completed generation.
   * ``pixel_reencode`` - the completed run's decoded image pushed through a
                          frozen stand-in visual encoder (patchify + attention
                          blocks), fully metered.
 
-The scorer is a compact transformer reading [projected features ++ prompt
-attribute tokens] into a 2-logit yes/no head on the mean of its output rows;
-its last block reads that mean out pooled (``attention_block(pool=True)``),
-so the MLP down-projection runs once, not once per row. A prompt token's
-row depends on its id alone, so block 0 looks up its entry (residual and
-query, key and value; the key is the row's ln1 output) in per-token tables
-made once by ``init_verifier``.
-The continuous score is the probability of the sampled class, negated for
-"no", giving values in [-1, -0.5] or [0.5, 1].
+The ``hidden_state`` head is ``linear`` on the ``HEAD_INPUTS`` = T*d
+normalized tap features as one row, with ``head.w`` [T*d, 1] and ``head.b``
+[1]; its output is the margin, and the 2 [yes, no] logits are [margin, 0].
+It does not read the prompt: the toy generator writes the evidence of a
+mismatch into the tap. ``fit`` fits it in closed form and writes the
+checkpoint ``fit.CHECKPOINT``; a head that ``init_verifier`` draws is random.
+
+``ae_latent`` and ``pixel_reencode`` share one connector + scorer stack: a
+compact transformer reading [projected features ++ prompt attribute tokens]
+into a 2-logit yes/no head on the mean of its output rows; its last block
+reads that mean out pooled (``attention_block(pool=True)``), so the MLP
+down-projection runs once, not once per row. A prompt token's row depends on
+its id alone, so block 0 looks up its entry (residual and query, key and
+value; the key is the row's ln1 output) in per-token tables made once by
+``init_verifier``.
+In every mode the continuous score is the probability of the chosen class,
+negated for "no", giving values in [-1, -0.5] or [0.5, 1].
 
 The widths and depths are module constants: features enter the connector,
 and the pixel encoder works, at ``FEATURE_DIM`` channels, which is the
@@ -38,28 +47,32 @@ Precision: ``init_verifier`` draws in float64 and rounds once to the
 stack's serving dtype, ``toygen.DTYPE`` (float32). The forward pass
 computes in its parameters' dtype, so a float64 cast of them computes in
 float64 with the same metered FLOPs. Features and pixels are cast to the
-parameters' dtype where they enter the connector and the encoder, a no-op
-on the float32 stack; normalization runs in the dtype of the tapped
+parameters' dtype where they enter the head, the connector and the encoder,
+a no-op on the float32 stack; normalization runs in the dtype of the tapped
 features, which ``calibrate_feature_stats`` gives its statistics at
-set-up. Only the 2 head logits are promoted to float64, for the softmax
-that gives the score. A checkpoint (schema 9) is one CRC-checked ``.npz``
+set-up. Only the 2 logits are promoted to float64, for the softmax that
+gives the score. A checkpoint (schema 10) is one CRC-checked ``.npz``
 whose JSON ``header`` entry records the config, the statistics' sample
 count and the caller's meta; every other entry, statistics included, is
 little-endian float32 (``<f4``). Save and load apply the same checks, so
 what save writes, load reads.
 
-Schema 9's scorer entries: ``connector.{w1,b1,w2,b2}`` (``b2`` holds the
-feature segment vector), ``prompt.h`` [VOCAB_SIZE, SCORER_DIM] and
-``prompt.qkv`` [3, VOCAB_SIZE, SCORER_DIM] (scorer block 0's entry for
-each prompt token), ``scorer.block{i}.*`` and ``head.{w,b}``; the
-``pixel_reencode`` mode adds ``encoder.*``. A block's attention is one
-entry, ``*.wqk_vo`` [2, d, d], the folded ``W_QK`` and ``W_VO`` of
-``numcore.BlockWeights``. Schema 8 stored the four factors as ``*.wqkv``
+Schema 10's entries: a ``hidden_state`` checkpoint holds ``head.w``
+[T*d, 1], ``head.b`` [1] and the statistics ``stats.mean`` and
+``stats.variance`` [FEATURE_DIM], which it cannot go without, since its head
+reads normalized features. The other modes hold the scorer:
+``connector.{w1,b1,w2,b2}`` (``b2`` holds the feature segment vector),
+``prompt.h`` [VOCAB_SIZE, SCORER_DIM] and ``prompt.qkv`` [3, VOCAB_SIZE,
+SCORER_DIM] (scorer block 0's entry for each prompt token),
+``scorer.block{i}.*`` and ``head.w`` [SCORER_DIM, 2] and ``head.b`` [2];
+``pixel_reencode`` adds ``encoder.*``, and statistics are optional. A
+block's attention is one entry, ``*.wqk_vo`` [2, d, d], the folded ``W_QK``
+and ``W_VO`` of ``numcore.BlockWeights``. Schema 9 stored the scorer in
+``hidden_state`` too; schema 8 the four attention factors as ``*.wqkv``
 [3, d, d] and ``*.wo`` [d, d]; schema 7 the prompt embedding table and both
-segment vectors in place of the per-token tables and the folded ``b2``.
-Both are refused. Training updates ``prompt.h`` and ``prompt.qkv`` as
-parameters in their own right: the embedding they were made from is not
-kept.
+segment vectors in place of the per-token tables and the folded ``b2``. All
+are refused. Training updates ``prompt.h`` and ``prompt.qkv`` as parameters
+in their own right: the embedding they were made from is not kept.
 """
 
 from __future__ import annotations
@@ -86,6 +99,7 @@ CONNECTOR_HIDDEN = 128
 SCORER_DIM = 64
 SCORER_BLOCKS = 2       # the last reads out the pooled row mean
 ENCODER_DEPTH = 2       # blocks of the pixel_reencode stand-in encoder
+HEAD_INPUTS = toygen.CONTENT_TOKENS * FEATURE_DIM  # the hidden_state head reads the tap flattened
 
 _BLOCK_FIELDS = tuple(f.name for f in fields(BlockWeights))
 
@@ -117,9 +131,10 @@ def block_view(params: dict[str, np.ndarray], prefix: str) -> BlockWeights:
 def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Fresh random parameters for ``config``, drawn from ``seed``.
 
-    The draws are float64, rounded once to ``toygen.DTYPE``. The pixel
-    encoder comes after 28*d discarded normals, the draws of the deleted,
-    never-read alignment readouts, so its weights stay as they were.
+    The draws are float64, rounded once to ``toygen.DTYPE``. ``hidden_state``
+    draws its head alone. The other modes draw the scorer; the pixel
+    encoder comes after it and 28*d discarded normals, the draws of the
+    deleted, never-read alignment readouts, so its weights stay as they were.
 
     A prompt token's row is its attribute embedding plus the prompt segment
     vector, so scorer block 0's entry for it is one row of the per-token
@@ -128,6 +143,9 @@ def init_verifier(config: VerifierConfig, seed: int = 0) -> dict[str, np.ndarray
     without it.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
+    if config.mode == "hidden_state":
+        head = {"head.w": rng.standard_normal((HEAD_INPUTS, 1)) * 0.05, "head.b": np.zeros(1)}
+        return {name: arr.astype(toygen.DTYPE, copy=False) for name, arr in head.items()}
     d = SCORER_DIM
     p: dict[str, np.ndarray] = {}
 
@@ -187,7 +205,7 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
     """Mode-appropriate candidate features, with the pathway's cost metered.
 
     The features are a Tensor, so a meter counts them while the caller, and
-    then the scorer, holds them.
+    then the head or the scorer, holds them.
 
     ``hidden_state`` needs a state tapped at the generator's tap layer; the
     other modes need a completed state, and ``pixel_reencode`` also the
@@ -243,6 +261,16 @@ def scorer_forward(params: dict[str, np.ndarray], features: Operand,
     return logits.data[0].astype(np.float64)
 
 
+def head_margin(params: dict[str, np.ndarray], features: Operand,
+                ctx: MeterContext | None = None) -> float:
+    """The ``hidden_state`` head: ``linear`` on the [T, d] features as one
+    [1, T*d] row, in the parameters' dtype; returns the margin, the "yes"
+    logit against a "no" logit of 0."""
+    w = params["head.w"]
+    f = np.ascontiguousarray(_data(features), dtype=w.dtype).reshape(1, -1)
+    return float(linear(f, w, params["head.b"], ctx).data[0, 0])
+
+
 def score_from_logits(logits: np.ndarray, ctx: MeterContext | None = None) -> Score:
     """Softmax over the 2 [yes, no] logits in float64, greedy decision."""
     p = softmax(np.asarray(logits, dtype=np.float64), ctx).data
@@ -254,9 +282,14 @@ def score_from_logits(logits: np.ndarray, ctx: MeterContext | None = None) -> Sc
 def score(params: dict[str, np.ndarray], config: VerifierConfig,
           features: Operand, prompt_ids: np.ndarray,
           ctx: MeterContext | None = None) -> Score:
-    """Forward pass, softmax over the 2 logits, greedy decision. Every mode
-    has the same scorer, so ``config`` is not read."""
-    return score_from_logits(scorer_forward(params, features, prompt_ids, ctx), ctx)
+    """The 2 logits of ``config.mode``'s verifier, softmax over them, greedy
+    decision: ``hidden_state`` reads [``head_margin``, 0] and does not read
+    ``prompt_ids``; the other modes run ``scorer_forward``."""
+    if config.mode == "hidden_state":
+        logits = np.array([head_margin(params, features, ctx), 0.0])
+    else:
+        logits = scorer_forward(params, features, prompt_ids, ctx)
+    return score_from_logits(logits, ctx)
 
 
 # ------------------------------------------------------------- selection
@@ -270,7 +303,7 @@ def select_best(scores: list[Score]) -> int:
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_SCHEMA = 9
+CHECKPOINT_SCHEMA = 10
 
 # the dtype of every checkpoint entry but the header, on disk
 _STORED = np.dtype(toygen.DTYPE).newbyteorder("<")
@@ -290,10 +323,13 @@ def _check_checkpoint(arrays: dict[str, np.ndarray], config: VerifierConfig,
     Every entry must be ``<f4``, finite and named and shaped as
     ``init_verifier`` makes it for ``config`` (statistics are
     [FEATURE_DIM]); the variance must be >= 0, ``sample_count`` null or an
-    int >= 2 and ``meta`` a dict.
+    int >= 2 and ``meta`` a dict. A ``hidden_state`` checkpoint must hold
+    statistics: its head reads normalized features.
     """
     if sample_count is not None and not (isinstance(sample_count, int) and sample_count >= 2):
         raise CheckpointError(f"sample_count must be null or an int >= 2, got {sample_count!r}")
+    if sample_count is None and config.mode == "hidden_state":
+        raise CheckpointError("a hidden_state checkpoint needs its normalization statistics")
     if not isinstance(meta, dict):
         raise CheckpointError(f"meta must be a JSON object, got {meta!r}")
     other = sorted(n for n, arr in arrays.items() if arr.dtype != _STORED)

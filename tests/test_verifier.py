@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from latentscale import scenes, toygen, verifier
+from latentscale import fit, scenes, toygen, verifier
 from latentscale.numcore import (
     BlockWeights, MeterContext, Tensor, attention_block, block_entry, flops_for, gelu, linear,
     normalize,
@@ -42,10 +42,40 @@ def test_candidate_scores_in_range_and_float64(small_generator, rng):
         st = toygen.generate_tapped(small_generator, p, seed, None)
         feats = verifier.extract_features(small_generator, st, cfg, None, None)
         ids = scenes.encode_prompt_tokens(p)
-        assert in_score_range(verifier.score(params, cfg, feats, ids).value)
-        # float32 features still give float64 logits
-        logits = verifier.scorer_forward(params, feats.data.astype(np.float32), ids)
-        assert logits.dtype == np.float64
+        s = verifier.score(params, cfg, feats, ids)
+        assert in_score_range(s.value)
+        # float32 features still give a float64 margin, whose logits [margin, 0] are scored
+        margin = verifier.head_margin(params, feats.data.astype(np.float32))
+        assert type(margin) is float
+        assert s == score_from_logits(np.array([margin, 0.0]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), scale=hst.floats(1e-3, 1e3),
+       bias=hst.floats(-1e3, 1e3))
+def test_head_scores_in_range_with_sign_of_decision(seed, scale, bias):
+    params = init_verifier(VerifierConfig(), seed=seed)
+    params["head.b"] = np.array([bias], dtype=np.float32)
+    rng = np.random.default_rng(seed)
+    feats = (rng.standard_normal((toygen.CONTENT_TOKENS, verifier.FEATURE_DIM))
+             * scale).astype(np.float32)
+    s = verifier.score(params, VerifierConfig(), feats, np.zeros(scenes.PROMPT_TOKEN_LEN, int))
+    assert in_score_range(s.value)
+    assert s.decision == (s.value > 0) == (verifier.head_margin(params, feats) >= 0)
+
+
+def test_head_margin_is_the_float64_dot_product(default_generator, rng):
+    # the checked-in head on normalized tap features; float32 sums of n terms
+    # in any order are within n * eps * sum|terms| of the float64 result
+    params, cfg, stats, _ = load_checkpoint(fit.CHECKPOINT)
+    w, b = params["head.w"].astype(np.float64)[:, 0], float(params["head.b"][0])
+    eps = np.finfo(np.float32).eps
+    for seed in range(8):
+        st = toygen.generate_tapped(default_generator, scenes.sample_prompt(rng), seed, None)
+        feats = verifier.extract_features(default_generator, st, cfg, stats, None)
+        x = feats.data.ravel().astype(np.float64)
+        tolerance = verifier.HEAD_INPUTS * eps * (np.abs(x) @ np.abs(w) + abs(b))
+        assert abs(verifier.head_margin(params, feats) - (x @ w + b)) <= tolerance
 
 
 # ---------------------------------------------------------------- FLOPs
@@ -65,6 +95,12 @@ def scorer_flops(tokens: int) -> int:
             + blocks
             + flops_for(("linear", 1, d, 2))
             + flops_for(("softmax", 1, 2)))
+
+
+def head_flops() -> int:
+    """Closed-form FLOPs of the ``hidden_state`` ``score``: the head's
+    product with its bias, and the softmax over [margin, 0]."""
+    return flops_for(("linear", 1, verifier.HEAD_INPUTS, 1)) + flops_for(("softmax", 1, 2))
 
 
 def encoder_flops() -> int:
@@ -89,7 +125,7 @@ def test_hidden_state_verification_flops_match_closed_form(small_generator, rng)
     tokens, width = feats.shape
     normalize = 2 * tokens * width + width
     assert (metered_verification_flops(small_generator, cfg, stats, p, st)
-            == normalize + scorer_flops(tokens))
+            == normalize + head_flops())
 
 
 def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
@@ -102,9 +138,9 @@ def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
     verify = metered_verification_flops(default_generator, cfg, stats, p, st)
     toygen.resume_and_decode(default_generator, st, c_res)
     tokens, width = feats.shape
-    assert verify == 2 * tokens * width + width + scorer_flops(tokens) == 3_975_990
+    assert verify == 2 * tokens * width + width + head_flops() == 2_112 + 2_049 + 10 == 4_171
     assert (32 * (c_tap.flops_accumulated + verify) + c_res.flops_accumulated
-            == 195_003_411)
+            == 67_905_203)
 
 
 def test_default_bon_pixel_flops_per_image_closed_form(default_generator, rng):
@@ -193,9 +229,11 @@ def test_verifier_computes_in_its_precision_with_the_same_flops(
     assert {dt for dt, _ in computed} == {np.dtype(dtype)}
     assert softmax_out == (np.float64, (2,))
     tokens = toygen.CONTENT_TOKENS
-    features = {"hidden_state": flops_for(("normalize", tokens, verifier.FEATURE_DIM)),
-                "ae_latent": 0, "pixel_reencode": encoder_flops()}[mode]
-    assert ctx.flops_accumulated == features + scorer_flops(tokens)
+    if mode == "hidden_state":
+        want = flops_for(("normalize", tokens, verifier.FEATURE_DIM)) + head_flops()
+    else:
+        want = {"ae_latent": 0, "pixel_reencode": encoder_flops()}[mode] + scorer_flops(tokens)
+    assert ctx.flops_accumulated == want
 
 
 @settings(max_examples=10, deadline=None)
@@ -203,7 +241,7 @@ def test_verifier_computes_in_its_precision_with_the_same_flops(
 def test_scorer_block_0_with_looked_up_prompt_rows_is_the_block_on_the_concatenated_rows(seed):
     # tables of block 0's entry for stand-in token rows; the scorer run on
     # [projected features ++ token rows] gives the same logits bit for bit
-    params = init_verifier(VerifierConfig())
+    params = init_verifier(VerifierConfig(mode="pixel_reencode"))
     rng = np.random.default_rng(seed)
     d, dtype = verifier.SCORER_DIM, toygen.DTYPE
     tokens = rng.standard_normal((scenes.VOCAB_SIZE, d)).astype(dtype)
@@ -225,9 +263,9 @@ def test_scorer_block_0_with_looked_up_prompt_rows_is_the_block_on_the_concatena
 @pytest.mark.parametrize("mode", ["hidden_state", "pixel_reencode"])
 def test_the_meter_counts_the_features_while_the_scorer_reads_them(mode, small_generator, rng,
                                                                   monkeypatch):
-    # the features are passed straight into score, so only the scorer holds
-    # them: the connector's first product must find their bytes live, and
-    # nothing else of the verification
+    # the features are passed straight into score, so only the verifier holds
+    # them: its first product (the head's, or the connector's) must find their
+    # bytes live, and nothing else of the verification
     cfg, p = VerifierConfig(mode=mode), scenes.sample_prompt(rng)
     params, stats, image = init_verifier(cfg), None, None
     if mode == "hidden_state":
@@ -240,12 +278,13 @@ def test_the_meter_counts_the_features_while_the_scorer_reads_them(mode, small_g
                                        image=image).data.nbytes
     assert nbytes == toygen.CONTENT_TOKENS * verifier.FEATURE_DIM * 4
     ctx, live = MeterContext(), []
-    connector = verifier.linear
+    linear_kernel = verifier.linear
+    first = params["head.w" if mode == "hidden_state" else "connector.w1"]
 
     def spy(x, w, b, c):
-        if w is params["connector.w1"]:
+        if w is first:
             live.append(ctx.bytes_live)
-        return connector(x, w, b, c)
+        return linear_kernel(x, w, b, c)
 
     monkeypatch.setattr(verifier, "linear", spy)
     verifier.score(params, cfg, verifier.extract_features(
@@ -316,8 +355,7 @@ def _stats() -> scenes.FeatureStats:
                                sample_count=10)
 
 
-def write_checkpoint(tmp_path):
-    cfg = VerifierConfig()
+def write_checkpoint(tmp_path, cfg=VerifierConfig()):
     params, stats = init_verifier(cfg), _stats()
     path = save_checkpoint(tmp_path / "ckpt.npz", params, cfg, stats, meta={"step": 3})
     return path, params, cfg, stats
@@ -379,6 +417,8 @@ BAD_STATS = {
     "stats_of_3_channels": lambda s: dataclasses.replace(
         s, mean=s.mean[:3], variance=s.variance[:3]),
     "sample_count_of_1": lambda s: dataclasses.replace(s, sample_count=1),
+    # the hidden-state head reads normalized features
+    "no_stats": lambda s: None,
 }
 
 
@@ -498,6 +538,13 @@ def _schema_8_entries(entries):
     return factors
 
 
+def _without_stats(entries):
+    """The checkpoint as saved without statistics."""
+    del entries["stats.mean"], entries["stats.variance"]
+    header = json.loads(str(entries["header"]))
+    entries["header"] = np.array(json.dumps({**header, "sample_count": None}))
+
+
 def _truncate(path):
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) // 2])
@@ -519,13 +566,13 @@ CORRUPTIONS = {
     "big_endian_dtype": _cast("head.w", ">f4"),
     "float64_entry": _cast("head.w", "<f8"),
     "object_entry": _cast("head.b", object),
-    "bit_flip": _flip_bit("connector.w1"),
+    "bit_flip": _flip_bit("head.w"),
     "truncated_file": _truncate,
     "missing_entry": _edit_entries(lambda e: e.pop("head.b")),
     "missing_stats_entry": _edit_entries(lambda e: e.pop("stats.variance")),
     "renamed_entry": _edit_entries(lambda e: e.update({"head.bias": e.pop("head.b")})),
     "misshaped_entry": _edit_entries(  # same byte count
-        lambda e: e.update({"connector.w1": e["connector.w1"].reshape(128, 64)})),
+        lambda e: e.update({"head.w": e["head.w"].reshape(1, -1)})),
     "duplicate_entry": _store_twice("head.b"),
     "stats_of_3_channels": _replace("stats.mean", lambda a: a[:3]),
     "negative_variance": _replace("stats.variance", lambda a: np.full_like(a, -1.0)),
@@ -541,17 +588,27 @@ CORRUPTIONS = {
     "schema_7_layout": _edit_entries(lambda e: e.update(
         header=np.array(json.dumps({**json.loads(str(e["header"])), "schema": 7})),
         **_schema_7_entries(e))),
-    "schema_7_layout_under_schema_9": _edit_entries(lambda e: e.update(_schema_7_entries(e))),
+    "schema_7_layout_under_schema_10": _edit_entries(lambda e: e.update(_schema_7_entries(e))),
     "schema_8_layout": _edit_entries(lambda e: e.update(
         header=np.array(json.dumps({**json.loads(str(e["header"])), "schema": 8})),
         **_schema_8_entries(e))),
-    "schema_8_layout_under_schema_9": _edit_entries(lambda e: e.update(_schema_8_entries(e))),
+    "schema_8_layout_under_schema_10": _edit_entries(lambda e: e.update(_schema_8_entries(e))),
+    "schema_9": _edit_header(lambda h: h.update(schema=9)),
+    # schema 9 stored the scorer in hidden_state checkpoints, as ae_latent's are
+    "schema_9_layout_under_schema_10": _edit_entries(
+        lambda e: e.update(init_verifier(VerifierConfig(mode="ae_latent")))),
+    "hidden_state_without_stats": _edit_entries(_without_stats),
 }
+
+# the corruptions of the scorer's entries: a pixel_reencode checkpoint has them
+SCORER_CORRUPTIONS = {"schema_7_layout", "schema_7_layout_under_schema_10",
+                      "schema_8_layout", "schema_8_layout_under_schema_10"}
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_malformed_checkpoint_raises_checkpoint_error(name, tmp_path):
-    path = write_checkpoint(tmp_path)[0]
+    mode = "pixel_reencode" if name in SCORER_CORRUPTIONS else "hidden_state"
+    path = write_checkpoint(tmp_path, VerifierConfig(mode=mode))[0]
     load_checkpoint(path)
     CORRUPTIONS[name](path)
     with pytest.raises(CheckpointError):
@@ -578,3 +635,23 @@ def test_pixel_encoder_weights_are_unchanged():
     for name in names:
         digest.update(params[name].tobytes())
     assert digest.hexdigest() == ENCODER_SHA256
+
+
+# sha256 of the float32 scorer weights of pixel_reencode that are draws
+# alone, in draw order: the connector, the blocks but their folded wqk_vo and
+# the head. The per-token tables prompt.h and prompt.qkv are computed from
+# them, with bits that depend on the BLAS. The scorer's draws come before the
+# encoder's, so ENCODER_SHA256 holds only while these keep their count
+SCORER_SHA256 = "dd770407fd4bada87f8d8f6ce7f41d0e9711b9182cc2a683a061adbc6e517e50"
+
+
+def test_pixel_scorer_weights_are_unchanged():
+    params = init_verifier(VerifierConfig(mode="pixel_reencode"), seed=0)
+    names = ["connector.w1", "connector.b1", "connector.w2", "connector.b2"] + [
+        f"scorer.block{i}.{f.name}"
+        for i in range(verifier.SCORER_BLOCKS) for f in dataclasses.fields(BlockWeights)
+        if f.name != "wqk_vo"] + ["head.w", "head.b"]
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(params[name].tobytes())
+    assert digest.hexdigest() == SCORER_SHA256

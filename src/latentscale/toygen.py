@@ -29,10 +29,11 @@ seed)``: the scene draws first (``scenes.candidate_scene``), then the match
 evidence and the latent (``_code_coordinates``).
 
 The raster bank holds the centered raster unscaled. The shape (``T =
-CONTENT_TOKENS`` content tokens of ``d = MODEL_WIDTH`` channels), the other
-banks' scales (``MATCH_GAIN`` and ``MATCH_NOISE``, ``NOISE_GAIN``) and the
-blocks' ``WEIGHT_STD`` are module constants, since no caller varies them;
-``GeneratorConfig`` holds the depth, the tap and the corruption rate.
+CONTENT_TOKENS`` content tokens of ``d = MODEL_WIDTH`` channels, and
+``NUM_LAYERS`` blocks), the other banks' scales (``MATCH_GAIN`` and
+``MATCH_NOISE``, ``NOISE_GAIN``) and the blocks' ``WEIGHT_STD`` are module
+constants, since no caller varies them; ``GeneratorConfig`` holds the
+corruption rate alone.
 
 Prompt tokens enter block 0 by lookup. A prompt token's row at layer 0 is
 its attribute embedding plus a prompt segment vector, a function of its id
@@ -44,28 +45,26 @@ the content rows only, and block 0 appends the prompt rows' looked-up
 entries after them; its output, and every later block's input, is the
 content rows, then the prompt rows.
 
-Execution is tap and resume: ``generate_tapped`` stops after the tap layer
-and returns the hidden state for scoring; ``resume_and_decode`` completes the
-remaining layers, projects, and decodes. ``generate_full`` is just the two in
-turn, so full and resumed runs share one path, values and metered FLOPs.
-The projection reads only the content rows, so the last block lets only
-those query and returns them alone. The tap block, too, lets only the
-content rows query (``numcore.block_queries``): the verifier reads them
-alone, and a pruned candidate never runs the next block, the only reader of
-the prompt rows. The state keeps the content rows' keys (their ln1
-outputs) and values (those outputs times the block's folded ``W_VO``) and
-the prompt ids until resume. Resume joins those keys and values with the
-prompt rows', runs the prompt rows' queries on their looked-up residual
-and query as they are, appends their output after the content rows and
-drops what the state kept. A state holds the content rows only, at the
-tap and after every layer.
+Execution is tap and resume. The tap is block 0: ``generate_tapped`` runs
+the embed and block 0 and returns the hidden state for scoring;
+``resume_and_decode`` runs blocks 1 to ``NUM_LAYERS - 1``, projects, and
+decodes. ``generate_full`` is just the two in turn, so full and resumed runs
+share one path, values and metered FLOPs. The projection reads only the
+content rows, so the last block lets only those query and returns them
+alone. Block 0, too, lets only the content rows query at the tap
+(``numcore.block_queries``): the verifier reads them alone, and a pruned
+candidate never runs block 1, the only reader of the prompt rows. The state
+keeps the content rows' keys (their ln1 outputs) and values (those outputs
+times the block's folded ``W_VO``) and the prompt ids until resume. Resume
+joins those keys and values with the prompt rows', runs the prompt rows'
+queries on their looked-up residual and query as they are, appends their
+output after the content rows and drops what the state kept. A state holds
+the content rows only, at the tap and once completed.
 
-The default tap is layer 0, the first block. The match bank is written at
-embed and the blocks' small weights barely touch it, so a linear readout
-finds the alignment evidence as well after block 0 as after block 3 or 7;
-a candidate then runs the embed and one block before it is scored. The
-tap is the generator's alone: the hidden-state verifier reads the state
-wherever ``tap_layer`` puts it.
+The match bank is written at embed and the blocks' small weights barely
+touch it, so a linear readout finds the alignment evidence as well after
+block 0 as after block 3 or 7; at block 0 a candidate runs the embed and one
+block before it is scored.
 
 The stack serves in one dtype, float32 (``DTYPE``): the generator's
 parameters and noise, and the verifier's parameters, are drawn in float64
@@ -74,8 +73,7 @@ and rounded once to it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,6 +85,7 @@ from .numcore import (
 
 MODEL_WIDTH = 64            # d: channels of every token, and the verifier's FEATURE_DIM
 CONTENT_TOKENS = 16         # T: content tokens, one per scene cell
+NUM_LAYERS = 8              # attention blocks; the tap is block 0
 RASTER_DIM = 3 * scenes.IMAGE_SIZE * scenes.IMAGE_SIZE  # fills RASTER_DIM / d rows of X
 MATCH_CHANNELS = 4
 WEIGHT_STD = 0.01           # scale of the attention blocks' random weights
@@ -106,36 +105,18 @@ class StateCompletionError(RuntimeError):
     """Resume called on a completed state, or a full run was required."""
 
 
-_FIELD_TYPES = {"int": (int,), "float": (int, float)}
-
-
-def _check_field_types(config, error: type[Exception]) -> None:
-    """Raise ``error`` unless each field of the dataclass ``config`` holds its
-    annotated type: an int for int, a finite int or float for float; a bool
-    is never accepted."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-            raise error(f"{f.name} must be {f.type}, got {value!r}")
-        if f.type == "float" and not math.isfinite(value):
-            raise error(f"{f.name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Generator settings, checked when built: GeneratorConfigError if invalid."""
-    num_layers: int = 8
-    tap_layer: int = 0
+    """Generator settings, checked when built: GeneratorConfigError if invalid.
+
+    ``corruption_rate`` must be an int or a float (not a bool) in [0, 1],
+    which rules out NaN and the infinities."""
     corruption_rate: float = 0.3
 
     def __post_init__(self):
-        _check_field_types(self, GeneratorConfigError)
-        if self.num_layers < 1:
-            raise GeneratorConfigError("num_layers must be >= 1")
-        if not 0 <= self.tap_layer <= self.num_layers - 1:
-            raise GeneratorConfigError("tap_layer must lie in [0, num_layers-1]")
-        if not 0.0 <= self.corruption_rate <= 1.0:
-            raise GeneratorConfigError("corruption_rate must lie in [0, 1]")
+        rate = self.corruption_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate <= 1:
+            raise GeneratorConfigError(f"corruption_rate must be a number in [0, 1], got {rate!r}")
 
 
 @dataclass
@@ -158,27 +139,24 @@ class Generator:
 
 @dataclass
 class GeneratorState:
-    """One candidate: either tapped (layers_done == tap+1) or fully run.
+    """One candidate: tapped after block 0, or completed (``z0`` set).
 
     ``hidden`` is the ``CONTENT_TOKENS`` content rows [T, d] of the token
-    stream after ``layers_done`` layers: the tap block and the last block
-    let only the content rows query. Until it is resumed, a state tapped
-    before the last layer also keeps what the tap block's prompt rows read
-    when they query at resume and the per-token tables cannot supply: the
-    content rows' keys and values ``kv`` (their ln1 outputs, and those
-    times the folded ``W_VO``) and the prompt's token ids, by
-    which block 0 looks the prompt rows' entries up. A tap past block 0
-    keeps those entries themselves, ``prompt_entry``, in place of the ids.
-    Resume joins ``kv`` with the prompt rows' keys and values, hands their
-    residual and query to the queries as they are, and drops what was kept.
+    stream, after block 0 when tapped and after the last block once
+    completed: both blocks let only the content rows query. Until it is
+    resumed, a tapped state also keeps what block 0's prompt rows read when
+    they query at resume and the per-token tables cannot supply: the content
+    rows' keys and values ``kv`` (their ln1 outputs, and those times the
+    folded ``W_VO``) and the prompt's token ids, by which the prompt rows'
+    entries are looked up. Resume joins ``kv`` with the prompt rows' keys and
+    values, hands their residual and query to the queries as they are, and
+    drops what was kept.
     """
     hidden: Tensor
-    layers_done: int
     rendered_scene: scenes.Scene    # post-corruption ground truth
     corrupted: bool
-    kv: Tensor | None = None        # [2, T, d] the tap block's content keys and values
+    kv: Tensor | None = None        # [2, T, d] block 0's content keys and values
     prompt_ids: np.ndarray | None = None
-    prompt_entry: tuple[Tensor, Tensor] | None = None  # [p, d] h and [3, p, d] q/k/v
     z0: Tensor | None = None        # terminal latent, set on completion
 
     @property
@@ -199,7 +177,7 @@ def build_generator(config: GeneratorConfig) -> Generator:
     b, _ = np.linalg.qr(rng.standard_normal((d, d)))
     w_proj = np.eye(d) + 0.02 * rng.standard_normal((d, d))
     blocks = [init_block_weights(rng, d, weight_std=WEIGHT_STD, dtype=DTYPE)
-              for _ in range(config.num_layers)]
+              for _ in range(NUM_LAYERS)]
     # a prompt token's row is its attribute embedding plus the prompt segment
     # vector; block 0's entry for it depends on nothing else
     token_table = (rng.standard_normal((scenes.VOCAB_SIZE, d)) * 0.5).astype(DTYPE)
@@ -254,25 +232,13 @@ def _embed_layer0(gen: Generator, realized: scenes.RealizedCandidate,
     return matmul(matmul(p.token_code, mixed, ctx), p.channel_code.T, ctx)
 
 
-def _looked_up(gen: Generator, layer: int,
-               prompt_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The prompt rows' entries at ``layer`` from the per-token tables: block
-    0's alone, since a later block's prompt rows depend on the content."""
-    p = gen.params
-    return (p.prompt_h[prompt_ids], p.prompt_qkv[:, prompt_ids]) if layer == 0 else None
-
-
-def _run_blocks(gen: Generator, x: Tensor, start: int, stop: int, ctx: MeterContext | None,
-                prompt_ids: np.ndarray | None = None) -> Tensor:
-    """Blocks start..stop-1. Block 0 appends the rows of the prompt tokens
-    ``prompt_ids`` after the content rows, their entries looked up in the
-    per-token tables; the generator's last block returns the content rows
-    only, since the projection reads nothing else."""
-    for layer in range(start, stop):
-        rows = CONTENT_TOKENS if layer == gen.config.num_layers - 1 else None
-        x = attention_block(x, gen.params.blocks[layer], ctx,
-                            given=_looked_up(gen, layer, prompt_ids), rows=rows)
-    return x
+def _run_blocks(gen: Generator, x: Tensor, ctx: MeterContext | None) -> Tensor:
+    """Blocks 1..NUM_LAYERS-1 on block 0's output; the last block returns the
+    content rows only, since the projection reads nothing else."""
+    *middle, last = gen.params.blocks[1:]
+    for w in middle:
+        x = attention_block(x, w, ctx)
+    return attention_block(x, last, ctx, rows=CONTENT_TOKENS)
 
 
 def _project(gen: Generator, x: Tensor, ctx: MeterContext | None) -> Tensor:
@@ -296,66 +262,51 @@ def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> Rende
 
 def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
                     ctx: MeterContext | None) -> GeneratorState:
-    """Run layers 0..tap_layer only; returns the state holding the tap hidden.
+    """Run the embed and block 0, the tap; returns the state holding the tap hidden.
 
-    The tap block lets only the content rows query. A pruned candidate
-    stops here, and its prompt rows' queries in that block would be read
-    by the next block alone.
+    Block 0 appends the prompt rows after the content rows, their entries
+    looked up in the per-token tables, and lets only the content rows query.
+    A pruned candidate stops here, and its prompt rows' queries would be
+    read by block 1 alone.
     """
-    cfg = gen.config
-    tap, n = cfg.tap_layer, CONTENT_TOKENS
+    n, p = CONTENT_TOKENS, gen.params
     rng = scenes.candidate_rng(prompt, seed)
-    realized = scenes.candidate_scene(prompt, rng, cfg.corruption_rate)
+    realized = scenes.candidate_scene(prompt, rng, gen.config.corruption_rate)
     prompt_ids = scenes.encode_prompt_tokens(prompt)
     x = _embed_layer0(gen, realized, rng, ctx)
-    x = _run_blocks(gen, x, 0, tap, ctx, prompt_ids)
-    w = gen.params.blocks[tap]
-    h, qkv = block_entry(x, w, ctx, _looked_up(gen, tap, prompt_ids))
-    state = GeneratorState(
+    w = p.blocks[0]
+    h, qkv = block_entry(x, w, ctx, (p.prompt_h[prompt_ids], p.prompt_qkv[:, prompt_ids]))
+    return GeneratorState(
         hidden=block_queries(h.data[:n], qkv.data[0, :n], qkv.data[1:], w, ctx),
-        layers_done=tap + 1, rendered_scene=realized.scene, corrupted=realized.corrupted)
-    if tap < cfg.num_layers - 1:
-        state.kv = Tensor(np.ascontiguousarray(qkv.data[1:, :n]), ctx)
-        if tap == 0:
-            state.prompt_ids = prompt_ids
-        else:
-            state.prompt_entry = (Tensor(h.data[n:].copy(), ctx),
-                                  Tensor(np.ascontiguousarray(qkv.data[:, n:]), ctx))
-    return state
+        rendered_scene=realized.scene, corrupted=realized.corrupted,
+        kv=Tensor(np.ascontiguousarray(qkv.data[1:, :n]), ctx), prompt_ids=prompt_ids)
 
 
 def _tap_block_rows(gen: Generator, state: GeneratorState,
                     ctx: MeterContext | None) -> Tensor:
-    """The tap block's output on every row the next block reads. Unless the
-    tap is the last layer, the prompt rows query now and are joined after
-    the content rows that queried at the tap, and the state drops what it
-    kept for them."""
-    if state.kv is None:
-        return state.hidden
-    w = gen.params.blocks[gen.config.tap_layer]
-    h_p, qkv_p = (_looked_up(gen, gen.config.tap_layer, state.prompt_ids)
-                  or (e.data for e in state.prompt_entry))
+    """Block 0's output on every row block 1 reads: the prompt rows query
+    now and are joined after the content rows that queried at the tap, and
+    the state drops what it kept for them."""
+    p = gen.params
+    h_p, qkv_p = p.prompt_h[state.prompt_ids], p.prompt_qkv[:, state.prompt_ids]
     kv = Tensor(np.concatenate([state.kv.data, qkv_p[1:]], axis=1), ctx)
     state.kv = state.prompt_ids = None
-    prompt_rows = block_queries(h_p, qkv_p[0], kv, w, ctx)
-    state.prompt_entry = None  # kept, so metered, while the queries read it
+    prompt_rows = block_queries(h_p, qkv_p[0], kv, p.blocks[0], ctx)
     return Tensor(np.concatenate([state.hidden.data, prompt_rows.data]), ctx)
 
 
 def resume_and_decode(gen: Generator, state: GeneratorState,
                       ctx: MeterContext | None) -> RenderedImage:
-    """Finish the tap block's prompt rows, complete layers tap+1..L-1 for a
-    tapped state, project, and decode."""
-    cfg = gen.config
-    if state.layers_done != cfg.tap_layer + 1 or state.completed:
-        raise StateCompletionError("state is not a tapped state of this config")
+    """Finish block 0's prompt rows, run blocks 1..NUM_LAYERS-1 on a tapped
+    state, project, and decode."""
+    if state.completed:
+        raise StateCompletionError("state is already completed")
     # the joined rows are held, so metered, to the last block on every Python:
     # passed straight in, 3.10 would hold them that long but 3.11 would not
     x = _tap_block_rows(gen, state, ctx)
-    x = _run_blocks(gen, x, cfg.tap_layer + 1, cfg.num_layers, ctx)
+    x = _run_blocks(gen, x, ctx)
     z0 = _project(gen, x, ctx)
     state.hidden = x
-    state.layers_done = cfg.num_layers
     state.z0 = z0
     return decode_latent(gen, z0, ctx)
 
@@ -368,6 +319,6 @@ def generate_full(gen: Generator, prompt: scenes.Prompt, seed: int,
 
 
 def tap_hidden_features(state: GeneratorState) -> np.ndarray:
-    """Content-token hidden state at the tap, the verifier's raw features:
-    [CONTENT_TOKENS, MODEL_WIDTH], wherever the tap is."""
+    """Content-token hidden state at the tap, block 0's output, the
+    verifier's raw features: [CONTENT_TOKENS, MODEL_WIDTH]."""
     return state.hidden.data

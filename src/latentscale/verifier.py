@@ -3,11 +3,10 @@
 Three modes, which differ in where their visual features come from and in
 what reads them:
 
-  * ``hidden_state``   - the generator's tap-layer activations, normalized
-                         by pre-computed channel statistics and read by one
+  * ``hidden_state``   - the generator's tap activations, normalized by
+                         pre-computed channel statistics and read by one
                          linear head; candidates only need to run up to the
-                         generator's tap (by default block 0). The tap is the
-                         generator's setting alone.
+                         generator's tap, block 0.
   * ``ae_latent``      - the terminal latent z0, flattened over spatial
                          positions; needs a completed generation.
   * ``pixel_reencode`` - the completed run's decoded image pushed through a
@@ -207,18 +206,17 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
     The features are a Tensor, so a meter counts them while the caller, and
     then the head or the scorer, holds them.
 
-    ``hidden_state`` needs a state tapped at the generator's tap layer; the
-    other modes need a completed state, and ``pixel_reencode`` also the
-    ``image`` that state decoded to. Otherwise StateCompletionError is
-    raised. Normalization runs in the features' and statistics' dtype, the
-    encoder in the parameters'.
+    ``hidden_state`` needs a tapped state, not a completed one; the other
+    modes need a completed state, and ``pixel_reencode`` also the ``image``
+    that state decoded to. Otherwise StateCompletionError is raised.
+    Normalization runs in the features' and statistics' dtype, the encoder
+    in the parameters'. ``gen`` is not read: the tap is always block 0, and
+    the benchmark adapter passes ``gen`` positionally.
     """
     if config.mode == "hidden_state":
-        tap = gen.config.tap_layer
-        if state.layers_done != tap + 1:
+        if state.completed:
             raise toygen.StateCompletionError(
-                f"hidden_state verification taps layer {tap}, "
-                f"but the state has run {state.layers_done} layers")
+                "hidden_state verification reads a tapped state, not a completed one")
         if stats is None:
             return state.hidden
         return normalize(state.hidden, stats.mean, stats.variance, ctx)
@@ -358,7 +356,8 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
     What ``load_checkpoint`` would refuse, and a ``meta`` that JSON cannot
     encode, raise CheckpointError before anything is written. The file is
     written next to ``path`` and then renamed over it, so ``path`` holds
-    either its old content or the whole new checkpoint.
+    either its old content or the whole new checkpoint; it gets the mode
+    that ``open(path, "w")`` would give it, 0o666 less the umask.
     """
     path = Path(path)
     arrays = {name: np.asarray(arr) for name, arr in params.items()}
@@ -380,6 +379,11 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
         with os.fdopen(fd, "wb") as f:
             np.savez(f, header=np.array(text), **arrays)
             f.flush()
+            # mkstemp creates the file 0o600; give it what open() would. The
+            # umask is read only by setting it, so it is set back at once
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:

@@ -9,13 +9,6 @@ def default_generator():
     return toygen.build_generator(toygen.GeneratorConfig())
 
 
-@pytest.fixture(scope="session")
-def small_generator():
-    # 4 layers keeps per-candidate cost low for statistical tests
-    return toygen.build_generator(
-        toygen.GeneratorConfig(num_layers=4, tap_layer=1, corruption_rate=0.4))
-
-
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

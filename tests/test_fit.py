@@ -61,7 +61,7 @@ def test_head_reads_held_out_calibration_candidates(checkpoint):
     right = sum(
         verifier.score(params, cfg, normalize(f, stats.mean, stats.variance, None), None).decision
         == (label > 0) for f, label in zip(features, labels))
-    assert right / len(labels) >= 0.94
+    assert right / len(labels) >= 0.95
 
 
 def test_best_of_8_with_the_checked_in_head_nearly_always_passes(default_generator, checkpoint):

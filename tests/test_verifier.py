@@ -1,8 +1,9 @@
 import dataclasses
-import functools
 import hashlib
 import io
 import json
+import os
+import stat
 import zipfile
 
 import numpy as np
@@ -34,13 +35,13 @@ def test_score_from_logits_in_range_with_sign_of_decision(logits):
     assert s.decision == (s.value > 0)
 
 
-def test_candidate_scores_in_range_and_float64(small_generator, rng):
+def test_candidate_scores_in_range_and_float64(default_generator, rng):
     cfg = VerifierConfig()
     params = init_verifier(cfg)
     for seed in range(6):
         p = scenes.sample_prompt(rng)
-        st = toygen.generate_tapped(small_generator, p, seed, None)
-        feats = verifier.extract_features(small_generator, st, cfg, None, None)
+        st = toygen.generate_tapped(default_generator, p, seed, None)
+        feats = verifier.extract_features(default_generator, st, cfg, None, None)
         ids = scenes.encode_prompt_tokens(p)
         s = verifier.score(params, cfg, feats, ids)
         assert in_score_range(s.value)
@@ -117,14 +118,14 @@ def metered_verification_flops(gen, cfg, stats, prompt, state, image=None) -> in
     return ctx.flops_accumulated
 
 
-def test_hidden_state_verification_flops_match_closed_form(small_generator, rng):
+def test_hidden_state_verification_flops_match_closed_form(default_generator, rng):
     cfg, p = VerifierConfig(), scenes.sample_prompt(rng)
-    st = toygen.generate_tapped(small_generator, p, 2, None)
+    st = toygen.generate_tapped(default_generator, p, 2, None)
     feats = toygen.tap_hidden_features(st)
     stats = scenes.calibrate_feature_stats([feats, feats + 1.0])
     tokens, width = feats.shape
     normalize = 2 * tokens * width + width
-    assert (metered_verification_flops(small_generator, cfg, stats, p, st)
+    assert (metered_verification_flops(default_generator, cfg, stats, p, st)
             == normalize + head_flops())
 
 
@@ -167,12 +168,12 @@ def test_metered_normalization_is_bitwise_reference(dtype):
     assert got.tobytes() == want.tobytes()
 
 
-def test_pixel_reencode_verification_flops_match_closed_form(small_generator, rng):
+def test_pixel_reencode_verification_flops_match_closed_form(default_generator, rng):
     cfg, p = VerifierConfig(mode="pixel_reencode"), scenes.sample_prompt(rng)
-    image, st = toygen.generate_full(small_generator, p, 2, None)
+    image, st = toygen.generate_full(default_generator, p, 2, None)
     patches = (scenes.IMAGE_SIZE // scenes.PATCH) ** 2
     # the image is passed in, so nothing is decoded again
-    assert (metered_verification_flops(small_generator, cfg, None, p, st, image)
+    assert (metered_verification_flops(default_generator, cfg, None, p, st, image)
             == encoder_flops() + scorer_flops(patches))
 
 
@@ -188,11 +189,6 @@ class DtypeMeter(MeterContext):
         super().register(tensor)
 
 
-@functools.cache
-def two_layer_generator() -> toygen.Generator:
-    return toygen.build_generator(toygen.GeneratorConfig(num_layers=2))
-
-
 def _tensor_as(t: Tensor | None, dtype) -> Tensor | None:
     return None if t is None else Tensor(t.data.astype(dtype))
 
@@ -205,8 +201,8 @@ def _tensor_as(t: Tensor | None, dtype) -> Tensor | None:
 @settings(max_examples=3, deadline=None)
 @given(prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62))
 def test_verifier_computes_in_its_precision_with_the_same_flops(
-        mode, dtype, prompt_seed, seed):
-    gen = two_layer_generator()
+        mode, dtype, prompt_seed, seed, default_generator):
+    gen = default_generator
     cfg = VerifierConfig(mode=mode)
     params = {name: arr.astype(dtype) for name, arr in init_verifier(cfg).items()}
     p = scenes.sample_prompt(np.random.default_rng(prompt_seed))
@@ -261,20 +257,20 @@ def test_scorer_block_0_with_looked_up_prompt_rows_is_the_block_on_the_concatena
 
 
 @pytest.mark.parametrize("mode", ["hidden_state", "pixel_reencode"])
-def test_the_meter_counts_the_features_while_the_scorer_reads_them(mode, small_generator, rng,
-                                                                  monkeypatch):
+def test_the_meter_counts_the_features_while_the_scorer_reads_them(
+        mode, default_generator, rng, monkeypatch):
     # the features are passed straight into score, so only the verifier holds
     # them: its first product (the head's, or the connector's) must find their
     # bytes live, and nothing else of the verification
     cfg, p = VerifierConfig(mode=mode), scenes.sample_prompt(rng)
     params, stats, image = init_verifier(cfg), None, None
     if mode == "hidden_state":
-        st = toygen.generate_tapped(small_generator, p, 2, None)
+        st = toygen.generate_tapped(default_generator, p, 2, None)
         feats = toygen.tap_hidden_features(st)
         stats = scenes.calibrate_feature_stats([feats, feats + 1.0])
     else:
-        image, st = toygen.generate_full(small_generator, p, 2, None)
-    nbytes = verifier.extract_features(small_generator, st, cfg, stats, None, params=params,
+        image, st = toygen.generate_full(default_generator, p, 2, None)
+    nbytes = verifier.extract_features(default_generator, st, cfg, stats, None, params=params,
                                        image=image).data.nbytes
     assert nbytes == toygen.CONTENT_TOKENS * verifier.FEATURE_DIM * 4
     ctx, live = MeterContext(), []
@@ -288,7 +284,7 @@ def test_the_meter_counts_the_features_while_the_scorer_reads_them(mode, small_g
 
     monkeypatch.setattr(verifier, "linear", spy)
     verifier.score(params, cfg, verifier.extract_features(
-        small_generator, st, cfg, stats, ctx, params=params, image=image),
+        default_generator, st, cfg, stats, ctx, params=params, image=image),
         scenes.encode_prompt_tokens(p), ctx)
     assert live == [nbytes]
     assert ctx.bytes_live == 0
@@ -319,31 +315,25 @@ def test_select_best_ties_go_to_lowest_index():
 # ---------------------------------------------------------------- mode gating
 
 @pytest.mark.parametrize("mode", ["ae_latent", "pixel_reencode"])
-def test_full_run_modes_reject_tapped_state(mode, small_generator, rng):
+def test_full_run_modes_reject_tapped_state(mode, default_generator, rng):
     cfg = VerifierConfig(mode=mode)
     params, p = init_verifier(cfg), scenes.sample_prompt(rng)
-    st = toygen.generate_tapped(small_generator, p, 3, None)
+    st = toygen.generate_tapped(default_generator, p, 3, None)
     with pytest.raises(toygen.StateCompletionError):
-        verifier.extract_features(small_generator, st, cfg, None, None, params=params)
+        verifier.extract_features(default_generator, st, cfg, None, None, params=params)
     if mode == "pixel_reencode":
         # the decode is the generator's: a completed state without its image is refused
-        _, completed = toygen.generate_full(small_generator, p, 3, None)
+        _, completed = toygen.generate_full(default_generator, p, 3, None)
         with pytest.raises(toygen.StateCompletionError):
-            verifier.extract_features(small_generator, completed, cfg, None, None, params=params)
+            verifier.extract_features(default_generator, completed, cfg, None, None, params=params)
 
 
-def test_hidden_state_mode_rejects_state_not_at_its_tap(small_generator, rng):
+def test_hidden_state_mode_rejects_state_not_at_its_tap(default_generator, rng):
+    # a completed state holds the last block's content rows, not block 0's
     cfg, p = VerifierConfig(), scenes.sample_prompt(rng)
-    deeper = toygen.Generator(
-        dataclasses.replace(small_generator.config, tap_layer=small_generator.config.tap_layer + 1),
-        small_generator.params)
-    tapped_deeper = toygen.generate_tapped(deeper, p, 3, None)
-    _, completed = toygen.generate_full(small_generator, p, 3, None)
-    for state in (completed, tapped_deeper):
-        with pytest.raises(toygen.StateCompletionError):
-            verifier.extract_features(small_generator, state, cfg, None, None)
-    # the tap is the generator's: the deeper generator's own state is accepted
-    verifier.extract_features(deeper, tapped_deeper, cfg, None, None)
+    _, completed = toygen.generate_full(default_generator, p, 3, None)
+    with pytest.raises(toygen.StateCompletionError):
+        verifier.extract_features(default_generator, completed, cfg, None, None)
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -448,6 +438,22 @@ def test_failed_save_leaves_the_old_checkpoint_as_it_was(tmp_path, monkeypatch):
         save_checkpoint(path, params, cfg, stats)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_saved_checkpoint_has_the_mode_a_plain_open_gives(umask, tmp_path):
+    # the save writes a temporary file, which starts at 0o600, and renames it:
+    # the checkpoint must be as readable as a file opened for writing under
+    # the same umask
+    old = os.umask(umask)
+    try:
+        path = write_checkpoint(tmp_path)[0]
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(f.stat().st_mode) for f in (path, tmp_path / "plain")}
+    assert modes == {0o666 & ~umask}
 
 
 def _edit_entries(edit):

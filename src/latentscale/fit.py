@@ -6,8 +6,9 @@ generator at ``FIT_CORRUPTION_RATE``, takes their channel statistics with
 ``numcore.normalize`` as serving does, and fits ridge regression (penalty
 ``RIDGE_LAMBDA``, bias not penalized) of the labels +1 (uncorrupted) and
 -1 (corrupted) on the flattened features, in float64, with one
-``np.linalg.solve``. A linear probe of an intermediate layer (Alain and
-Bengio 2016, arXiv 1610.01644) needs no backward pass.
+``np.linalg.solve``. The tap is the generator's embed, its content rows at
+layer 0, so the fit runs no block. A linear probe of an intermediate layer
+(Alain and Bengio 2016, arXiv 1610.01644) needs no backward pass.
 
 Calibration candidate i has the i-th prompt that ``scenes.sample_prompt``
 draws from ``default_rng([77, 1])`` and the seed ``CALIBRATION_SEED_BASE +

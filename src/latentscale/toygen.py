@@ -40,31 +40,25 @@ its attribute embedding plus a prompt segment vector, a function of its id
 alone, so ``build_generator`` computes block 0's entry for every vocabulary
 token once (``numcore.block_entry``: the conditioning bias, ln1 and the
 query, key and value, the key being the ln1 output itself) into
-``prompt_h`` and ``prompt_qkv``. The embed makes
-the content rows only, and block 0 appends the prompt rows' looked-up
-entries after them; its output, and every later block's input, is the
-content rows, then the prompt rows.
+``prompt_h`` and ``prompt_qkv``. The embed makes the content rows only, and
+block 0 appends the prompt rows' looked-up entries after them; its output,
+and every later block's input, is the content rows, then the prompt rows.
 
-Execution is tap and resume. The tap is block 0: ``generate_tapped`` runs
-the embed and block 0 and returns the hidden state for scoring;
-``resume_and_decode`` runs blocks 1 to ``NUM_LAYERS - 1``, projects, and
-decodes. ``generate_full`` is just the two in turn, so full and resumed runs
-share one path, values and metered FLOPs. The projection reads only the
-content rows, so the last block lets only those query and returns them
-alone. Block 0, too, lets only the content rows query at the tap
-(``numcore.block_queries``): the verifier reads them alone, and a pruned
-candidate never runs block 1, the only reader of the prompt rows. The state
-keeps the content rows' keys (their ln1 outputs) and values (those outputs
-times the block's folded ``W_VO``) and the prompt ids until resume. Resume
-joins those keys and values with the prompt rows', runs the prompt rows'
-queries on their looked-up residual and query as they are, appends their
-output after the content rows and drops what the state kept. A state holds
-the content rows only, at the tap and once completed.
+Execution is tap and resume. The tap is the embed: ``generate_tapped``
+realizes the scene, runs the embed and returns the content rows at layer 0
+for scoring; ``resume_and_decode`` runs every block, projects, and decodes.
+``generate_full`` is just the two in turn, so full and resumed runs share
+one path, values and metered FLOPs. A pruned candidate runs no block. The
+projection reads only the content rows, so the last block lets only those
+query and returns them alone. A tapped state keeps the prompt ids until
+resume, which looks up the prompt rows' block-0 entries by them and drops
+them; a state holds the content rows only, at the tap and once completed.
 
 The match bank is written at embed and the blocks' small weights barely
-touch it, so a linear readout finds the alignment evidence as well after
-block 0 as after block 3 or 7; at block 0 a candidate runs the embed and one
-block before it is scored.
+touch it, so a linear readout finds the alignment evidence as well on the
+embed output as after block 0, 3 or 7: in this toy the evidence does not
+depend on tap depth. That is why the tap is the embed, the earliest and
+cheapest site that holds it.
 
 The stack serves in one dtype, float32 (``DTYPE``): the generator's
 parameters and noise, and the verifier's parameters, are drawn in float64
@@ -73,19 +67,20 @@ and rounded once to it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import scenes
 from .numcore import (
-    BlockWeights, MeterContext, Tensor, attention_block, block_entry, block_queries, clamp01,
-    init_block_weights, linear, matmul,
+    BlockWeights, MeterContext, Tensor, attention_block, block_entry, clamp01, init_block_weights,
+    linear, matmul,
 )
 
 MODEL_WIDTH = 64            # d: channels of every token, and the verifier's FEATURE_DIM
 CONTENT_TOKENS = 16         # T: content tokens, one per scene cell
-NUM_LAYERS = 8              # attention blocks; the tap is block 0
+NUM_LAYERS = 8              # attention blocks, all run at resume; the tap is the embed
 RASTER_DIM = 3 * scenes.IMAGE_SIZE * scenes.IMAGE_SIZE  # fills RASTER_DIM / d rows of X
 MATCH_CHANNELS = 4
 WEIGHT_STD = 0.01           # scale of the attention blocks' random weights
@@ -109,13 +104,13 @@ class StateCompletionError(RuntimeError):
 class GeneratorConfig:
     """Generator settings, checked when built: GeneratorConfigError if invalid.
 
-    ``corruption_rate`` must be an int or a float (not a bool) in [0, 1],
-    which rules out NaN and the infinities."""
+    ``corruption_rate`` must be a real number (Python's or NumPy's, not a
+    bool) in [0, 1], which rules out NaN and the infinities."""
     corruption_rate: float = 0.3
 
     def __post_init__(self):
         rate = self.corruption_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate <= 1:
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 <= rate <= 1:
             raise GeneratorConfigError(f"corruption_rate must be a number in [0, 1], got {rate!r}")
 
 
@@ -139,23 +134,17 @@ class Generator:
 
 @dataclass
 class GeneratorState:
-    """One candidate: tapped after block 0, or completed (``z0`` set).
+    """One candidate: tapped at the embed, or completed (``z0`` set).
 
     ``hidden`` is the ``CONTENT_TOKENS`` content rows [T, d] of the token
-    stream, after block 0 when tapped and after the last block once
-    completed: both blocks let only the content rows query. Until it is
-    resumed, a tapped state also keeps what block 0's prompt rows read when
-    they query at resume and the per-token tables cannot supply: the content
-    rows' keys and values ``kv`` (their ln1 outputs, and those times the
-    folded ``W_VO``) and the prompt's token ids, by which the prompt rows'
-    entries are looked up. Resume joins ``kv`` with the prompt rows' keys and
-    values, hands their residual and query to the queries as they are, and
-    drops what was kept.
+    stream: the embed's output when tapped, the last block's once completed
+    (the last block lets only the content rows query). Until it is resumed,
+    a tapped state also keeps the prompt's token ids, by which block 0 looks
+    up the prompt rows' entries; resume drops them.
     """
     hidden: Tensor
     rendered_scene: scenes.Scene    # post-corruption ground truth
     corrupted: bool
-    kv: Tensor | None = None        # [2, T, d] block 0's content keys and values
     prompt_ids: np.ndarray | None = None
     z0: Tensor | None = None        # terminal latent, set on completion
 
@@ -232,10 +221,15 @@ def _embed_layer0(gen: Generator, realized: scenes.RealizedCandidate,
     return matmul(matmul(p.token_code, mixed, ctx), p.channel_code.T, ctx)
 
 
-def _run_blocks(gen: Generator, x: Tensor, ctx: MeterContext | None) -> Tensor:
-    """Blocks 1..NUM_LAYERS-1 on block 0's output; the last block returns the
-    content rows only, since the projection reads nothing else."""
-    *middle, last = gen.params.blocks[1:]
+def _run_blocks(gen: Generator, x: Tensor, prompt_ids: np.ndarray,
+               ctx: MeterContext | None) -> Tensor:
+    """Every block on the embed's content rows. Block 0 appends the prompt
+    rows after them, their entries looked up in the per-token tables; the
+    last block returns the content rows only, since the projection reads
+    nothing else."""
+    p = gen.params
+    first, *middle, last = p.blocks
+    x = attention_block(x, first, ctx, given=(p.prompt_h[prompt_ids], p.prompt_qkv[:, prompt_ids]))
     for w in middle:
         x = attention_block(x, w, ctx)
     return attention_block(x, last, ctx, rows=CONTENT_TOKENS)
@@ -262,52 +256,25 @@ def decode_latent(gen: Generator, z0: Tensor, ctx: MeterContext | None) -> Rende
 
 def generate_tapped(gen: Generator, prompt: scenes.Prompt, seed: int,
                     ctx: MeterContext | None) -> GeneratorState:
-    """Run the embed and block 0, the tap; returns the state holding the tap hidden.
-
-    Block 0 appends the prompt rows after the content rows, their entries
-    looked up in the per-token tables, and lets only the content rows query.
-    A pruned candidate stops here, and its prompt rows' queries would be
-    read by block 1 alone.
-    """
-    n, p = CONTENT_TOKENS, gen.params
+    """Realize the candidate's scene and run the embed, the tap; returns the
+    state holding the tap hidden, the content rows at layer 0. A pruned
+    candidate stops here, having run no block."""
     rng = scenes.candidate_rng(prompt, seed)
     realized = scenes.candidate_scene(prompt, rng, gen.config.corruption_rate)
-    prompt_ids = scenes.encode_prompt_tokens(prompt)
-    x = _embed_layer0(gen, realized, rng, ctx)
-    w = p.blocks[0]
-    h, qkv = block_entry(x, w, ctx, (p.prompt_h[prompt_ids], p.prompt_qkv[:, prompt_ids]))
     return GeneratorState(
-        hidden=block_queries(h.data[:n], qkv.data[0, :n], qkv.data[1:], w, ctx),
+        hidden=_embed_layer0(gen, realized, rng, ctx),
         rendered_scene=realized.scene, corrupted=realized.corrupted,
-        kv=Tensor(np.ascontiguousarray(qkv.data[1:, :n]), ctx), prompt_ids=prompt_ids)
-
-
-def _tap_block_rows(gen: Generator, state: GeneratorState,
-                    ctx: MeterContext | None) -> Tensor:
-    """Block 0's output on every row block 1 reads: the prompt rows query
-    now and are joined after the content rows that queried at the tap, and
-    the state drops what it kept for them."""
-    p = gen.params
-    h_p, qkv_p = p.prompt_h[state.prompt_ids], p.prompt_qkv[:, state.prompt_ids]
-    kv = Tensor(np.concatenate([state.kv.data, qkv_p[1:]], axis=1), ctx)
-    state.kv = state.prompt_ids = None
-    prompt_rows = block_queries(h_p, qkv_p[0], kv, p.blocks[0], ctx)
-    return Tensor(np.concatenate([state.hidden.data, prompt_rows.data]), ctx)
+        prompt_ids=scenes.encode_prompt_tokens(prompt))
 
 
 def resume_and_decode(gen: Generator, state: GeneratorState,
                       ctx: MeterContext | None) -> RenderedImage:
-    """Finish block 0's prompt rows, run blocks 1..NUM_LAYERS-1 on a tapped
-    state, project, and decode."""
+    """Run every block on a tapped state, project, and decode."""
     if state.completed:
         raise StateCompletionError("state is already completed")
-    # the joined rows are held, so metered, to the last block on every Python:
-    # passed straight in, 3.10 would hold them that long but 3.11 would not
-    x = _tap_block_rows(gen, state, ctx)
-    x = _run_blocks(gen, x, ctx)
+    x = _run_blocks(gen, state.hidden, state.prompt_ids, ctx)
     z0 = _project(gen, x, ctx)
-    state.hidden = x
-    state.z0 = z0
+    state.hidden, state.prompt_ids, state.z0 = x, None, z0
     return decode_latent(gen, z0, ctx)
 
 
@@ -319,6 +286,6 @@ def generate_full(gen: Generator, prompt: scenes.Prompt, seed: int,
 
 
 def tap_hidden_features(state: GeneratorState) -> np.ndarray:
-    """Content-token hidden state at the tap, block 0's output, the
+    """Content-token hidden state at the tap, the embed's output, the
     verifier's raw features: [CONTENT_TOKENS, MODEL_WIDTH]."""
     return state.hidden.data

@@ -6,7 +6,7 @@ what reads them:
   * ``hidden_state``   - the generator's tap activations, normalized by
                          pre-computed channel statistics and read by one
                          linear head; candidates only need to run up to the
-                         generator's tap, block 0.
+                         generator's tap, the embed, and so run no block.
   * ``ae_latent``      - the terminal latent z0, flattened over spatial
                          positions; needs a completed generation.
   * ``pixel_reencode`` - the completed run's decoded image pushed through a
@@ -210,8 +210,8 @@ def extract_features(gen: toygen.Generator, state: toygen.GeneratorState,
     modes need a completed state, and ``pixel_reencode`` also the ``image``
     that state decoded to. Otherwise StateCompletionError is raised.
     Normalization runs in the features' and statistics' dtype, the encoder
-    in the parameters'. ``gen`` is not read: the tap is always block 0, and
-    the benchmark adapter passes ``gen`` positionally.
+    in the parameters'. ``gen`` is not read: the tap is always the embed,
+    and the benchmark adapter passes ``gen`` positionally.
     """
     if config.mode == "hidden_state":
         if state.completed:

@@ -125,11 +125,10 @@ def test_metered_and_unmetered_runs_bitwise_equal(default_generator, rng):
 
 def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
     # each buffer the meter counts is held here, so none can be freed and reused;
-    # the count is 2 at embed, 10 in each of 8 blocks, 1 projection, 3 at
-    # decode (the first product, the second with its shift, the clamp), and
-    # 10 more because the tap block's query pass runs twice: the prompt rows'
-    # pass at resume (7), the key and value kept at the tap, the resume's
-    # joined keys and values, and the joined rows
+    # the count is 2 at embed (A @ X, then @ Bᵀ), 10 in each of 8 blocks (the
+    # entry's h, ln1 and q/k/v; the queries' scores, probs, h2, ln2, MLP-up,
+    # GELU and output), 1 projection, and 3 at decode (the first product,
+    # the second with its shift, the clamp)
     seen = []
     register = MeterContext.register
 
@@ -139,7 +138,7 @@ def test_metered_buffers_never_alias(default_generator, rng, monkeypatch):
 
     monkeypatch.setattr(MeterContext, "register", record)
     generate_full(default_generator, sample_prompt(rng), 6, MeterContext())
-    assert len(seen) == 96
+    assert len(seen) == 2 + 10 * toygen.NUM_LAYERS + 1 + 3 == 86
     assert [(a.shape, b.shape) for a, b in itertools.combinations(seen, 2)
             if np.shares_memory(a, b)] == []
 
@@ -172,16 +171,15 @@ def _coordinates(cfg: GeneratorConfig, prompt, seed: int) -> np.ndarray:
 
 def test_metered_peak_of_a_full_run(default_generator, rng):
     # float32 buffers; the peak depends on shapes only. It is reached as a
-    # 23-row block from the second past the tap to the last but one
-    # registers its GELU, while the GELU still reads the MLP-up output: the
-    # state's tapped content rows 4,096, the tap block's joined rows 5,888,
-    # the block's input 5,888, h 5,888, q/k/v 17,664, scores and probs
-    # 2 * 2,116, h2 and ln2 2 * 5,888, and the MLP-up and GELU outputs
-    # 2 * 23,552
+    # 23-row block from block 1 to the last but one registers its GELU,
+    # while the GELU still reads the MLP-up output: the state's tapped
+    # content rows 4,096, the block's input 5,888, h 5,888, q/k/v 17,664,
+    # scores and probs 2 * 2,116, h2 and ln2 2 * 5,888, and the MLP-up and
+    # GELU outputs 2 * 23,552
     ctx = MeterContext()
     generate_full(default_generator, sample_prompt(rng), 5, ctx)
-    assert ctx.bytes_peak == 4_096 + 3 * 5_888 + 17_664 + 2 * 2_116 + 2 * 5_888 + 2 * 23_552
-    assert ctx.bytes_peak == 102_536
+    assert ctx.bytes_peak == 4_096 + 2 * 5_888 + 17_664 + 2 * 2_116 + 2 * 5_888 + 2 * 23_552
+    assert ctx.bytes_peak == 96_648
 
 
 def test_metered_peak_does_not_depend_on_who_holds_a_calls_arguments(
@@ -218,58 +216,22 @@ def test_generator_weights_and_outputs_are_read_only(default_generator, rng):
         p.channel_code[0, 0] = 1.0
 
 
-def test_the_tap_blocks_query_split_falls_where_the_blas_groups_rows():
-    # the tap block's content rows query at the tap and its prompt rows at
-    # resume; test_resume_equals_full_bitwise needs the two passes to give
-    # the bits of one. OpenBLAS's sgemm takes the scores product's rows in
-    # groups of 4, and NumPy sends a one-row product to gemv, so that holds
-    # only for a split at a multiple of 4 with at least 2 rows after it
-    # (test_block_queries_split_at_any_row_join_to_the_block)
-    assert CONTENT_TOKENS % 4 == 0, (
-        f"CONTENT_TOKENS = {CONTENT_TOKENS} splits the tap block's scores product inside "
-        "one of OpenBLAS sgemm's 4-row groups, so tap + resume is no longer bitwise the "
-        "full run")
-    assert scenes.PROMPT_TOKEN_LEN >= 2, "a one-row prompt query pass would run as gemv"
-
-
-def test_tapped_state_keeps_the_content_rows_and_the_tap_blocks_content_keys_and_values(
-        default_generator, rng):
-    # float32 at the default config: hidden 4,096 B and the key and value 8,192 B
+def test_tapped_state_meters_the_content_rows_alone(default_generator, rng):
+    # float32 at the default config: the embed's [16, 64] content rows, 4,096 B
     n, d = CONTENT_TOKENS, MODEL_WIDTH
     p = sample_prompt(rng)
     ctx = MeterContext()
     st = generate_tapped(default_generator, p, 9, ctx)
-    assert st.hidden.shape == (n, d) and st.kv.shape == (2, n, d)
+    assert st.hidden.shape == (n, d)
     assert st.prompt_ids.tolist() == scenes.encode_prompt_tokens(p).tolist()
-    assert ctx.bytes_live == 4 * n * d + 4 * 2 * n * d == 12_288
+    assert ctx.bytes_live == 4 * n * d == 4_096
     resume_and_decode(default_generator, st, MeterContext())
-    assert (st.kv, st.prompt_ids) == (None, None)
-    assert ctx.bytes_live == 0  # the tap's buffers went with what resume dropped
+    assert st.prompt_ids is None
+    assert ctx.bytes_live == 0  # the tapped rows went when resume replaced them
     pruned = generate_tapped(default_generator, p, 10, ctx)
-    assert ctx.bytes_live == 12_288
+    assert ctx.bytes_live == 4_096
     del pruned
     assert ctx.bytes_live == 0
-
-
-def test_resume_joins_the_tap_blocks_keys_and_values_and_queries_the_prompt_rows(
-        default_generator, rng, monkeypatch):
-    # one [2, 23, 64] key and value buffer, the 7 prompt rows' query pass,
-    # then the joined [23, 64] rows; no entry is rebuilt for all 23 rows
-    n, d, prompt = CONTENT_TOKENS, MODEL_WIDTH, scenes.PROMPT_TOKEN_LEN
-    st = generate_tapped(default_generator, sample_prompt(rng), 4, None)
-    seen = []
-    register = MeterContext.register
-
-    def record(ctx, tensor):
-        seen.append(tensor.shape)
-        register(ctx, tensor)
-
-    monkeypatch.setattr(MeterContext, "register", record)
-    rows = toygen._tap_block_rows(default_generator, st, MeterContext())
-    assert seen == [(2, n + prompt, d), (prompt, n + prompt), (prompt, n + prompt),
-                    (prompt, d), (prompt, d), (prompt, 4 * d), (prompt, 4 * d),
-                    (prompt, d), (n + prompt, d)]
-    assert rows.shape == (n + prompt, d)
 
 
 def test_resume_on_completed_state_raises(default_generator, rng):
@@ -296,8 +258,8 @@ def test_last_blocks_content_rows_are_the_unpruned_blocks_first_rows(default_gen
 @given(prompt_seed=hst.integers(0, 2 ** 32 - 1), seed=hst.integers(0, 2 ** 62))
 def test_block_0_with_looked_up_prompt_rows_is_the_block_on_the_concatenated_rows(
         prompt_seed, seed, default_generator):
-    # tables of block 0's entry for stand-in token rows; the tap block lets
-    # the content rows alone query
+    # tables of block 0's entry for stand-in token rows; resume's first block
+    # call, on the tapped rows, must be the block on every row
     rng = np.random.default_rng(prompt_seed)
     tokens = rng.standard_normal((scenes.VOCAB_SIZE, MODEL_WIDTH)).astype(toygen.DTYPE)
     h, qkv = block_entry(tokens, default_generator.params.blocks[0], None)
@@ -307,8 +269,19 @@ def test_block_0_with_looked_up_prompt_rows_is_the_block_on_the_concatenated_row
     realized, stream = _drawn_scene(gen.config, p, seed)
     x = np.concatenate([toygen._embed_layer0(gen, realized, stream, None).data,
                         tokens[scenes.encode_prompt_tokens(p)]])
-    want = toygen.attention_block(x, gen.params.blocks[0], None, rows=CONTENT_TOKENS)
-    assert generate_tapped(gen, p, seed, None).hidden.data.tobytes() == want.data.tobytes()
+    want = toygen.attention_block(x, gen.params.blocks[0], None)
+    outputs, block = [], toygen.attention_block
+
+    def record(*args, **kwargs):
+        outputs.append(block(*args, **kwargs))
+        return outputs[-1]
+
+    state = generate_tapped(gen, p, seed, None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toygen, "attention_block", record)
+        resume_and_decode(gen, state, None)
+    assert len(outputs) == toygen.NUM_LAYERS
+    assert outputs[0].data.tobytes() == want.data.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -340,21 +313,18 @@ def test_generation_flops_match_closed_form(default_generator, rng):
     n, d, prompt = CONTENT_TOKENS, MODEL_WIDTH, scenes.PROMPT_TOKEN_LEN
     t = n + prompt
     block = flops_for(("attention_block", t, d, 4 * d))
-    # the tap is block 0: its prompt rows are given, and query at resume
-    tapped = (
-        flops_for(("matmul", n, n, d)) + flops_for(("matmul", n, d, d))  # code embed A @ X @ Bᵀ
-        + flops_for(("attention_block", t, d, 4 * d, n, prompt))
-    )
+    # the tap is the embed; resume runs every block, block 0 given the prompt rows
+    tapped = flops_for(("matmul", n, n, d)) + flops_for(("matmul", n, d, d))  # A @ X @ Bᵀ
     resumed = (
-        flops_for(("block_queries", t, d, 4 * d, prompt))
+        flops_for(("attention_block", t, d, 4 * d, t, prompt))
         + (toygen.NUM_LAYERS - 2) * block
         + flops_for(("attention_block", t, d, 4 * d, n))            # last block: content rows
         + flops_for(("matmul", n, d, d))                            # final projection
         + _unembed_flops()                                          # decode
         + 2 * RASTER_DIM                                            # shift + clamp
     )
-    assert c_tap.flops_accumulated == tapped == 1_644_336
-    assert c_res.flops_accumulated == resumed == 15_152_979
+    assert c_tap.flops_accumulated == tapped == 163_840
+    assert c_res.flops_accumulated == resumed == 16_633_475
     assert c_full.flops_accumulated == tapped + resumed == 16_797_315
 
 
@@ -417,6 +387,22 @@ def test_generator_draws_are_unchanged():
     assert digest.hexdigest() == GENERATOR_DRAWS_SHA256
 
 
+# sha256 of generate_full's outputs for 50 candidates, each candidate's pixel
+# bytes then its z0 bytes: candidate i has the i-th prompt that
+# sample_prompt(default_rng(5)) draws and seed i. Where the tap sits must
+# not move them. Like every bitwise pin here, they depend on the BLAS build
+DECODED_SHA256 = "3a728de6bc266c3c027f83bfc6478296fdc4e45240c80303c11bf21396a41e61"
+
+
+def test_decoded_outputs_are_unchanged(default_generator):
+    rng, digest = np.random.default_rng(5), hashlib.sha256()
+    for seed in range(50):
+        image, state = generate_full(default_generator, sample_prompt(rng), seed, None)
+        digest.update(image.pixels.data.tobytes())
+        digest.update(state.z0.data.tobytes())
+    assert digest.hexdigest() == DECODED_SHA256
+
+
 def test_no_parameter_spans_the_code_dimension():
     tracemalloc.start()
     try:
@@ -470,6 +456,12 @@ def test_terminal_latent_has_one_token_per_cell(default_generator, rng):
     ("corruption_rate", math.nan),     # the rate must be finite
     ("corruption_rate", math.inf),
     ("corruption_rate", -math.inf),
+    # NumPy scalars: a bool is refused too, and reals are range-checked
+    pytest.param("corruption_rate", np.bool_(False), id="np.bool_"),
+    pytest.param("corruption_rate", np.float32(math.nan), id="np.float32-nan"),
+    pytest.param("corruption_rate", np.float64(math.inf), id="np.float64-inf"),
+    pytest.param("corruption_rate", np.float32(1.5), id="np.float32-1.5"),
+    pytest.param("corruption_rate", np.int64(-1), id="np.int64--1"),
 ])
 def test_config_field_of_the_wrong_type_raises_typed_error(name, value):
     with pytest.raises(GeneratorConfigError, match=rf"{name} must be a number in \[0, 1\]"):
@@ -478,6 +470,12 @@ def test_config_field_of_the_wrong_type_raises_typed_error(name, value):
 
 def test_config_float_fields_accept_ints():
     assert GeneratorConfig(corruption_rate=0).corruption_rate == 0
+
+
+@pytest.mark.parametrize("value", [np.float32(0.3), np.float64(0.3), np.float16(0.5),
+                                   np.int64(0), np.uint8(1)], ids=repr)
+def test_config_accepts_numpy_reals(value):
+    assert GeneratorConfig(corruption_rate=value).corruption_rate == value
 
 
 def test_invalid_configs_rejected():

@@ -141,7 +141,7 @@ def test_default_bon_hidden_flops_per_image_closed_form(default_generator, rng):
     tokens, width = feats.shape
     assert verify == 2 * tokens * width + width + head_flops() == 2_112 + 2_049 + 10 == 4_171
     assert (32 * (c_tap.flops_accumulated + verify) + c_res.flops_accumulated
-            == 67_905_203)
+            == 32 * (163_840 + 4_171) + 16_633_475 == 22_009_827)
 
 
 def test_default_bon_pixel_flops_per_image_closed_form(default_generator, rng):
@@ -329,7 +329,7 @@ def test_full_run_modes_reject_tapped_state(mode, default_generator, rng):
 
 
 def test_hidden_state_mode_rejects_state_not_at_its_tap(default_generator, rng):
-    # a completed state holds the last block's content rows, not block 0's
+    # a completed state holds the last block's content rows, not the embed's
     cfg, p = VerifierConfig(), scenes.sample_prompt(rng)
     _, completed = toygen.generate_full(default_generator, p, 3, None)
     with pytest.raises(toygen.StateCompletionError):
